@@ -84,6 +84,9 @@ subcommands cover the workflows a downstream user actually runs:
     print the response line.
 
 All subcommands are also exposed through ``python -m repro.cli <subcommand> ...``.
+Each subcommand imports the modules only it needs inside its ``_cmd_*``
+function, so no command pays for another's imports (``repro mine`` never
+loads the server, asyncio or the baseline miners).
 """
 
 from __future__ import annotations
@@ -95,31 +98,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.baselines.apriori import AprioriMiner
-from repro.baselines.eclat import EclatMiner
-from repro.baselines.fpgrowth import FPGrowthMiner
-from repro.baselines.merge import intersection_size_numpy
-from repro.core.batmap import build_batmap
-from repro.core.collection import BatmapCollection
-from repro.core.config import BatmapConfig
-from repro.core.hashing import HashFamily
 from repro.core.errors import DataFormatError, DatasetError
-from repro.core.intersection import count_common
-from repro.core.plan import plan_counts
-from repro.parallel.executor import recommended_backend
-from repro.datasets.fimi_io import read_fimi, write_fimi
-from repro.datasets.ibm_quest import QuestParameters, generate_quest_dataset
-from repro.datasets.synthetic import generate_density_instance
-from repro.datasets.webdocs import generate_webdocs_like
-from repro.extensions.multiway import multiway_intersection
-from repro.mining.itemsets import BatmapItemsetMiner
-from repro.mining.pair_mining import BatmapPairMiner
-from repro.serve.server import (
-    DEFAULT_CACHE_ENTRIES,
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_QUEUE,
-    DEFAULT_REQUEST_TIMEOUT,
-)
 
 __all__ = ["main", "build_parser", "subcommand_parsers"]
 
@@ -327,15 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default 0: bind an ephemeral port and "
                             "print it)")
-    serve.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,
+    # Tuning flags default to None: the server's own defaults apply, and
+    # building the parser never imports the server.
+    serve.add_argument("--max-batch", type=int, default=None,
                        help="most requests coalesced into one vectorized "
                             "engine call (1 disables batching)")
-    serve.add_argument("--max-queue", type=int, default=DEFAULT_MAX_QUEUE,
+    serve.add_argument("--max-queue", type=int, default=None,
                        help="bounded request-queue capacity; a full queue "
                             "answers 'overloaded' instead of blocking")
-    serve.add_argument("--timeout", type=float, default=DEFAULT_REQUEST_TIMEOUT,
+    serve.add_argument("--timeout", type=float, default=None,
                        help="per-request deadline in seconds")
-    serve.add_argument("--cache-entries", type=int, default=DEFAULT_CACHE_ENTRIES,
+    serve.add_argument("--cache-entries", type=int, default=None,
                        help="LRU result-cache capacity (0 disables caching)")
     serve.add_argument("--max-requests", type=int, default=None,
                        help="shut down after this many request lines "
@@ -399,6 +380,8 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
             # residents: a configuration error, not a crash.
             print(f"error: {exc}", file=out)
             return 2
+    from repro.datasets.fimi_io import read_fimi
+
     db = read_fimi(args.input, max_transactions=args.max_transactions)
     print(f"loaded {db.n_transactions} transactions, {db.n_items} items, "
           f"{db.total_items} occurrences (density {db.density:.4f})", file=out)
@@ -410,12 +393,14 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
 
     start = time.perf_counter()
     if args.engine == "batmap":
+        from repro.mining.pair_mining import BatmapPairMiner
+
         miner = BatmapPairMiner(compute=args.compute, workers=args.workers,
                                 build_compute=args.build_compute,
                                 build_workers=args.build_workers,
                                 result_format=args.result_format)
         report = miner.mine(db, min_support=args.min_support, rng=args.seed)
-        pairs = report.supports.frequent_pairs(args.min_support)
+        pairs = report.supports
         _maybe_print_result_format(report, out)
         timing = "modelled" if report.count_backend == "kernel" else "wall clock"
         print(f"phases: preprocess {report.preprocess_seconds:.3f}s, "
@@ -428,16 +413,32 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
         print(backend, file=out)
         print(_build_backend_line(report.build_backend, args.build_compute),
               file=out)
-    elif args.engine == "apriori":
-        pairs = AprioriMiner().mine_pairs(db.transactions, db.n_items, args.min_support)
-    elif args.engine == "fpgrowth":
-        pairs = FPGrowthMiner().mine_pairs(db.transactions, db.n_items, args.min_support)
     else:
-        pairs = EclatMiner().mine_pairs(db.transactions, db.n_items, args.min_support)
+        from repro.baselines.apriori import AprioriMiner
+        from repro.baselines.eclat import EclatMiner
+        from repro.baselines.fpgrowth import FPGrowthMiner
+
+        baseline = {"apriori": AprioriMiner, "fpgrowth": FPGrowthMiner,
+                    "eclat": EclatMiner}[args.engine]
+        pairs = baseline().mine_pairs(db.transactions, db.n_items, args.min_support)
     elapsed = time.perf_counter() - start
 
     _report_pairs(pairs, args, out, elapsed, args.engine)
     return 0
+
+
+def _pair_arrays(pairs, min_support: int) -> tuple:
+    """``(i, j, support)`` arrays sorted by ``(i, j)``.
+
+    ``pairs`` is a :class:`~repro.mining.support.PairSupports` (the batmap
+    engine) or a baseline miner's ``{(i, j): support}`` dictionary.
+    """
+    if not isinstance(pairs, dict):
+        return pairs.pair_arrays(min_support)
+    items = sorted(pairs.items())
+    keys = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 2)
+    values = np.array([value for _, value in items], dtype=np.int64)
+    return keys[:, 0], keys[:, 1], values
 
 
 def _report_pairs(pairs, args: argparse.Namespace, out, elapsed: float,
@@ -447,12 +448,12 @@ def _report_pairs(pairs, args: argparse.Namespace, out, elapsed: float,
     One implementation for the in-memory and streaming paths — the CI
     streaming smoke compares their ``--pairs-out`` files byte for byte.
     """
-    print(f"{len(pairs)} frequent pairs (support >= {args.min_support}) "
+    i, j, support = _pair_arrays(pairs, args.min_support)
+    print(f"{i.size} frequent pairs (support >= {args.min_support}) "
           f"in {elapsed:.3f}s wall clock [{engine_tag}]", file=out)
-    ranked = sorted(pairs.items(), key=lambda kv: (-kv[1], kv[0]))[:args.top]
-    for (i, j), support in ranked:
-        print(f"  ({i}, {j})  support={support}", file=out)
-    _maybe_write_pairs(pairs, args.pairs_out, out)
+    for r in np.lexsort((j, i, -support))[:args.top].tolist():
+        print(f"  ({i[r]}, {j[r]})  support={support[r]}", file=out)
+    _maybe_write_pairs(i, j, support, args.pairs_out, out)
 
 
 def _maybe_print_result_format(report, out) -> None:
@@ -467,13 +468,13 @@ def _maybe_print_result_format(report, out) -> None:
               f"tiles pruned, {counts.result_bytes} result bytes)", file=out)
 
 
-def _maybe_write_pairs(pairs, path, out) -> None:
-    """Write every frequent pair as sorted ``i j support`` lines (optional)."""
+def _maybe_write_pairs(i, j, support, path, out) -> None:
+    """Write every frequent pair as ``i j support`` lines, in array order (optional)."""
     if path is None:
         return
-    lines = [f"{i} {j} {support}" for (i, j), support in sorted(pairs.items())]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-    print(f"wrote {len(lines)} pairs to {path}", file=out)
+    columns = np.column_stack((i, j, support)).ravel().tolist()
+    Path(path).write_text(("%d %d %d\n" * i.size) % tuple(columns))
+    print(f"wrote {i.size} pairs to {path}", file=out)
 
 
 def _budget_demotes_to_stream(args: argparse.Namespace, out) -> bool:
@@ -509,6 +510,8 @@ def _budget_demotes_to_stream(args: argparse.Namespace, out) -> bool:
 
 def _mine_stream(args: argparse.Namespace, out) -> int:
     """Out-of-core mining (``--stream`` / planner-demoted ``--memory-budget``)."""
+    from repro.mining.pair_mining import BatmapPairMiner
+
     budget = args.memory_budget if args.memory_budget is not None else "256M"
     compute = "auto" if args.compute == "device" else args.compute
     miner = BatmapPairMiner(compute=compute, workers=args.workers,
@@ -523,7 +526,6 @@ def _mine_stream(args: argparse.Namespace, out) -> int:
         memory_budget=budget,
         max_transactions=args.max_transactions,
     )
-    pairs = report.supports.frequent_pairs(args.min_support)
     _maybe_print_result_format(report, out)
     elapsed = time.perf_counter() - start
     print(f"streamed {args.input} out-of-core "
@@ -535,7 +537,7 @@ def _mine_stream(args: argparse.Namespace, out) -> int:
           f"failed insertions {report.failed_insertions}", file=out)
     print(f"count backend: {report.count_backend}", file=out)
     print(f"build backend: {report.build_backend}", file=out)
-    _report_pairs(pairs, args, out, elapsed, "batmap, sharded")
+    _report_pairs(report.supports, args, out, elapsed, "batmap, sharded")
     return 0
 
 
@@ -549,6 +551,9 @@ def _build_backend_line(build_backend: str, requested: str) -> str:
 
 def _mine_itemsets(args: argparse.Namespace, db, out) -> int:
     """Levelwise itemset mining (``--max-size > 2``) through the bitmap engine."""
+    from repro.mining.itemsets import BatmapItemsetMiner
+    from repro.mining.pair_mining import BatmapPairMiner
+
     start = time.perf_counter()
     pair_miner = BatmapPairMiner(compute=args.compute, workers=args.workers,
                                  build_compute=args.build_compute,
@@ -578,6 +583,11 @@ def _mine_itemsets(args: argparse.Namespace, db, out) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace, out) -> int:
+    from repro.datasets.fimi_io import write_fimi
+    from repro.datasets.ibm_quest import QuestParameters, generate_quest_dataset
+    from repro.datasets.synthetic import generate_density_instance
+    from repro.datasets.webdocs import generate_webdocs_like
+
     if args.kind == "density":
         db = generate_density_instance(args.items, args.density, args.total_items,
                                        rng=args.seed)
@@ -595,15 +605,19 @@ def _cmd_generate(args: argparse.Namespace, out) -> int:
 
 
 def _read_id_file(path: Path) -> np.ndarray:
-    tokens = path.read_text().split()
-    try:
-        return np.unique(np.array([int(t) for t in tokens], dtype=np.int64))
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: non-integer token in set file") from exc
+    """Read one set: every id in the file, on any line (FIMI grammar)."""
+    from repro.datasets.fimi_io import read_fimi_arrays
+
+    return np.unique(read_fimi_arrays(path, name=str(path))[1])
 
 
 def _cmd_intersect_multiway(args: argparse.Namespace, sets, universe, out) -> int:
     """Intersect three or more sets through the batched multi-way probe path."""
+    from repro.core.collection import BatmapCollection
+    from repro.core.config import BatmapConfig
+    from repro.core.hashing import HashFamily
+    from repro.extensions.multiway import multiway_intersection
+
     config = BatmapConfig()
     family = HashFamily.create(universe, shift=config.shift_for_universe(universe),
                                rng=args.seed)
@@ -639,6 +653,15 @@ def _cmd_intersect(args: argparse.Namespace, out) -> int:
     universe = args.universe or int(max(int(s.max()) for s in sets)) + 1
     if len(sets) > 2 or args.multiway:
         return _cmd_intersect_multiway(args, sets, universe, out)
+
+    from repro.baselines.merge import intersection_size_numpy
+    from repro.core.batmap import build_batmap
+    from repro.core.collection import BatmapCollection
+    from repro.core.config import BatmapConfig
+    from repro.core.hashing import HashFamily
+    from repro.core.intersection import count_common
+    from repro.core.plan import plan_counts
+    from repro.parallel.executor import recommended_backend
 
     set_a, set_b = sets
     config = BatmapConfig()
@@ -686,23 +709,17 @@ def _cmd_intersect(args: argparse.Namespace, out) -> int:
 def _read_sets_file(path: Path) -> list:
     """Read a raw sets file: one whitespace-separated integer set per line.
 
-    Blank lines are skipped, so the line order defines the dense set index
-    space — the same format ``repro ingest`` appends from.
+    The FIMI grammar: blank lines and ``#`` comments are skipped, so the
+    order of the remaining lines defines the dense set index space — the
+    same format ``repro ingest`` appends from.
     """
-    sets = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            sets.append(np.unique(np.array([int(t) for t in tokens],
-                                           dtype=np.int64)))
-        except ValueError as exc:
-            raise DataFormatError(
-                f"{path}:{line_no}: non-integer token in set line") from exc
-    if not sets:
+    from repro.datasets.fimi_io import read_fimi_arrays
+    from repro.datasets.transactions import split_rows
+
+    indptr, indices = read_fimi_arrays(path, name=str(path))
+    if indptr.size == 1:
         raise DataFormatError(f"{path}: no sets found in input")
-    return sets
+    return split_rows(indptr, indices)
 
 
 def _build_index_sets_file(args: argparse.Namespace, budget: int, out) -> int:
@@ -906,16 +923,15 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
 
     from repro.serve.server import BatmapServer
 
+    tuning = {"max_batch": args.max_batch, "max_queue": args.max_queue,
+              "request_timeout": args.timeout, "cache_entries": args.cache_entries}
     server = BatmapServer(
         args.spill_dir,
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        request_timeout=args.timeout,
-        cache_entries=args.cache_entries,
         max_requests=args.max_requests,
         result_format=args.result_format,
+        **{key: value for key, value in tuning.items() if value is not None},
     )
 
     async def _run() -> dict:

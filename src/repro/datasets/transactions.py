@@ -1,17 +1,64 @@
-"""Transaction database container shared by generators, miners and benchmarks."""
+"""Transaction database container shared by generators, miners and benchmarks.
+
+Transactions are stored in CSR form: ``indices`` holds every transaction's
+sorted duplicate-free item ids back to back and ``indptr`` delimits them
+(transaction ``t`` is ``indices[indptr[t]:indptr[t + 1]]``).  Statistics,
+support filtering and the vertical conversion are whole-array operations
+over those two arrays; :attr:`TransactionDatabase.transactions` exposes the
+rows as read-only views for the per-transaction baselines.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.errors import DataFormatError
 
-__all__ = ["TransactionDatabase"]
+__all__ = ["TransactionDatabase", "canonical_rows", "row_offsets", "split_rows"]
 
 
-@dataclass
+def row_offsets(lengths) -> np.ndarray:
+    """``indptr`` for rows of the given lengths (a leading 0, then the running sum)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+def split_rows(indptr: np.ndarray, indices: np.ndarray) -> list:
+    """The CSR rows as a list of views into ``indices``."""
+    bounds = indptr.tolist()
+    return [indices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def canonical_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """Sort every CSR row and drop duplicates within rows.
+
+    Rows that are already strictly increasing (the FIMI reader's output,
+    the generators') cost one comparison pass.
+    """
+    if indices.size < 2:
+        return indptr, indices
+    lengths = np.diff(indptr)
+    row_start = np.zeros(indices.size, dtype=bool)
+    row_start[indptr[:-1][lengths > 0]] = True
+    if ((indices[1:] > indices[:-1]) | row_start[1:]).all():
+        return indptr, indices
+    n_rows = lengths.size
+    row = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
+    order = np.lexsort((indices, row))
+    row, values = row[order], indices[order]
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = (values[1:] != values[:-1]) | (row[1:] != row[:-1])
+    return row_offsets(np.bincount(row[keep], minlength=n_rows)), values[keep]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class TransactionDatabase:
     """A horizontal transaction database over items ``{0..n_items-1}``.
 
@@ -20,37 +67,62 @@ class TransactionDatabase:
     statistics that every component of the pipeline needs: vertical tidlists,
     density, prefixes (for the WebDocs experiment), and item-support
     filtering (the preprocessing step all miners share).
+
+    Build it from a sequence of item collections (each is sorted and
+    deduplicated) or, without per-transaction work, from CSR arrays with
+    :meth:`from_csr`.
     """
 
-    transactions: list[np.ndarray]
-    n_items: int
-    name: str = "unnamed"
-    _tidlists: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
+    def __init__(self, transactions, n_items: int, name: str = "unnamed") -> None:
+        rows = [np.asarray(t, dtype=np.int64).ravel() for t in transactions]
+        indptr = row_offsets([r.size for r in rows])
+        indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        self._assign(indptr, indices, n_items, name)
 
-    def __post_init__(self) -> None:
-        if self.n_items <= 0:
-            raise DataFormatError(f"n_items must be positive, got {self.n_items}")
-        cleaned = []
-        for idx, t in enumerate(self.transactions):
-            arr = np.unique(np.asarray(t, dtype=np.int64))
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n_items):
-                raise DataFormatError(
-                    f"transaction {idx} contains an item outside [0, {self.n_items})"
-                )
-            cleaned.append(arr)
-        self.transactions = cleaned
+    @classmethod
+    def from_csr(cls, indptr, indices, n_items: int,
+                 name: str = "unnamed") -> "TransactionDatabase":
+        """A database over CSR arrays (rows are sorted and deduplicated if needed)."""
+        db = cls.__new__(cls)
+        db._assign(np.asarray(indptr, dtype=np.int64),
+                   np.asarray(indices, dtype=np.int64), n_items, name)
+        return db
+
+    def _assign(self, indptr: np.ndarray, indices: np.ndarray, n_items: int,
+                name: str) -> None:
+        if n_items <= 0:
+            raise DataFormatError(f"n_items must be positive, got {n_items}")
+        indptr, indices = canonical_rows(indptr, indices)
+        if indices.size and (indices.min() < 0 or indices.max() >= n_items):
+            first = int(np.flatnonzero((indices < 0) | (indices >= n_items))[0])
+            row = int(np.searchsorted(indptr, first, side="right")) - 1
+            raise DataFormatError(
+                f"transaction {row} contains an item outside [0, {n_items})")
+        self.indptr = _read_only(indptr)
+        self.indices = _read_only(indices)
+        self.n_items = int(n_items)
+        self.name = name
+        self._transactions: list | None = None
+        self._tidlists: list | None = None
 
     # ------------------------------------------------------------------ #
     # Basic statistics
     # ------------------------------------------------------------------ #
     @property
+    def transactions(self) -> list:
+        """Every transaction as a read-only view into :attr:`indices` (cached)."""
+        if self._transactions is None:
+            self._transactions = split_rows(self.indptr, self.indices)
+        return self._transactions
+
+    @property
     def n_transactions(self) -> int:
-        return len(self.transactions)
+        return self.indptr.size - 1
 
     @property
     def total_items(self) -> int:
         """Total number of (transaction, item) occurrences — the paper's "instance size"."""
-        return int(sum(t.size for t in self.transactions))
+        return int(self.indices.size)
 
     @property
     def density(self) -> float:
@@ -60,10 +132,7 @@ class TransactionDatabase:
 
     def item_supports(self) -> np.ndarray:
         """Support (number of containing transactions) of every item."""
-        counts = np.zeros(self.n_items, dtype=np.int64)
-        for t in self.transactions:
-            counts[t] += 1
-        return counts
+        return np.bincount(self.indices, minlength=self.n_items).astype(np.int64)
 
     def distinct_items_used(self) -> int:
         """Number of items with non-zero support (the WebDocs experiment's x-axis driver)."""
@@ -77,23 +146,33 @@ class TransactionDatabase:
     # Conversions
     # ------------------------------------------------------------------ #
     def tidlists(self) -> list[np.ndarray]:
-        """Vertical format: for each item, the sorted array of transaction ids (cached)."""
+        """Vertical format: for each item, the sorted array of transaction ids (cached).
+
+        One stable sort of the occurrences by item: rows are visited in
+        order, so each item's transaction ids come out ascending.  The
+        arrays are read-only views into one buffer.
+        """
         if self._tidlists is None:
-            lists: list[list[int]] = [[] for _ in range(self.n_items)]
-            for tid, t in enumerate(self.transactions):
-                for item in t.tolist():
-                    lists[item].append(tid)
-            self._tidlists = [np.asarray(v, dtype=np.int64) for v in lists]
+            keys = self.indices
+            if self.n_items <= 1 << 16:
+                keys = keys.astype(np.uint16)   # a stable sort of 16-bit keys is a radix sort
+            order = np.argsort(keys, kind="stable")
+            rows = np.repeat(np.arange(self.n_transactions, dtype=np.int64),
+                             np.diff(self.indptr))
+            self._tidlists = split_rows(row_offsets(self.item_supports()),
+                                        _read_only(rows[order]))
         return self._tidlists
 
     def prefix(self, n_transactions: int, name: str | None = None) -> "TransactionDatabase":
         """The database restricted to its first ``n_transactions`` transactions."""
         n_transactions = min(n_transactions, self.n_transactions)
-        return TransactionDatabase(
-            transactions=[t.copy() for t in self.transactions[:n_transactions]],
-            n_items=self.n_items,
-            name=name or f"{self.name}[:{n_transactions}]",
-        )
+        return self._rows(0, n_transactions, name or f"{self.name}[:{n_transactions}]")
+
+    def _rows(self, lo: int, hi: int, name: str) -> "TransactionDatabase":
+        indptr = self.indptr[lo:hi + 1]
+        return TransactionDatabase.from_csr(
+            indptr - indptr[0], self.indices[indptr[0]:indptr[-1]],
+            n_items=self.n_items, name=name)
 
     def filter_by_support(self, min_support: int) -> tuple["TransactionDatabase", np.ndarray]:
         """Drop infrequent items and relabel the survivors densely.
@@ -101,18 +180,19 @@ class TransactionDatabase:
         Returns the filtered database and the array mapping new item ids to
         the original ids.  This is the preprocessing step the paper assumes
         every method performs ("the interesting comparison is for the case
-        where there are only frequent items", Section I-B2).
+        where there are only frequent items", Section I-B2).  The relabelling
+        is monotone, so filtered rows stay sorted.
         """
         supports = self.item_supports()
         kept = np.nonzero(supports >= min_support)[0]
         remap = -np.ones(self.n_items, dtype=np.int64)
         remap[kept] = np.arange(kept.size)
-        new_transactions = []
-        for t in self.transactions:
-            mapped = remap[t]
-            new_transactions.append(np.sort(mapped[mapped >= 0]))
-        filtered = TransactionDatabase(
-            transactions=new_transactions,
+        mapped = remap[self.indices]
+        survives = mapped >= 0
+        survivors_before = np.zeros(mapped.size + 1, dtype=np.int64)
+        np.cumsum(survives, out=survivors_before[1:])
+        filtered = TransactionDatabase.from_csr(
+            survivors_before[self.indptr], mapped[survives],
             n_items=max(1, int(kept.size)),
             name=f"{self.name}|minsup={min_support}",
         )
@@ -126,15 +206,9 @@ class TransactionDatabase:
         """
         if parts <= 0:
             raise ValueError(f"parts must be positive, got {parts}")
-        out = []
         bounds = np.linspace(0, self.n_transactions, parts + 1).astype(int)
-        for p in range(parts):
-            out.append(TransactionDatabase(
-                transactions=[t.copy() for t in self.transactions[bounds[p]:bounds[p + 1]]],
-                n_items=self.n_items,
-                name=f"{self.name}#part{p}",
-            ))
-        return out
+        return [self._rows(int(bounds[p]), int(bounds[p + 1]), f"{self.name}#part{p}")
+                for p in range(parts)]
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

@@ -78,12 +78,7 @@ def vocabulary_growth(db: TransactionDatabase, prefix_sizes) -> list[tuple[int, 
     Returns ``[(prefix_size, distinct_items), ...]`` for each requested prefix.
     """
     out: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    cursor = 0
     for size in sorted(int(s) for s in prefix_sizes):
         size = min(size, db.n_transactions)
-        while cursor < size:
-            seen.update(db.transactions[cursor].tolist())
-            cursor += 1
-        out.append((size, len(seen)))
+        out.append((size, int(np.unique(db.indices[:db.indptr[size]]).size)))
     return out

@@ -242,10 +242,12 @@ class BatmapPairMiner:
         with timers.time("postprocess"):
             if sparse_result is not None:
                 # The engines already mapped slots to original ids; repair
-                # folds the failed-insertion increments in as COO entries.
-                counts = repair_count_result(
-                    sparse_result, pre.failed_insertions(),
-                    pre.database.transactions)
+                # folds the failed-insertion increments in as COO entries
+                # (the database's row views are built only when needed).
+                failures = pre.failed_insertions()
+                counts = (repair_count_result(sparse_result, failures,
+                                              pre.database.transactions)
+                          if failures else sparse_result)
             else:
                 counts = reorder_counts(counts_sorted, pre.collection)
                 counts = repair_pair_counts(counts, pre.collection, pre.database)

@@ -60,6 +60,8 @@ def repair_pair_counts(
             f"count matrix shape {counts.shape} does not match collection size {n}"
         )
     failures = collection.failed_insertions()   # transaction b -> items F_b
+    if not failures:
+        return counts.copy()
     return repair_pair_counts_from_failures(counts, failures, database.transactions)
 
 

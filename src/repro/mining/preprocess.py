@@ -227,9 +227,8 @@ def preprocess_streaming(
         # pass.  Buffer non-path sources up front — a convenience path for
         # tests and small inputs; true out-of-core operation needs a file.
         source = list(source)
-    # A parsed transaction costs a few hundred bytes of ndarray object
-    # overhead before its data (short transactions) or its item data (long
-    # ones); cap chunks on both axes at about a quarter of the budget.
+    # Cap chunks on both axes: transactions (per-row arrays) and
+    # occurrences (item data, and the byte blocks the reader parses).
     auto_chunk = chunk_transactions is None
     auto_items = chunk_items is None
     if auto_chunk:
@@ -237,9 +236,9 @@ def preprocess_streaming(
                                      max(64, memory_budget // (4 * 600))))
     if auto_items:
         # Each chunked occurrence costs ~56 B across the partition pass's
-        # simultaneous arrays (parsed chunk, pair blocks, concatenation,
-        # shard routing) — ~1/160 of the budget keeps that pass near a
-        # third of it.
+        # simultaneous arrays (chunk indices, remapped ids, occurrence
+        # tids, pairs, shard routing) — ~1/160 of the budget keeps that
+        # pass near a third of it.
         chunk_items = int(min(DEFAULT_CHUNK_ITEMS,
                               max(1024, memory_budget // 160)))
     stats = scan_fimi_stats(source, chunk_transactions=chunk_transactions,
@@ -314,21 +313,14 @@ def preprocess_streaming(
         for chunk in iter_fimi_chunks(source, chunk_transactions=chunk_transactions,
                                       chunk_items=chunk_items,
                                       max_transactions=max_transactions):
-            pair_blocks = []
-            for offset, items in enumerate(chunk.transactions):
-                if items.size == 0:
-                    continue
-                mapped = remap[items]
-                mapped = mapped[mapped >= 0]
-                if mapped.size == 0:
-                    continue
-                block = np.empty((mapped.size, 2), dtype=np.int64)
-                block[:, 0] = mapped
-                block[:, 1] = chunk.start_tid + offset
-                pair_blocks.append(block)
-            if not pair_blocks:
+            mapped = remap[chunk.indices]
+            kept_items = mapped >= 0
+            if not kept_items.any():
                 continue
-            pairs = np.concatenate(pair_blocks)
+            pairs = np.empty((int(np.count_nonzero(kept_items)), 2), dtype=np.int64)
+            pairs[:, 0] = mapped[kept_items]
+            pairs[:, 1] = chunk.occurrence_tids()[kept_items]
+            del mapped, kept_items
             shard_of = np.searchsorted(bounds, pairs[:, 0], side="right")
             for s in np.unique(shard_of).tolist():
                 handle = handles.get(s)

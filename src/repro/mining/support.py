@@ -95,29 +95,31 @@ class PairSupports:
             raise KeyError(f"item {original_id} is not present in the result")
         return int(hits[0])
 
-    def frequent_pairs(self, min_support: int) -> dict[tuple[int, int], int]:
+    def pair_arrays(self, min_support: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All pairs (original ids, i < j) with support >= min_support.
 
-        Exact for any threshold at or above the counts' pruning floor; a
-        sparse result pruned at a higher floor refuses the filter (the
-        skipped tiles would make the answer silently wrong).
+        Returned as ``(i, j, support)`` ``int64`` arrays sorted by
+        ``(i, j)``.  Exact for any threshold at or above the counts'
+        pruning floor; a sparse result pruned at a higher floor refuses the
+        filter (the skipped tiles would make the answer silently wrong).
         """
         from repro.core.results import CountResult
 
         if isinstance(self.counts, CountResult):
-            iu, ju, values = self.counts.frequent_pairs(max(1, min_support))
+            a, b, values = self.counts.frequent_pairs(max(1, min_support))
         else:
-            iu, ju = np.triu_indices(self.n_items, k=1)
-            values = self.counts[iu, ju]
-            keep = values >= min_support
-            iu, ju, values = iu[keep], ju[keep], values[keep]
-        out: dict[tuple[int, int], int] = {}
-        for a, b, v in zip(iu, ju, values):
-            i = int(self.item_ids[a])
-            j = int(self.item_ids[b])
-            key = (i, j) if i < j else (j, i)
-            out[key] = int(v)
-        return out
+            a, b = np.nonzero(np.triu(self.counts >= min_support, k=1))
+            values = self.counts[a, b]
+        i, j = self.item_ids[a], self.item_ids[b]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        order = np.lexsort((j, i))
+        return (i[order].astype(np.int64), j[order].astype(np.int64),
+                np.asarray(values, dtype=np.int64)[order])
+
+    def frequent_pairs(self, min_support: int) -> dict[tuple[int, int], int]:
+        """:meth:`pair_arrays` as a ``{(i, j): support}`` dictionary."""
+        i, j, values = self.pair_arrays(min_support)
+        return dict(zip(zip(i.tolist(), j.tolist()), values.tolist()))
 
     def top_k(self, k: int) -> list[tuple[tuple[int, int], int]]:
         """The ``k`` most supported pairs, descending by support (ties by item ids).
@@ -125,12 +127,12 @@ class PairSupports:
         A pruned result ranks only pairs at or above its floor — identical
         to the dense ranking truncated to that support range.
         """
-        pairs = self.frequent_pairs(max(1, self.pruned_floor))
-        ranked = sorted(pairs.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:k]
+        i, j, values = self.pair_arrays(max(1, self.pruned_floor))
+        ranked = np.lexsort((j, i, -values))[:k].tolist()
+        return [((int(i[r]), int(j[r])), int(values[r])) for r in ranked]
 
     def total_pairs_with_support(self, min_support: int) -> int:
-        return len(self.frequent_pairs(min_support))
+        return int(self.pair_arrays(min_support)[0].size)
 
 
 @dataclass
