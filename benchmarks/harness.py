@@ -204,7 +204,7 @@ def time_call(fn, *args, **kwargs) -> tuple[float, object]:
 # --------------------------------------------------------------------------- #
 def run_batmap_miner(db: TransactionDatabase, min_support: int = 1, seed: int = 0):
     """Run the batmap pipeline; returns its MiningReport."""
-    miner = BatmapPairMiner(tile_size=512)
+    miner = BatmapPairMiner(compute="device", tile_size=512)
     return miner.mine(db, min_support=min_support, rng=seed)
 
 

@@ -68,7 +68,7 @@ def test_sharded_pipeline_respects_memory_budget(tmp_path, bench_artifact):
     del db
     budget = fixed_resident_bytes(universe, n_items) + WORKING_ALLOWANCE
 
-    miner = BatmapPairMiner(compute="host")
+    miner = BatmapPairMiner(compute="batch")
     # Warm-up on a tiny instance: lazy imports and pool machinery would
     # otherwise be billed to whichever traced window runs first.
     warm_db = generate_density_instance(16, 0.3, 500, rng=2)

@@ -32,7 +32,7 @@ def main() -> None:
           f"{db.total_items} occurrences, density {db.density:.3f}")
 
     # --- batmap pipeline on the simulated GTX 285 ----------------------------
-    miner = BatmapPairMiner(tile_size=1024)
+    miner = BatmapPairMiner(compute="device", tile_size=1024)
     report = miner.mine(db, min_support=MIN_SUPPORT, rng=0)
     pairs_batmap = report.supports.frequent_pairs(MIN_SUPPORT)
     print("\n[batmap/GPU-sim]")

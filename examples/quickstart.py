@@ -15,7 +15,7 @@ import numpy as np
 from repro import BatmapCollection, build_batmap, count_common, exact_intersection_size
 from repro.core.hashing import HashFamily
 from repro.core.config import BatmapConfig
-from repro.kernels import run_batmap_pair_counts
+from repro.kernels.driver import run_batmap_pair_counts
 
 
 def main() -> None:

@@ -39,7 +39,8 @@ def main() -> None:
         fp_pairs = FPGrowthMiner().mine_pairs(db.transactions, db.n_items, MIN_SUPPORT)
         t_fp = time.perf_counter() - start
 
-        report = BatmapPairMiner(tile_size=1024).mine(db, min_support=MIN_SUPPORT, rng=0)
+        miner = BatmapPairMiner(compute="device", tile_size=1024)
+        report = miner.mine(db, min_support=MIN_SUPPORT, rng=0)
         batmap_pairs = report.supports.frequent_pairs(MIN_SUPPORT)
 
         assert apriori_pairs == fp_pairs == batmap_pairs

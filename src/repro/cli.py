@@ -6,10 +6,14 @@ subcommands cover the workflows a downstream user actually runs:
 ``repro mine``
     Mine frequent pairs from a FIMI-format transaction file (or from a
     generated synthetic instance) with a chosen engine, print the top pairs
-    and the phase/throughput summary.  ``--compute parallel --workers N``
-    counts across a process pool over a shared-memory buffer (small inputs
-    fall back to the serial batch engine); ``--compute auto`` defers the
-    choice to the workload planner (:mod:`repro.core.plan`).
+    and the phase/throughput summary.  ``--compute`` names the counting
+    backend: ``auto`` (default) defers the choice to the workload planner
+    (:mod:`repro.core.plan`), ``host`` is the per-pair reference, ``batch``
+    the serial vectorised engine, and ``parallel --workers N`` counts
+    across a process pool over a shared-memory buffer (small inputs fall
+    back to the batch engine).  All four print identical pairs; the GPU
+    simulator is a modelling API (``BatmapPairMiner(compute="device")``),
+    not a CLI backend.
     ``--max-size k`` with ``k > 2`` extends the batmap engine levelwise to
     itemsets of up to ``k`` items (supports counted by the vectorised
     bitmap engine of :mod:`repro.mining.levelwise`).
@@ -29,9 +33,10 @@ subcommands cover the workflows a downstream user actually runs:
 ``repro intersect``
     Compute the intersection size of two or more sets given as
     whitespace-separated integer files, via batmaps and via sorted-list
-    merge, printing both results and the batmap statistics.  More than two
-    sets (or ``--multiway``) route through the batched multi-way probe path
-    of :mod:`repro.extensions.multiway`.
+    merge, printing both results and the batmap statistics.  ``--compute``
+    takes the same backend names as ``repro mine`` (default ``host``).
+    More than two sets (or ``--multiway``) route through the batched
+    multi-way probe path of :mod:`repro.extensions.multiway`.
 
 ``repro build-index``
     Run the out-of-core preprocessing pipeline alone: stream a FIMI file,
@@ -85,8 +90,9 @@ subcommands cover the workflows a downstream user actually runs:
 
 All subcommands are also exposed through ``python -m repro.cli <subcommand> ...``.
 Each subcommand imports the modules only it needs inside its ``_cmd_*``
-function, so no command pays for another's imports (``repro mine`` never
-loads the server, asyncio or the baseline miners).
+function, so no command pays for another's imports (``repro mine`` with
+the batmap engine never loads the server, asyncio, the baseline miners,
+the GPU simulator or the kernel driver).
 """
 
 from __future__ import annotations
@@ -122,12 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--top", type=int, default=10, help="number of pairs to print")
     mine.add_argument("--max-transactions", type=int, default=None)
     mine.add_argument("--seed", type=int, default=0)
-    mine.add_argument("--compute", choices=["device", "host", "parallel", "auto"],
-                      default="device",
-                      help="batmap counting backend: simulated device kernel, "
-                           "serial host batch engine, multiprocess executor "
-                           "(small inputs fall back to the batch engine), or "
-                           "auto (the workload planner picks)")
+    mine.add_argument("--compute", choices=["auto", "host", "batch", "parallel"],
+                      default="auto",
+                      help="batmap counting backend: auto (the workload "
+                           "planner picks), the per-pair host reference, the "
+                           "serial batch engine, or the multiprocess executor "
+                           "(small inputs fall back to the batch engine)")
     mine.add_argument("--workers", type=int, default=None,
                       help="worker processes for --compute parallel "
                            "(default: auto from the core count)")
@@ -148,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="mine out-of-core: stream the file, build batmap "
                            "shards sized to --memory-budget, spill them to "
                            "disk and count shard pairs with bounded resident "
-                           "memory (batmap pairs only; --compute device is "
-                           "treated as auto)")
+                           "memory (batmap pairs only; --compute host runs "
+                           "the batch engine there)")
     mine.add_argument("--result-format",
                       choices=["auto", "dense", "sparse"], default="dense",
                       help="count result shape: 'dense' is the legacy full "
@@ -184,12 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     inter.add_argument("--universe", type=int, default=None,
                        help="universe size (default: max id + 1)")
     inter.add_argument("--seed", type=int, default=0)
-    inter.add_argument("--compute", choices=["host", "parallel", "auto"],
+    inter.add_argument("--compute", choices=["auto", "host", "batch", "parallel"],
                        default="host",
-                       help="count on the host directly, through the "
-                            "multiprocess executor path (two sets always fall "
-                            "back to the batch engine), or let the workload "
-                            "planner pick")
+                       help="counting backend (see `repro mine --help`; two "
+                            "sets make parallel fall back to the batch "
+                            "engine)")
     inter.add_argument("--workers", type=int, default=None,
                        help="worker processes for --compute parallel")
     inter.add_argument("--build-compute",
@@ -402,15 +407,8 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
         report = miner.mine(db, min_support=args.min_support, rng=args.seed)
         pairs = report.supports
         _maybe_print_result_format(report, out)
-        timing = "modelled" if report.count_backend == "kernel" else "wall clock"
-        print(f"phases: preprocess {report.preprocess_seconds:.3f}s, "
-              f"count {report.counting_seconds:.5f}s ({timing}), "
-              f"postprocess {report.postprocess_seconds:.3f}s, "
-              f"failed insertions {report.failed_insertions}", file=out)
-        backend = f"count backend: {report.count_backend}"
-        if args.compute == "parallel" and report.count_backend == "batch":
-            backend += " (parallel fell back: input below the pool pay-off floor)"
-        print(backend, file=out)
+        _print_phases(report, out)
+        print(_count_backend_line(report.count_backend, args.compute), file=out)
         print(_build_backend_line(report.build_backend, args.build_compute),
               file=out)
     else:
@@ -513,8 +511,7 @@ def _mine_stream(args: argparse.Namespace, out) -> int:
     from repro.mining.pair_mining import BatmapPairMiner
 
     budget = args.memory_budget if args.memory_budget is not None else "256M"
-    compute = "auto" if args.compute == "device" else args.compute
-    miner = BatmapPairMiner(compute=compute, workers=args.workers,
+    miner = BatmapPairMiner(compute=args.compute, workers=args.workers,
                             build_compute=args.build_compute,
                             build_workers=args.build_workers,
                             result_format=args.result_format)
@@ -531,14 +528,27 @@ def _mine_stream(args: argparse.Namespace, out) -> int:
     print(f"streamed {args.input} out-of-core "
           f"(memory budget {budget}, {report.batmap_bytes} packed bytes spilled)",
           file=out)
-    print(f"phases: preprocess {report.preprocess_seconds:.3f}s, "
-          f"count {report.counting_seconds:.5f}s (wall clock), "
-          f"postprocess {report.postprocess_seconds:.3f}s, "
-          f"failed insertions {report.failed_insertions}", file=out)
+    _print_phases(report, out)
     print(f"count backend: {report.count_backend}", file=out)
     print(f"build backend: {report.build_backend}", file=out)
     _report_pairs(report.supports, args, out, elapsed, "batmap, sharded")
     return 0
+
+
+def _print_phases(report, out) -> None:
+    """The ``phases:`` output line of a pair-mining report."""
+    print(f"phases: preprocess {report.preprocess_seconds:.3f}s, "
+          f"count {report.counting_seconds:.5f}s (wall clock), "
+          f"postprocess {report.postprocess_seconds:.3f}s, "
+          f"failed insertions {report.failed_insertions}", file=out)
+
+
+def _count_backend_line(count_backend: str, requested: str) -> str:
+    """The ``count backend:`` output line, with the demotion notice."""
+    line = f"count backend: {count_backend}"
+    if requested == "parallel" and count_backend == "batch":
+        line += " (parallel fell back: input below the pool pay-off floor)"
+    return line
 
 
 def _build_backend_line(build_backend: str, requested: str) -> str:
@@ -661,13 +671,16 @@ def _cmd_intersect(args: argparse.Namespace, out) -> int:
     from repro.core.hashing import HashFamily
     from repro.core.intersection import count_common
     from repro.core.plan import plan_counts
-    from repro.parallel.executor import recommended_backend
 
     set_a, set_b = sets
     config = BatmapConfig()
     family = HashFamily.create(universe, shift=config.shift_for_universe(universe),
                                rng=args.seed)
-    if args.compute in ("parallel", "auto"):
+    if args.compute == "host":
+        bm_a = build_batmap(set_a, universe, family=family, config=config)
+        bm_b = build_batmap(set_b, universe, family=family, config=config)
+        batmap_count = count_common(bm_a, bm_b)
+    else:
         # One build: the printed stats must describe the same batmaps that
         # produced the count (the collection path clamps r >= 4).
         collection = BatmapCollection.build([set_a, set_b], universe,
@@ -677,26 +690,15 @@ def _cmd_intersect(args: argparse.Namespace, out) -> int:
         print(_build_backend_line(collection.build_plan.backend,
                                   args.build_compute), file=out)
         bm_a, bm_b = collection.batmap(0), collection.batmap(1)
+        plan = plan_counts(collection, requested=args.compute,
+                           workers=args.workers, n_pairs=1)
+        line = _count_backend_line(plan.backend, args.compute)
         if args.compute == "auto":
-            plan = plan_counts(collection, workers=args.workers, n_pairs=1)
-            print(f"count backend: {plan.backend} ({plan.reason})", file=out)
-            if plan.backend == "parallel":
-                counts = collection.count_all_pairs(parallel=True,
-                                                    workers=args.workers)
-                batmap_count = int(counts[0, 1])
-            else:
-                batmap_count = collection.count_pair(0, 1)
-        else:
-            backend = recommended_backend(collection, workers=args.workers)
-            counts = collection.count_all_pairs(parallel=True, workers=args.workers)
-            batmap_count = int(counts[0, 1])
-            note = (" (parallel fell back: input below the pool pay-off floor)"
-                    if backend == "batch" else "")
-            print(f"count backend: {backend}{note}", file=out)
-    else:
-        bm_a = build_batmap(set_a, universe, family=family, config=config)
-        bm_b = build_batmap(set_b, universe, family=family, config=config)
-        batmap_count = count_common(bm_a, bm_b)
+            line += f" ({plan.reason})"
+        print(line, file=out)
+        counts = collection.count_all_pairs(compute=plan.backend,
+                                            workers=args.workers)
+        batmap_count = int(counts[0, 1])
     merge_count = intersection_size_numpy(set_a, set_b)
     print(f"|A| = {set_a.size}, |B| = {set_b.size}, universe = {universe}", file=out)
     print(f"intersection size (batmap): {batmap_count}", file=out)

@@ -11,7 +11,7 @@ Public entry points:
 * :class:`~repro.core.batch.BatchPairCounter` — vectorised all-pairs /
   pairs-list / top-k counting over a whole collection (the host hot path).
 * :func:`~repro.core.plan.plan_counts` — the workload planner that picks a
-  counting backend (host / batch / parallel / kernel / sharded) per request.
+  counting backend (host / batch / parallel / sharded) per request.
 * :class:`~repro.core.sharded.ShardedCollection` — out-of-core collections:
   build shard by shard, spill packed buffers to disk, re-attach memory-mapped.
 """

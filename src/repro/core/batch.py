@@ -647,9 +647,10 @@ class BatchPairCounter:
 
     def count_all_pairs(self) -> np.ndarray:
         """Dense ``n x n`` count matrix indexed by *original* set indices."""
+        counts = self.counts_sorted()
         order = self.collection.order
-        out = np.empty_like(self.counts_sorted())
-        out[np.ix_(order, order)] = self.counts_sorted()
+        out = np.empty_like(counts)
+        out[np.ix_(order, order)] = counts
         return out
 
     def count_pairs(self, pairs) -> np.ndarray:

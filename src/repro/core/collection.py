@@ -341,7 +341,6 @@ class BatmapCollection:
     def count_all_pairs(
         self,
         *,
-        parallel=False,
         workers: int | None = None,
         compute: str | None = None,
         result_format: str = "dense",
@@ -351,55 +350,19 @@ class BatmapCollection:
     ):
         """Stored-copy intersection counts of every pair.
 
-        Backend selection goes through the workload planner
-        (:func:`~repro.core.plan.plan_counts`); all backends are
-        bit-identical to looping :func:`~repro.core.intersection.count_common`
-        over every pair.  The diagonal holds each set's stored element count.
-
-        ``result_format="dense"`` (the default) keeps the legacy contract —
-        a dense ``n x n`` ``int64`` ndarray.  Any other format (or a
-        ``top_k``) returns a :class:`~repro.core.results.CountResult`
-        instead: ``"sparse"`` holds COO triplets with tiles below
-        ``min_support`` pruned before any SWAR work, and ``"auto"`` demotes
-        dense to sparse when the dense matrix alone would exceed
-        ``memory_budget`` (dense-mode callers are unaffected; sparse-mode
-        results warn ``DeprecationWarning`` only if their raw matrix is
-        materialised through ``matrix()``).
-
-        ``compute`` names a backend explicitly (``"auto"``, ``"host"``,
-        ``"batch"`` or ``"parallel"``).  ``parallel`` is the older shorthand
-        for ``compute="parallel"``: pass ``True`` to auto-select the worker
-        count, or an integer (equivalently ``workers=``) to pin it; small
-        collections still fall back to the serial batch engine.  With
-        neither argument the serial engines are used (the batch engine when
-        the layout is word-packable, the per-pair loop otherwise).
+        A thin wrapper over :meth:`count_result`, which takes the same
+        arguments.  ``result_format="dense"`` (the default) keeps the legacy
+        contract — a dense ``n x n`` ``int64`` ndarray indexed by original
+        set indices, the diagonal holding each set's stored element count.
+        Any other format (or a ``top_k``) returns the
+        :class:`~repro.core.results.CountResult` itself.
         """
-        from repro.core.plan import plan_counts  # parallel sits above core
-
-        require(compute in (None, "auto", "host", "batch", "parallel"),
-                f"compute must be 'auto', 'host', 'batch' or 'parallel', got {compute!r}")
-        if workers is None and parallel and not isinstance(parallel, bool):
-            workers = int(parallel)
-        if result_format != "dense" or top_k is not None:
-            requested = compute if compute is not None else (
-                "parallel" if parallel else None)
-            return self.count_result(
-                compute=requested, workers=workers,
-                result_format=result_format, min_support=min_support,
-                top_k=top_k, memory_budget=memory_budget)
-        byte_packable = self.r0 >= 4 and self.config.entry_storage_bits == 8
-        requested = compute if compute is not None else (
-            "parallel" if parallel else ("batch" if byte_packable else "host")
-        )
-        plan = plan_counts(self, requested=requested, workers=workers)
-        if plan.backend == "parallel" and byte_packable:
-            from repro.parallel.executor import ParallelPairCounter
-
-            with ParallelPairCounter(self, workers=workers) as counter:
-                return counter.count_all_pairs()
-        if plan.backend == "host" or not byte_packable:
-            return self._count_all_pairs_loop()
-        return self.batch_counter().count_all_pairs()
+        result = self.count_result(
+            compute=compute, workers=workers, result_format=result_format,
+            min_support=min_support, top_k=top_k, memory_budget=memory_budget)
+        if result_format == "dense" and top_k is None:
+            return result.matrix()
+        return result
 
     def count_result(
         self,
@@ -413,8 +376,16 @@ class BatmapCollection:
     ):
         """All-pairs counts as a :class:`~repro.core.results.CountResult`.
 
-        The format-aware twin of :meth:`count_all_pairs`: ``"auto"``
-        resolves against ``memory_budget``
+        The one place an in-memory counting backend is mapped to an engine.
+        ``compute`` names the backend (``"auto"``, ``"host"``, ``"batch"``
+        or ``"parallel"``; default ``"batch"``) and is resolved by the
+        workload planner (:func:`~repro.core.plan.plan_counts`): ``"auto"``
+        applies the full policy, ``"parallel"`` falls back to the serial
+        batch engine for small inputs, and layouts the packed engines cannot
+        represent run on the per-pair ``"host"`` reference.  ``workers``
+        sizes the parallel pool (``None``: from the core count).
+
+        ``result_format="auto"`` resolves against ``memory_budget``
         (:func:`~repro.core.plan.resolve_result_format`), ``min_support``
         becomes the engines' tile-pruning bound, and ``top_k`` returns the
         running-heap result.  Every backend produces bit-identical surviving
@@ -429,19 +400,16 @@ class BatmapCollection:
         require(compute in (None, "auto", "host", "batch", "parallel"),
                 f"compute must be 'auto', 'host', 'batch' or 'parallel', got {compute!r}")
         fmt = resolve_result_format(result_format, len(self), memory_budget)
-        byte_packable = self.r0 >= 4 and self.config.entry_storage_bits == 8
-        requested = compute if compute is not None else (
-            "batch" if byte_packable else "host")
         features = PlanFeatures.from_collection(
             self, result_format=fmt, min_support=min_support)
-        plan = plan_counts(features, requested=requested, workers=workers)
-        if plan.backend == "parallel" and byte_packable:
+        plan = plan_counts(features, requested=compute or "batch", workers=workers)
+        if plan.backend == "parallel":
             from repro.parallel.executor import ParallelPairCounter
 
             with ParallelPairCounter(self, workers=workers) as counter:
                 return counter.count_result(
                     result_format=fmt, min_support=min_support, top_k=top_k)
-        if plan.backend == "host" or not byte_packable:
+        if plan.backend == "host":
             return self._loop_count_result(fmt, min_support, top_k)
         return self.batch_counter().count_result(
             result_format=fmt, min_support=min_support, top_k=top_k)

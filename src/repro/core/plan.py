@@ -1,22 +1,19 @@
 """Workload planner: pick a counting backend per request, not per call site.
 
-PR 1/2 grew three interchangeable pair-counting engines — the per-pair host
+Three interchangeable pair-counting engines exist — the per-pair host
 reference (:func:`repro.core.intersection.count_common`), the serial
 vectorised batch engine (:class:`repro.core.batch.BatchPairCounter`) and the
-multiprocess executor (:class:`repro.parallel.executor.ParallelPairCounter`)
-— plus the simulated device kernel for modelling.  Each integration point
-(the kernel driver, the miner, the collection API, the CLI, the matrix
-product) used to make its own ad-hoc choice between them through scattered
-``compute=`` strings and the executor's ``recommended_backend`` helper.
-
-This module centralises that decision.  :func:`plan_counts` inspects the
-request — collection size, packed width mix, available cores, and (when
-known) how many pairs the query touches — and returns a :class:`CountPlan`
-naming the backend to run.  The policy, in order:
+multiprocess executor (:class:`repro.parallel.executor.ParallelPairCounter`).
+:func:`plan_counts` inspects the request — collection size, packed width
+mix, available cores, and (when known) how many pairs the query touches —
+and returns a :class:`CountPlan` naming the backend to run;
+:meth:`repro.core.collection.BatmapCollection.count_result` is the one place
+that maps the plan to an engine.  The policy, in order:
 
 1. **Layout gates** — sub-word ranges (``r0 < 4``) or entries wider than one
    byte (``payload_bits > 7``) cannot use the packed SWAR engines; only the
-   per-pair ``host`` reference is exact there.
+   per-pair ``host`` reference is exact there.  Explicit ``batch`` and
+   ``parallel`` requests are demoted to ``host`` by the same gate.
 2. **Point queries** stay on ``host``: a handful of pairs never amortises
    gathering the packed buffer into width-class matrices.
 3. **Small collections** (below :data:`PARALLEL_MIN_SETS`) or single-core
@@ -29,9 +26,10 @@ naming the backend to run.  The policy, in order:
    throughput.
 5. Everything else fans out to ``parallel``.
 
-``kernel`` (the GPU simulator) is never auto-selected — it models a device,
-it does not serve requests — but an explicit ``requested="kernel"`` is
-honoured so drivers can route through one entry point.
+The GPU simulator is not a planner backend: it models a device, it does not
+serve requests, and it is reached only through the explicit modelling API
+(:func:`repro.kernels.driver.run_batmap_pair_counts`,
+``BatmapPairMiner(compute="device")``).
 
 The executor's pay-off floor and worker cap remain defined in
 :mod:`repro.parallel.executor` (tests monkeypatch them there); this module
@@ -68,7 +66,7 @@ __all__ = [
 #: out-of-core pipeline (:mod:`repro.core.sharded`): never auto-selected
 #: unless a resident-set ``memory_budget`` is given and the packed buffer
 #: would not fit under it.
-BACKENDS = ("host", "batch", "parallel", "kernel", "sharded")
+BACKENDS = ("host", "batch", "parallel", "sharded")
 
 #: Mean packed words per set at which a collection counts as wide-class
 #: heavy: one width-class SWAR pass over rows this wide already saturates
@@ -215,8 +213,9 @@ def plan_counts(
         A :class:`PlanFeatures` or a :class:`~repro.core.collection.BatmapCollection`.
     requested:
         ``"auto"`` applies the full policy.  An explicit backend name is
-        honoured, with one exception kept from ``recommended_backend``:
-        ``"parallel"`` demotes to ``"batch"`` when the pool cannot pay off
+        honoured, with two demotions: ``"batch"`` and ``"parallel"`` drop
+        to ``"host"`` on layouts the packed engines cannot represent, and
+        ``"parallel"`` drops to ``"batch"`` when the pool cannot pay off
         (single worker, or below the executor's set floor).
     workers:
         Worker count for the parallel backend; ``None`` auto-selects from
@@ -250,10 +249,15 @@ def plan_counts(
         return CountPlan(backend, plan_workers, reason, result_format=fmt,
                          min_support=features.min_support)
 
-    if requested == "kernel":
-        return plan("kernel", 1, "simulated device kernel requested")
+    packable = features.byte_entries and features.r0 >= 4
     if requested == "host":
         return plan("host", 1, "per-pair host reference requested")
+    if requested in ("batch", "parallel") and not packable:
+        return plan(
+            "host", 1,
+            f"{requested} requested but entries are not byte-packable or "
+            "ranges are sub-word; only the per-pair reference is exact",
+        )
     if requested == "batch":
         return plan("batch", 1, "serial batch engine requested")
     if requested == "sharded":
@@ -270,7 +274,7 @@ def plan_counts(
         return plan("parallel", n_workers, "parallel requested")
 
     # --- auto policy ---------------------------------------------------- #
-    if not features.byte_entries or features.r0 < 4:
+    if not packable:
         return plan(
             "host", 1,
             "entries are not byte-packable or ranges are sub-word; only the "

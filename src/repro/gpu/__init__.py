@@ -9,43 +9,6 @@ memory models with coalescing analysis (:mod:`repro.gpu.memory`,
 model (:mod:`repro.gpu.timing`).  Kernels run vectorised over work groups, so
 results are exact while byte counts, transaction counts and modelled device
 times quantify the regularity properties the paper's argument rests on.
+
+Import from the submodules; the package itself loads nothing.
 """
-
-from repro.gpu.coalescing import (
-    CoalescingReport,
-    analyze_access,
-    segment_size_for_access,
-    transactions_for_half_warp,
-)
-from repro.gpu.device import GTX_285, LAPTOP_CPU, XEON_5462, DeviceSpec
-from repro.gpu.executor import GpuSimulator, LaunchRecord
-from repro.gpu.kernel import Kernel, WorkGroupContext
-from repro.gpu.memory import GlobalMemory, MemoryTraffic, SharedMemory
-from repro.gpu.timing import (
-    KernelStats,
-    LaunchTiming,
-    estimate_kernel_time,
-    estimate_transfer_time,
-)
-
-__all__ = [
-    "DeviceSpec",
-    "GTX_285",
-    "XEON_5462",
-    "LAPTOP_CPU",
-    "GpuSimulator",
-    "LaunchRecord",
-    "Kernel",
-    "WorkGroupContext",
-    "GlobalMemory",
-    "SharedMemory",
-    "MemoryTraffic",
-    "KernelStats",
-    "LaunchTiming",
-    "estimate_kernel_time",
-    "estimate_transfer_time",
-    "CoalescingReport",
-    "analyze_access",
-    "segment_size_for_access",
-    "transactions_for_half_warp",
-]

@@ -5,23 +5,10 @@
 * :class:`~repro.kernels.bitmap_kernel.BitmapAndPopcountKernel` — the
   uncompressed-bitmap baseline (PBI layout) on the same execution model.
 * :class:`~repro.kernels.tiling.TileScheduler` — k x k tiling with
-  upper-triangle symmetry pruning.
+  upper-triangle symmetry pruning (also used by the host executor).
 * :mod:`~repro.kernels.driver` — host-side drivers assembling full pair-count
-  matrices from tiled launches.
+  matrices from tiled launches (the modelling API).
+
+Import from the submodules; the package itself loads nothing, so the host
+engines can use the tiling without importing the simulator.
 """
-
-from repro.kernels.bitmap_kernel import BitmapAndPopcountKernel
-from repro.kernels.driver import DeviceRunResult, run_batmap_pair_counts, run_bitmap_pair_counts
-from repro.kernels.pair_count import PairCountKernel
-from repro.kernels.tiling import Tile, TileScheduler, pad_to_multiple
-
-__all__ = [
-    "PairCountKernel",
-    "BitmapAndPopcountKernel",
-    "Tile",
-    "TileScheduler",
-    "pad_to_multiple",
-    "DeviceRunResult",
-    "run_batmap_pair_counts",
-    "run_bitmap_pair_counts",
-]

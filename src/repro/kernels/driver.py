@@ -67,12 +67,17 @@ def run_batmap_pair_counts(
     tile_size: int = 2048,
     work_group: tuple[int, int] = (16, 16),
     simulator: GpuSimulator | None = None,
-    compute: str = "kernel",
-    workers: int | None = None,
     result_format: str = "dense",
     min_support: int = 0,
 ) -> DeviceRunResult:
     """Compute every pairwise intersection count of a batmap collection on the simulator.
+
+    Every tiled kernel launch is simulated work-group by work-group,
+    recording the full traffic/coalescing statistics and the modelled
+    device time — the modelling API behind the paper's figures.  Counts
+    are bit-identical to the host engines
+    (:meth:`~repro.core.collection.BatmapCollection.count_result`), which
+    are the path to take when only the counts matter.
 
     The returned matrix is indexed by *sorted* batmap order (the device
     scheduling order); callers that need original indices should remap with
@@ -85,34 +90,8 @@ def run_batmap_pair_counts(
     kernel path skip whole tiles whose set-size bounds cannot reach the
     threshold — those launches never happen, so the modelled device time and
     traffic shrink with the pruning.
-
-    ``compute`` selects how the counts themselves are produced:
-
-    * ``"kernel"`` (default) — simulate every tiled kernel launch work-group
-      by work-group, recording the full traffic/coalescing statistics and the
-      modelled device time;
-    * ``"batch"`` — take the (bit-identical) counts from the host-side
-      vectorised batch engine (:mod:`repro.core.batch`) and skip the
-      per-work-group simulation.  Only the host->device transfer is modelled
-      (``tiles == 0``, no launch records); use this when the counts matter
-      but per-launch statistics do not.
-    * ``"parallel"`` — count for real across ``workers`` processes over one
-      shared-memory copy of the packed buffer
-      (:class:`~repro.parallel.executor.ParallelPairCounter`); bit-identical
-      to ``"batch"``.  Small collections (or a single available worker) fall
-      back to the serial batch engine automatically.  ``workers=None``
-      auto-selects from the machine's core count.
-    * ``"auto"`` — let the workload planner
-      (:func:`repro.core.plan.plan_counts`) pick between the batch engine
-      and the executor from the collection's size, width-class mix and the
-      available cores.  The simulator is never auto-selected — it models a
-      device, it does not serve requests.
     """
     require_positive(tile_size, "tile_size")
-    if compute not in ("kernel", "batch", "parallel", "auto"):
-        raise ValueError(
-            f"compute must be 'kernel', 'batch', 'parallel' or 'auto', got {compute!r}"
-        )
     require(result_format in ("dense", "sparse"),
             f"result_format must be 'dense' or 'sparse', got {result_format!r}")
     sparse = result_format == "sparse"
@@ -120,42 +99,6 @@ def run_batmap_pair_counts(
     sim = simulator or GpuSimulator(device)
     buffer = collection.device_buffer()
     sim.upload("batmaps", buffer.words)
-
-    if compute == "auto":
-        from repro.core.plan import plan_counts
-
-        plan = plan_counts(collection, workers=workers)
-        # The driver always produces a full sorted-order matrix; "host"
-        # (point-query) plans have no cheaper shape here, so they run on the
-        # batch engine.
-        compute = "parallel" if plan.backend == "parallel" else "batch"
-
-    if compute == "parallel":
-        # Deferred import: repro.parallel.executor itself imports the tiling
-        # module of this package, so a module-level import would be circular.
-        from repro.parallel.executor import ParallelPairCounter, recommended_backend
-
-        if recommended_backend(collection, workers=workers) == "parallel":
-            with ParallelPairCounter(collection, workers=workers) as counter:
-                if sparse:
-                    result = counter.count_result(
-                        result_format="sparse", min_support=min_support)
-                    return DeviceRunResult(
-                        counts=None, simulator=sim, tiles=0, result=result,
-                        tiles_skipped=(result.stats or {}).get("tiles_skipped", 0))
-                counts = counter.counts_sorted().copy()
-            return DeviceRunResult(counts=counts, simulator=sim, tiles=0)
-        compute = "batch"
-
-    if compute == "batch":
-        if sparse:
-            result = collection.batch_counter().count_result(
-                result_format="sparse", min_support=min_support)
-            return DeviceRunResult(
-                counts=None, simulator=sim, tiles=0, result=result,
-                tiles_skipped=(result.stats or {}).get("tiles_skipped", 0))
-        counts = collection.batch_counter().counts_sorted().copy()
-        return DeviceRunResult(counts=counts, simulator=sim, tiles=0)
 
     order = collection.order
     accumulator = None

@@ -12,7 +12,9 @@ Three implementations are provided:
 * ``multiply_merge`` — per-pair sorted-list intersection (CPU baseline);
 * ``multiply_batmap`` — build one batmap per row of ``M`` and per column of
   ``M'`` over the shared inner dimension and count all pairs with the
-  data-independent comparison (optionally through the GPU-simulator kernel).
+  data-independent comparison on the host engines;
+* ``multiply_batmap_device`` — the same product through the GPU-simulator
+  kernel, for modelled device time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.intersection import count_common
 from repro.core.plan import plan_counts
 from repro.gpu.device import DeviceSpec, GTX_285
-from repro.kernels.driver import run_batmap_pair_counts
 from repro.matrix.boolean import SparseBooleanMatrix
 from repro.utils.rng import RngLike
 from repro.utils.validation import require
@@ -215,9 +216,8 @@ def multiply_batmap(
                                         build_workers=build_workers)
     rows_idx = np.arange(a.n_rows)
     cols_idx = a.n_rows + np.arange(b.n_cols)
-    byte_packable = collection.r0 >= 4 and config.entry_storage_bits == 8
     if result_format == "sparse":
-        if byte_packable:
+        if collection.r0 >= 4 and config.entry_storage_bits == 8:
             # The pruned streaming path (serial batch engine: the executor
             # has no rectangular sparse shape, and the point of sparse here
             # is the result footprint, not the counting wall clock).
@@ -240,12 +240,12 @@ def multiply_batmap(
         return _repair_cross_result(result, collection, a, b)
     plan = plan_counts(collection, requested=compute, workers=workers,
                        n_pairs=a.n_rows * b.n_cols)
-    if plan.backend == "parallel" and byte_packable:
+    if plan.backend == "parallel":
         from repro.parallel.executor import ParallelPairCounter
 
         with ParallelPairCounter(collection, workers=workers) as counter:
             product = counter.count_cross(rows_idx, cols_idx)
-    elif plan.backend == "host" or not byte_packable:
+    elif plan.backend == "host":
         product = np.empty((a.n_rows, b.n_cols), dtype=np.int64)
         for i in range(a.n_rows):
             bm_i = collection.batmap(int(rows_idx[i]))
@@ -264,25 +264,24 @@ def multiply_batmap_device(
     rng: RngLike = None,
     device: DeviceSpec = GTX_285,
     tile_size: int = 2048,
-    compute: str = "kernel",
     build_compute: str = "auto",
 ) -> tuple[np.ndarray, float]:
-    """Witness-count product through the simulated GPU kernel.
+    """Witness-count product through the simulated GPU kernel (modelling API).
 
     Returns ``(product, modelled_device_seconds)``.  The kernel counts *all*
     pairs among the ``a``-rows and ``b``-columns; only the cross block is
     extracted.  (The paper's join-project application has exactly this
-    structure.)  ``compute="batch"`` takes the counts from the batch engine
-    instead of simulating every launch — see
-    :func:`repro.kernels.driver.run_batmap_pair_counts`.
+    structure.)  :func:`multiply_batmap` computes the same product on the
+    host engines.
     """
+    from repro.kernels.driver import run_batmap_pair_counts
+
     _check_shapes(a, b)
     universe = a.n_cols
     sets = list(a.rows) + b.column_sets()
     collection = BatmapCollection.build(sets, universe, config=config, rng=rng,
                                         build_compute=build_compute)
-    result = run_batmap_pair_counts(collection, device=device, tile_size=tile_size,
-                                    compute=compute)
+    result = run_batmap_pair_counts(collection, device=device, tile_size=tile_size)
     # reorder device (sorted) counts back to original set indices
     n_total = len(sets)
     order = collection.order

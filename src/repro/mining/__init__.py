@@ -2,7 +2,7 @@
 
 * :func:`~repro.mining.preprocess.preprocess` — host-side batmap construction.
 * :class:`~repro.mining.pair_mining.BatmapPairMiner` — the end-to-end pipeline
-  (preprocess → device pair counting → repair/threshold).
+  (preprocess → pair counting → repair/threshold).
 * :class:`~repro.mining.itemsets.BatmapItemsetMiner` — levelwise extension to
   itemsets of arbitrary size.
 * :mod:`~repro.mining.levelwise` — vectorised candidate-support counting over

@@ -1,13 +1,16 @@
-"""End-to-end frequent pair mining with batmaps on the simulated GPU.
+"""End-to-end frequent pair mining with batmaps.
 
 This is the pipeline of Section III of the paper:
 
 * **preprocess** (host): support filtering, vertical conversion, batmap
   construction, width sorting, device-buffer packing;
-* **device phase**: the tiled pair-count kernel over all ``n x n`` pairs
-  (upper triangle of tiles only);
-* **postprocess** (host): reorder the counts to original item order, add the
-  repair contributions of failed insertions, and threshold.
+* **counting phase**: every pair count, through the planner-chosen engine
+  (:meth:`~repro.core.collection.BatmapCollection.count_result`) — or, for
+  modelling, the tiled pair-count kernel on the GPU simulator over the
+  upper triangle of tiles;
+* **postprocess** (host): add the repair contributions of failed
+  insertions (:func:`~repro.mining.postprocess.repair_count_result`), and
+  threshold.
 
 The report separates the three phases the way the paper's figures do
 (Figure 6 plots the counting phase alone, Figure 7 the total).
@@ -23,21 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
-from repro.core.intersection import count_common
 from repro.core.plan import PlanFeatures, plan_counts, resolve_result_format
+from repro.core.results import DenseCountResult
 from repro.datasets.streaming import collect_transactions
 from repro.datasets.transactions import TransactionDatabase
 from repro.gpu.device import DeviceSpec, GTX_285
-from repro.kernels.driver import run_batmap_pair_counts
-from repro.mining.postprocess import (
-    reorder_counts,
-    repair_count_result,
-    repair_pair_counts,
-    repair_pair_counts_from_failures,
-)
+from repro.mining.postprocess import reorder_counts, repair_count_result
 from repro.mining.preprocess import preprocess, preprocess_streaming
 from repro.mining.support import MiningReport, PairSupports
-from repro.parallel.executor import ParallelPairCounter
 from repro.utils.memory import parse_memory_size
 from repro.utils.rng import RngLike
 from repro.utils.timer import PhaseTimer
@@ -51,27 +47,14 @@ __all__ = ["BatmapPairMiner", "DEFAULT_STREAM_BUDGET"]
 DEFAULT_STREAM_BUDGET = 256 << 20
 
 
-def _host_counts_sorted(collection) -> np.ndarray:
-    """Dense count matrix in width-sorted order via the per-pair reference.
-
-    The fallback counting phase for layouts the packed engines cannot
-    represent (``payload_bits > 7``): exact for every configured width.
-    """
-    batmaps = collection.batmaps_sorted
-    n = len(batmaps)
-    out = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        out[a, a] = batmaps[a].stored_count
-        for b in range(a + 1, n):
-            c = count_common(batmaps[a], batmaps[b])
-            out[a, b] = c
-            out[b, a] = c
-    return out
+def _plain_counts(result):
+    """``PairSupports.counts`` form of a result: dense runs keep the plain ndarray."""
+    return result.matrix() if isinstance(result, DenseCountResult) else result
 
 
 @dataclass
 class BatmapPairMiner:
-    """Frequent pair miner built on batmaps and the GPU simulator.
+    """Frequent pair miner built on batmaps.
 
     Parameters
     ----------
@@ -84,20 +67,19 @@ class BatmapPairMiner:
     config:
         Batmap construction parameters.
     compute:
-        ``"device"`` (default) runs the tiled pair-count kernel on the GPU
-        simulator and reports its modelled timing and traffic statistics;
-        ``"host"`` computes the (bit-identical) counts with the vectorised
-        batch engine (:mod:`repro.core.batch`) on the host — the fast
-        wall-clock serving path, with no device model attached;
-        ``"parallel"`` distributes the same tiles across a process pool over
-        a shared-memory copy of the packed buffer
-        (:class:`~repro.parallel.executor.ParallelPairCounter`), falling back
-        to the serial batch engine for small inputs;
-        ``"auto"`` defers the batch/parallel choice to the workload planner
-        (:func:`repro.core.plan.plan_counts`) — the simulator is never
-        auto-selected.
+        Counting backend: ``"auto"`` (default) lets the workload planner
+        (:func:`repro.core.plan.plan_counts`) pick; ``"host"`` is the
+        per-pair reference (exact for every payload width); ``"batch"`` the
+        serial vectorised engine (:mod:`repro.core.batch`); ``"parallel"``
+        distributes the same tiles across a process pool over a
+        shared-memory copy of the packed buffer, falling back to the batch
+        engine for small inputs.  All four are bit-identical and routed
+        through :meth:`~repro.core.collection.BatmapCollection.count_result`.
+        ``"device"`` is the modelling entry point: it runs the tiled
+        pair-count kernel on the GPU simulator and reports its modelled
+        timing and traffic statistics.
     workers:
-        Worker processes for ``compute="parallel"``; ``None`` auto-selects
+        Worker processes for the parallel backend; ``None`` auto-selects
         from the machine's core count.
     build_compute:
         Construction engine for the preprocessing phase (``"auto"``,
@@ -123,7 +105,7 @@ class BatmapPairMiner:
     tile_size: int = 2048
     config: BatmapConfig = DEFAULT_CONFIG
     work_group: tuple[int, int] = (16, 16)
-    compute: str = "device"
+    compute: str = "auto"
     workers: int | None = None
     build_compute: str = "auto"
     build_workers: int | None = None
@@ -146,9 +128,9 @@ class BatmapPairMiner:
         is exact (bit-identical to the dense pipeline filtered afterwards).
         """
         require(min_support >= 1, f"min_support must be >= 1, got {min_support}")
-        require(self.compute in ("device", "host", "parallel", "auto"),
-                f"compute must be 'device', 'host', 'parallel' or 'auto', "
-                f"got {self.compute!r}")
+        require(self.compute in ("auto", "host", "batch", "parallel", "device"),
+                f"compute must be 'auto', 'host', 'batch', 'parallel' or "
+                f"'device', got {self.compute!r}")
         require(self.build_compute in ("auto", "host", "bulk", "parallel"),
                 f"build_compute must be 'auto', 'host', 'bulk' or 'parallel', "
                 f"got {self.build_compute!r}")
@@ -171,100 +153,59 @@ class BatmapPairMiner:
         # In-memory mining has no spill budget, so "auto" resolves dense —
         # the byte-identical legacy pipeline.
         fmt = resolve_result_format(requested_format, len(pre.collection), None)
-        # The mining min_support rides on the plan features: the planner and
-        # the engines see the pruning floor the postprocess will apply.
-        features = PlanFeatures.from_collection(
-            pre.collection, result_format=fmt, min_support=min_support)
 
-        backend = self.compute
-        if self.compute == "auto":
-            # The planner returns "host" only for layouts the packed engines
-            # cannot represent (the miner never asks for point queries).
-            backend = plan_counts(features, workers=self.workers).backend
-        elif self.compute == "parallel":
-            # Small inputs are not worth a pool — drop to the batch engine.
-            backend = plan_counts(features, requested="parallel",
-                                  workers=self.workers).backend
-        elif self.compute == "host":
-            backend = "batch"
-        # Entries wider than one byte (payload_bits > 7) have no packed word
-        # form: both SWAR engines would raise, only the per-pair reference is
-        # exact.  (compute="device" keeps raising — a layout the simulated
-        # kernel genuinely cannot represent should not be silently softened.)
-        if (backend in ("batch", "parallel")
-                and pre.collection.config.entry_storage_bits != 8):
-            backend = "host"
+        # Sparse results take the mining min_support into the engines as a
+        # tile-pruning floor (dense results compute every count).
+        run = None
+        if self.compute == "device":
+            # Modelling only: the simulator's analytic device time stands in
+            # for the counting phase (see MiningReport.counting_seconds).
+            from repro.kernels.driver import run_batmap_pair_counts
 
-        sparse_result = None   # CountResult in original index order
-        counts_sorted = None
-        result = None
-        if backend == "parallel":
-            # Real multiprocess counting phase, wall-clock timed end to end
-            # (shared segment + pool startup included).
-            with timers.time("count"):
-                with ParallelPairCounter(pre.collection, workers=self.workers) as counter:
-                    if fmt == "sparse":
-                        sparse_result = counter.count_result(
-                            result_format="sparse", min_support=min_support)
-                    else:
-                        counts_sorted = counter.counts_sorted()
-        elif backend == "host":
-            # Per-pair reference loop (exact for every payload width).
-            with timers.time("count"):
-                if fmt == "sparse":
-                    sparse_result = pre.collection.count_result(
-                        compute="host", result_format="sparse",
-                        min_support=min_support)
-                else:
-                    counts_sorted = _host_counts_sorted(pre.collection)
-        elif backend == "batch":
-            # Host counting phase: the vectorised batch engine, wall-clock timed.
-            with timers.time("count"):
-                if fmt == "sparse":
-                    sparse_result = pre.collection.batch_counter().count_result(
-                        result_format="sparse", min_support=min_support)
-                else:
-                    counts_sorted = pre.collection.batch_counter().counts_sorted()
-        else:
             backend = "kernel"
-            # Device phase (timed by the simulator's analytic model, not wall clock).
-            result = run_batmap_pair_counts(
+            run = run_batmap_pair_counts(
                 pre.collection,
                 device=self.device,
                 tile_size=self.tile_size,
                 work_group=self.work_group,
                 result_format=fmt,
-                min_support=min_support if fmt == "sparse" else 0,
+                min_support=min_support,
             )
-            counts_sorted = result.counts
-            sparse_result = result.result
+            result = run.result
+            if result is None:
+                with timers.time("postprocess"):
+                    result = DenseCountResult(
+                        reorder_counts(run.counts, pre.collection))
+        else:
+            features = PlanFeatures.from_collection(
+                pre.collection, result_format=fmt, min_support=min_support)
+            backend = plan_counts(features, requested=self.compute,
+                                  workers=self.workers).backend
+            with timers.time("count"):
+                result = pre.collection.count_result(
+                    compute=backend, workers=self.workers,
+                    result_format=fmt, min_support=min_support)
 
         with timers.time("postprocess"):
-            if sparse_result is not None:
-                # The engines already mapped slots to original ids; repair
-                # folds the failed-insertion increments in as COO entries
-                # (the database's row views are built only when needed).
-                failures = pre.failed_insertions()
-                counts = (repair_count_result(sparse_result, failures,
-                                              pre.database.transactions)
-                          if failures else sparse_result)
-            else:
-                counts = reorder_counts(counts_sorted, pre.collection)
-                counts = repair_pair_counts(counts, pre.collection, pre.database)
-            supports = PairSupports(counts=counts, item_ids=pre.item_map)
+            # The database's row views are built only when repair needs them.
+            failures = pre.failed_insertions()
+            if failures:
+                result = repair_count_result(result, failures,
+                                             pre.database.transactions)
+            supports = PairSupports(counts=_plain_counts(result),
+                                    item_ids=pre.item_map)
 
-        n_failed = sum(len(v) for v in pre.failed_insertions().values())
         return MiningReport(
             supports=supports,
             timers=timers,
-            device_seconds=result.device_seconds if result else 0.0,
-            transfer_seconds=result.transfer_seconds if result else 0.0,
-            device_bytes=result.total_device_bytes if result else 0,
-            achieved_bandwidth_gbps=result.achieved_bandwidth_gbps if result else 0.0,
-            coalescing_efficiency=result.coalescing_efficiency if result else 1.0,
+            device_seconds=run.device_seconds if run else 0.0,
+            transfer_seconds=run.transfer_seconds if run else 0.0,
+            device_bytes=run.total_device_bytes if run else 0,
+            achieved_bandwidth_gbps=run.achieved_bandwidth_gbps if run else 0.0,
+            coalescing_efficiency=run.coalescing_efficiency if run else 1.0,
             batmap_bytes=pre.batmap_bytes,
-            failed_insertions=n_failed,
-            tiles=result.tiles if result else 0,
+            failed_insertions=sum(len(v) for v in failures.values()),
+            tiles=run.tiles if run else 0,
             count_backend=backend,
             build_backend=(pre.collection.build_plan.backend
                            if pre.collection.build_plan else "host"),
@@ -295,7 +236,9 @@ class BatmapPairMiner:
         ``spill_dir`` keeps the shard spill at a caller-chosen path (and
         leaves it behind for re-attach); by default a temporary directory
         is used and removed when mining finishes.  ``compute="device"`` is
-        rejected — the simulated device models an in-memory buffer.
+        rejected — the simulated device models an in-memory buffer — and
+        ``"host"`` runs on the batch engine, the sharded counter's exact
+        serial path.
 
         ``result_format`` (default: the miner field) controls the count
         result shape.  ``"auto"`` compares the dense matrix footprint
@@ -306,10 +249,10 @@ class BatmapPairMiner:
         supports gathered during preprocessing.
         """
         require(min_support >= 1, f"min_support must be >= 1, got {min_support}")
-        require(self.compute in ("host", "parallel", "auto"),
-                "streaming mining supports compute 'host', 'parallel' or 'auto'; "
-                f"got {self.compute!r} (the simulated device needs the whole "
-                "buffer resident)")
+        require(self.compute in ("auto", "host", "batch", "parallel"),
+                "streaming mining supports compute 'auto', 'host', 'batch' or "
+                f"'parallel'; got {self.compute!r} (the simulated device needs "
+                "the whole buffer resident)")
         budget = parse_memory_size(
             memory_budget if memory_budget is not None else DEFAULT_STREAM_BUDGET)
         timers = PhaseTimer()
@@ -345,14 +288,10 @@ class BatmapPairMiner:
                 min_support=min_support if pre.result_format == "sparse" else 0,
             )
             with timers.time("count"):
-                if counter.result_format == "sparse":
-                    # Exact per-item supports (known from the streaming pass)
-                    # bound every pair's post-repair support — the tightest
-                    # sound tile-pruning input.
-                    counts = counter.count_result(
-                        bounds=pre.item_support_bounds)
-                else:
-                    counts = counter.counts()
+                # Exact per-item supports (known from the streaming pass)
+                # bound every pair's post-repair support — the tightest
+                # sound tile-pruning input (dense results ignore it).
+                counts = counter.count_result(bounds=pre.item_support_bounds)
 
             with timers.time("postprocess"):
                 failures = pre.failed_insertions()
@@ -365,12 +304,9 @@ class BatmapPairMiner:
                     for tid, items in raw.items():
                         mapped = remap[items]
                         transactions[tid] = np.sort(mapped[mapped >= 0])
-                    if counter.result_format == "sparse":
-                        counts = repair_count_result(counts, failures, transactions)
-                    else:
-                        counts = repair_pair_counts_from_failures(
-                            counts, failures, transactions)
-                supports = PairSupports(counts=counts, item_ids=pre.item_map)
+                    counts = repair_count_result(counts, failures, transactions)
+                supports = PairSupports(counts=_plain_counts(counts),
+                                        item_ids=pre.item_map)
 
             n_failed = sum(len(v) for v in failures.values())
             shards = pre.collection.shards

@@ -70,46 +70,37 @@ def repair_pair_counts_from_failures(
     failures: dict,
     transactions,
 ) -> np.ndarray:
-    """The repair loop itself, decoupled from the collection/database containers.
+    """Dense-matrix form of the repair, decoupled from the collection/database.
 
     ``failures`` maps transaction id ``b`` to the item list ``F_b``;
     ``transactions`` maps ``b`` to its item array — a list for the
     in-memory database, a sparse ``{tid: items}`` dict for the streaming
     pipeline (which extracts only the failed transactions from the file).
-    Shared by both paths so the out-of-core repair cannot drift from the
-    in-memory one.
+    The increments come from :func:`repair_increments`, the one pair walk
+    every repair path shares; they are scattered into both triangles, the
+    diagonal once.  Returns a new matrix; the input is not modified.
     """
     repaired = counts.copy()
     if not failures:
         return repaired
-    for b, failed_items in failures.items():
-        transaction = transactions[b]
-        failed_set = set(failed_items)
-        items = transaction.tolist()
-        # For each unordered pair {a, c} of items of transaction b with at
-        # least one failed insertion, the device missed b's contribution once.
-        for ai in range(len(items)):
-            a = items[ai]
-            for ci in range(ai + 1, len(items)):
-                c = items[ci]
-                if a in failed_set or c in failed_set:
-                    repaired[a, c] += 1
-                    repaired[c, a] += 1
-        # The diagonal (item supports) also misses b for failed items.
-        for a in failed_set:
-            repaired[a, a] += 1
+    rows, cols, values = repair_increments(failures, transactions)
+    np.add.at(repaired, (rows, cols), values)
+    off = rows != cols
+    np.add.at(repaired, (cols[off], rows[off]), values[off])
     return repaired
 
 
 def repair_increments(failures: dict, transactions):
-    """Failed-insertion repair as COO increments instead of matrix scatters.
+    """Failed-insertion repair as upper-triangle COO increments.
 
-    The same pair walk as :func:`repair_pair_counts_from_failures`, but the
-    ``+1`` contributions are returned as upper-triangle ``(rows, cols,
+    For each transaction ``b`` and each unordered pair ``{a, c}`` of its
+    items with at least one failed insertion, the device missed ``b``'s
+    contribution once; the diagonal (item supports) misses ``b`` for every
+    failed item.  The ``+1`` contributions are returned as ``(rows, cols,
     values)`` triplets (``rows <= cols``, diagonal included) so they can be
     folded into a :class:`~repro.core.results.SparseCountResult` without
     ever materialising the dense matrix.  Summing duplicates is the
-    consumer's job (``add_entries`` coalesces).
+    consumer's job (``add_entries`` coalesces, ``np.add.at`` accumulates).
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -136,8 +127,9 @@ def repair_increments(failures: dict, transactions):
 def repair_count_result(result, failures: dict, transactions):
     """Apply the failed-insertion repair to any :class:`CountResult`.
 
-    Dense results route through the (oracle) matrix loop; sparse results
-    fold :func:`repair_increments` in as COO entries.  Repair only ever
+    Both shapes take the same :func:`repair_increments`: dense results
+    scatter them into the matrix, sparse results fold them in as COO
+    entries.  Repair only ever
     *adds* support, and a tile skipped during counting had a bound that
     already covered the repaired support — so the pruning contract
     (``frequent_pairs`` exact at or above the floor) survives repair.

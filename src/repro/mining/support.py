@@ -149,11 +149,12 @@ class MiningReport:
     batmap_bytes: int = 0
     failed_insertions: int = 0
     tiles: int = 0
-    #: Which engine produced the counts: "kernel" (simulated device),
-    #: "batch" (serial host engine — also the small-input fallback of
-    #: compute="parallel"), "parallel" (multiprocess executor), "host"
-    #: (per-pair reference — the fallback for payload widths the packed
-    #: engines cannot represent), or "sharded(<inner>)" for the
+    #: Which engine produced the counts: "kernel" (the simulated device of
+    #: compute="device"), "batch" (serial host engine — also the
+    #: small-input fallback of compute="parallel"), "parallel"
+    #: (multiprocess executor), "host" (per-pair reference — also the
+    #: fallback for layouts the packed engines cannot represent), or
+    #: "sharded(<inner>)" for the
     #: out-of-core pipeline (mine_stream), naming the engine its
     #: shard-pair rectangles ran on.
     count_backend: str = "kernel"
@@ -171,8 +172,8 @@ class MiningReport:
         """Pure pair-generation time (Figure 6's quantity).
 
         The modelled device phase for ``compute="device"`` runs; the
-        wall-clock batch-engine phase for ``compute="host"`` runs (which
-        record no device time).
+        wall-clock counting phase for every host backend (which records no
+        device time).
         """
         return self.device_seconds if self.device_seconds > 0 else self.timers.get("count")
 

@@ -31,10 +31,9 @@ Lifecycle / safety:
   stays the segment's single owner and no "leaked shared_memory" warnings
   are emitted at shutdown.
 
-Small inputs are not worth a process pool: :func:`recommended_backend`
-implements the fallback policy (``"batch"`` below a size floor or when only
-one worker is available) that the kernel driver, the miner, the collection
-API and the CLI all share.
+Small inputs are not worth a process pool: the workload planner
+(:func:`repro.core.plan.plan_counts`) falls back to ``"batch"`` below
+:data:`PARALLEL_MIN_SETS` or when only one worker is available.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "ParallelPairCounter",
     "auto_tile_edge",
     "resolve_worker_count",
-    "recommended_backend",
     "measure_executor_scaling",
 ]
 
@@ -73,7 +71,7 @@ __all__ = [
 SHM_PREFIX = "repro-batmap-"
 
 #: Below this many sets the pool/segment setup dominates the counting work
-#: and the serial batch engine wins; :func:`recommended_backend` falls back.
+#: and the serial batch engine wins; the planner falls back to it.
 PARALLEL_MIN_SETS = 256
 
 #: Auto-selected worker counts are capped here: the pair-count kernel is
@@ -110,21 +108,6 @@ def resolve_worker_count(workers=None) -> int:
         return max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
     require_positive(workers, "workers")
     return int(workers)
-
-
-def recommended_backend(collection, *, workers=None) -> str:
-    """``"parallel"`` when a pool would pay off for this collection, else ``"batch"``.
-
-    Kept as the executor-local convenience wrapper; the decision itself lives
-    in the workload planner (:func:`repro.core.plan.plan_counts` with
-    ``requested="parallel"``), so every integration point — the kernel
-    driver, the miner, the collection API, the CLI — shares one policy:
-    fall back to the serial batch engine when only one worker is available
-    or the collection is below the :data:`PARALLEL_MIN_SETS` floor.
-    """
-    from repro.core.plan import plan_counts
-
-    return plan_counts(collection, requested="parallel", workers=workers).backend
 
 
 # --------------------------------------------------------------------------- #
@@ -376,9 +359,10 @@ class ParallelPairCounter:
 
     def count_all_pairs(self) -> np.ndarray:
         """Dense ``n x n`` count matrix indexed by *original* set indices."""
+        counts = self.counts_sorted()
         order = self.collection.order
-        out = np.empty_like(self.counts_sorted())
-        out[np.ix_(order, order)] = self.counts_sorted()
+        out = np.empty_like(counts)
+        out[np.ix_(order, order)] = counts
         return out
 
     def slot_bounds(self) -> np.ndarray:

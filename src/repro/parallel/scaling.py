@@ -27,6 +27,7 @@ plotted in the figure.  See EXPERIMENTS.md E5 for the methodology record.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -126,6 +127,10 @@ def measure_split_scaling(
     is sampled in every time window — so slow background-load drift hits all
     configurations alike instead of biasing whichever point happened to run
     during a busy stretch (which can fabricate super-linear speed-ups).
+    The caller's heap is frozen out of the cyclic garbage collector while
+    measuring: a full collection walks every tracked object, so one landing
+    in a part's window would otherwise charge that part for whatever else
+    the process holds.
     """
     require_positive(min_support, "min_support")
     require_positive(repeats, "repeats")
@@ -137,29 +142,33 @@ def measure_split_scaling(
     splits = {cores: database.split(cores) for cores in core_counts}
     best_times: dict[int, list[float]] = {c: [float("inf")] * c for c in core_counts}
     best_results: dict[int, list[object]] = {c: [None] * c for c in core_counts}
-    for _ in range(repeats):
-        for cores in core_counts:
-            for k, part in enumerate(splits[cores]):
-                start = time.perf_counter()
-                result = miner(part.transactions, part.n_items, min_support)
-                elapsed = time.perf_counter() - start
-                if elapsed < best_times[cores][k]:
-                    best_times[cores][k] = elapsed
-                    best_results[cores][k] = result
-
     points: list[ScalingPoint] = []
-    for cores in core_counts:
-        merge_best = float("inf")
+    gc.freeze()
+    try:
         for _ in range(repeats):
-            start = time.perf_counter()
-            merge_fn(best_results[cores])
-            merge_best = min(merge_best, time.perf_counter() - start)
-        points.append(ScalingPoint(
-            cores=cores,
-            seconds=max(best_times[cores]) + merge_best,
-            part_seconds=tuple(best_times[cores]),
-            merge_seconds=merge_best,
-        ))
+            for cores in core_counts:
+                for k, part in enumerate(splits[cores]):
+                    start = time.perf_counter()
+                    result = miner(part.transactions, part.n_items, min_support)
+                    elapsed = time.perf_counter() - start
+                    if elapsed < best_times[cores][k]:
+                        best_times[cores][k] = elapsed
+                        best_results[cores][k] = result
+
+        for cores in core_counts:
+            merge_best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                merge_fn(best_results[cores])
+                merge_best = min(merge_best, time.perf_counter() - start)
+            points.append(ScalingPoint(
+                cores=cores,
+                seconds=max(best_times[cores]) + merge_best,
+                part_seconds=tuple(best_times[cores]),
+                merge_seconds=merge_best,
+            ))
+    finally:
+        gc.unfreeze()
     return points
 
 

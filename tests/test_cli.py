@@ -59,12 +59,14 @@ class TestMine:
 class TestComputeFlags:
     def test_mine_compute_defaults(self, fimi_file):
         args = build_parser().parse_args(["mine", str(fimi_file)])
-        assert args.compute == "device"
+        assert args.compute == "auto"
         assert args.workers is None
 
     def test_mine_rejects_unknown_compute(self, fimi_file):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mine", str(fimi_file), "--compute", "quantum"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["mine", str(fimi_file), "--compute", "device"])
 
     def test_mine_parallel_falls_back_on_small_input(self, fimi_file):
         out = io.StringIO()
@@ -80,18 +82,19 @@ class TestComputeFlags:
         assert main(["mine", str(fimi_file), "--compute", "host",
                      "--min-support", "2"], out=out) == 0
         text = out.getvalue()
-        assert "count backend: batch" in text
+        assert "count backend: host" in text
         assert "(wall clock)" in text
 
     def test_mine_backends_agree(self, fimi_file):
         results = {}
-        for compute in ("device", "host", "parallel"):
+        for compute in ("auto", "host", "batch", "parallel"):
             out = io.StringIO()
             main(["mine", str(fimi_file), "--compute", compute,
                   "--min-support", "1"], out=out)
             results[compute] = [line for line in out.getvalue().splitlines()
                                 if "support=" in line]
-        assert results["device"] == results["host"] == results["parallel"]
+        assert (results["auto"] == results["host"] == results["batch"]
+                == results["parallel"])
 
     def test_intersect_parallel_falls_back(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -86,11 +86,11 @@ class TestCountAllPairs:
                 assert matrix[i, j] == expected
 
     def test_parallel_kwarg_matches_serial(self, rng):
-        """parallel=True on a small collection falls back to the batch engine."""
+        """compute="parallel" on a small collection falls back to the batch engine."""
         m = 400
         sets = random_sets(rng, 6, m, max_size=80)
         coll = BatmapCollection.build(sets, m, rng=1)
-        assert np.array_equal(coll.count_all_pairs(parallel=True, workers=2),
+        assert np.array_equal(coll.count_all_pairs(compute="parallel", workers=2),
                               coll.count_all_pairs())
 
     def test_parallel_kwarg_through_pool(self, rng, monkeypatch):
@@ -100,7 +100,7 @@ class TestCountAllPairs:
         m = 400
         sets = random_sets(rng, 8, m, max_size=80)
         coll = BatmapCollection.build(sets, m, rng=1)
-        assert np.array_equal(coll.count_all_pairs(parallel=2),
+        assert np.array_equal(coll.count_all_pairs(compute="parallel", workers=2),
                               coll.count_all_pairs())
 
 

@@ -41,8 +41,10 @@ class TestCountPlanValidation:
             CountPlan("quantum", 1, "nope")
 
     def test_rejects_unknown_request(self):
-        with pytest.raises(ValueError):
-            plan_counts(features(), requested="quantum")
+        # "kernel": the GPU simulator is a modelling API, not a planner backend
+        for requested in ("quantum", "kernel"):
+            with pytest.raises(ValueError):
+                plan_counts(features(), requested=requested)
 
     def test_from_collection_features(self):
         coll = small_collection()
@@ -58,8 +60,16 @@ class TestCountPlanValidation:
 
 class TestExplicitRequests:
     def test_explicit_backends_honoured(self):
-        for backend in ("host", "batch", "kernel"):
+        for backend in ("host", "batch"):
             assert plan_counts(features(), requested=backend).backend == backend
+
+    def test_packed_requests_demote_to_host_on_unpackable_layouts(self):
+        """The planner owns the layout gate: no caller re-checks it."""
+        for layout in (features(r0=2), features(byte_entries=False)):
+            for backend in ("batch", "parallel"):
+                plan = plan_counts(layout, requested=backend, workers=4)
+                assert plan.backend == "host"
+                assert f"{backend} requested" in plan.reason
 
     def test_parallel_demotes_below_floor(self):
         plan = plan_counts(features(n_sets=4), requested="parallel", workers=4)

@@ -169,43 +169,44 @@ class TestBitmapDriver:
 
 
 class TestBatchComputeMode:
+    """The driver is the simulator only; counts-only runs use the collection."""
+
     def test_batch_counts_match_kernel_counts(self, rng):
         m = 700
         sets = random_sets(rng, 14, m, max_size=120)
         coll = BatmapCollection.build(sets, m, rng=6)
         kernel = run_batmap_pair_counts(coll, tile_size=8)
-        batch = run_batmap_pair_counts(coll, compute="batch")
-        assert np.array_equal(kernel.counts, batch.counts)
-        assert batch.tiles == 0
-        assert batch.device_seconds == 0.0       # no launches simulated
-        assert batch.transfer_seconds > 0        # the upload is still modelled
+        batch = coll.count_all_pairs(compute="batch")
+        assert np.array_equal(reorder_to_original(kernel.counts, coll), batch)
+        assert kernel.tiles > 0
+        assert kernel.device_seconds > 0
 
     def test_batch_counts_are_a_private_copy(self, rng):
         m = 300
         coll = BatmapCollection.build(random_sets(rng, 5, m, max_size=60), m, rng=0)
-        first = run_batmap_pair_counts(coll, compute="batch")
-        first.counts[0, 0] = -1
-        second = run_batmap_pair_counts(coll, compute="batch")
-        assert second.counts[0, 0] != -1
+        first = coll.count_all_pairs(compute="batch")
+        first[0, 0] = -1
+        second = coll.count_all_pairs(compute="batch")
+        assert second[0, 0] != -1
 
     def test_invalid_compute_rejected(self, rng):
         m = 200
         coll = BatmapCollection.build(random_sets(rng, 3, m, max_size=30), m, rng=0)
+        with pytest.raises(TypeError):
+            run_batmap_pair_counts(coll, compute="batch")
         with pytest.raises(ValueError):
-            run_batmap_pair_counts(coll, compute="quantum")
+            coll.count_all_pairs(compute="kernel")
 
 
 class TestParallelComputeMode:
     def test_parallel_counts_match_kernel_counts(self, rng):
-        """Small input: the parallel mode falls back to the batch engine."""
+        """Small input: the parallel backend falls back to the batch engine."""
         m = 700
         sets = random_sets(rng, 14, m, max_size=120)
         coll = BatmapCollection.build(sets, m, rng=6)
         kernel = run_batmap_pair_counts(coll, tile_size=8)
-        parallel = run_batmap_pair_counts(coll, compute="parallel", workers=2)
-        assert np.array_equal(kernel.counts, parallel.counts)
-        assert parallel.tiles == 0
-        assert parallel.device_seconds == 0.0
+        parallel = coll.count_all_pairs(compute="parallel", workers=2)
+        assert np.array_equal(reorder_to_original(kernel.counts, coll), parallel)
 
     def test_parallel_forced_through_pool(self, rng, monkeypatch):
         """Lowering the fallback floor drives the counts through real workers."""
@@ -215,6 +216,6 @@ class TestParallelComputeMode:
         m = 700
         sets = random_sets(rng, 12, m, max_size=120)
         coll = BatmapCollection.build(sets, m, rng=2)
-        batch = run_batmap_pair_counts(coll, compute="batch")
-        parallel = run_batmap_pair_counts(coll, compute="parallel", workers=2)
-        assert np.array_equal(batch.counts, parallel.counts)
+        kernel = run_batmap_pair_counts(coll, tile_size=8)
+        parallel = coll.count_all_pairs(compute="parallel", workers=2)
+        assert np.array_equal(reorder_to_original(kernel.counts, coll), parallel)

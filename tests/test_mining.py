@@ -150,7 +150,8 @@ class TestEndToEnd:
 
     def test_report_fields(self):
         db = generate_fixed_transactions(15, 0.3, 80, rng=6)
-        report = BatmapPairMiner(tile_size=8).mine(db, min_support=2, rng=0)
+        report = BatmapPairMiner(compute="device", tile_size=8).mine(
+            db, min_support=2, rng=0)
         assert report.preprocess_seconds > 0
         assert report.counting_seconds > 0
         assert report.total_seconds >= report.counting_seconds
@@ -214,7 +215,8 @@ class TestItemsetMiner:
 class TestHostComputeMode:
     def test_host_matches_device_counts(self):
         db = generate_fixed_transactions(20, 0.3, 120, rng=8)
-        device = BatmapPairMiner(tile_size=8).mine(db, min_support=1, rng=0)
+        device = BatmapPairMiner(compute="device", tile_size=8).mine(
+            db, min_support=1, rng=0)
         host = BatmapPairMiner(compute="host").mine(db, min_support=1, rng=0)
         assert np.array_equal(device.supports.counts, host.supports.counts)
         # the host path has no device model attached but does time counting
@@ -233,11 +235,11 @@ class TestParallelComputeMode:
     def test_parallel_matches_host_counts_with_fallback(self):
         """Small instance: compute="parallel" drops to the batch engine."""
         db = generate_fixed_transactions(20, 0.3, 120, rng=8)
-        host = BatmapPairMiner(compute="host").mine(db, min_support=1, rng=0)
+        batch = BatmapPairMiner(compute="batch").mine(db, min_support=1, rng=0)
         parallel = BatmapPairMiner(compute="parallel", workers=2).mine(
             db, min_support=1, rng=0)
-        assert np.array_equal(host.supports.counts, parallel.supports.counts)
-        assert host.count_backend == "batch"
+        assert np.array_equal(batch.supports.counts, parallel.supports.counts)
+        assert batch.count_backend == "batch"
         assert parallel.count_backend == "batch"      # fell back: tiny input
 
     def test_parallel_forced_through_pool(self, monkeypatch):
@@ -245,15 +247,16 @@ class TestParallelComputeMode:
 
         monkeypatch.setattr(executor_module, "PARALLEL_MIN_SETS", 1)
         db = generate_fixed_transactions(20, 0.3, 120, rng=8)
-        host = BatmapPairMiner(compute="host").mine(db, min_support=1, rng=0)
+        batch = BatmapPairMiner(compute="batch").mine(db, min_support=1, rng=0)
         parallel = BatmapPairMiner(compute="parallel", workers=2).mine(
             db, min_support=1, rng=0)
-        assert np.array_equal(host.supports.counts, parallel.supports.counts)
+        assert np.array_equal(batch.supports.counts, parallel.supports.counts)
         assert parallel.count_backend == "parallel"
         assert parallel.device_seconds == 0.0
         assert parallel.counting_seconds > 0
 
     def test_device_backend_recorded(self):
         db = generate_fixed_transactions(10, 0.3, 40, rng=8)
-        report = BatmapPairMiner(tile_size=8).mine(db, min_support=1, rng=0)
+        report = BatmapPairMiner(compute="device", tile_size=8).mine(
+            db, min_support=1, rng=0)
         assert report.count_backend == "kernel"

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.parallel.executor as executor_module
 from repro.core.collection import BatmapCollection
+from repro.core.plan import plan_counts
 from repro.parallel.executor import (
     MAX_AUTO_WORKERS,
     PARALLEL_MIN_SETS,
@@ -18,7 +19,6 @@ from repro.parallel.executor import (
     ParallelPairCounter,
     SharedDeviceBuffer,
     measure_executor_scaling,
-    recommended_backend,
     resolve_worker_count,
 )
 from repro.parallel.scaling import relative_speedups
@@ -154,25 +154,26 @@ class TestWorkerSelection:
 class TestFallback:
     def test_small_collection_recommends_batch(self, coll):
         assert len(coll) < PARALLEL_MIN_SETS
-        assert recommended_backend(coll, workers=4) == "batch"
+        assert plan_counts(coll, requested="parallel", workers=4).backend == "batch"
 
     def test_single_worker_recommends_batch(self, coll):
-        assert recommended_backend(coll, workers=1) == "batch"
+        assert plan_counts(coll, requested="parallel", workers=1).backend == "batch"
 
     def test_large_collection_recommends_parallel(self, rng):
         sets = random_sets(rng, PARALLEL_MIN_SETS, 256, max_size=10)
         collection = BatmapCollection.build(sets, 256, rng=0)
-        assert recommended_backend(collection, workers=2) == "parallel"
+        plan = plan_counts(collection, requested="parallel", workers=2)
+        assert plan.backend == "parallel"
 
     def test_collection_parallel_kwarg_falls_back(self, coll):
-        """Small input: parallel=True silently uses the batch engine."""
-        assert np.array_equal(coll.count_all_pairs(parallel=True, workers=2),
+        """Small input: compute="parallel" silently uses the batch engine."""
+        assert np.array_equal(coll.count_all_pairs(compute="parallel", workers=2),
                               coll.count_all_pairs())
 
     def test_collection_parallel_kwarg_forced(self, coll, monkeypatch):
         """With the floor lowered the executor path really engages."""
         monkeypatch.setattr(executor_module, "PARALLEL_MIN_SETS", 1)
-        assert np.array_equal(coll.count_all_pairs(parallel=2),
+        assert np.array_equal(coll.count_all_pairs(compute="parallel", workers=2),
                               coll.batch_counter().count_all_pairs())
 
 
