@@ -409,6 +409,7 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
         _maybe_print_result_format(report, out)
         _print_phases(report, out)
         print(_count_backend_line(report.count_backend, args.compute), file=out)
+        _maybe_print_swar_kernel(report.count_backend, out)
         print(_build_backend_line(report.build_backend, args.build_compute),
               file=out)
     else:
@@ -530,6 +531,7 @@ def _mine_stream(args: argparse.Namespace, out) -> int:
           file=out)
     _print_phases(report, out)
     print(f"count backend: {report.count_backend}", file=out)
+    _maybe_print_swar_kernel(report.count_backend, out)
     print(f"build backend: {report.build_backend}", file=out)
     _report_pairs(report.supports, args, out, elapsed, "batmap, sharded")
     return 0
@@ -549,6 +551,18 @@ def _count_backend_line(count_backend: str, requested: str) -> str:
     if requested == "parallel" and count_backend == "batch":
         line += " (parallel fell back: input below the pool pay-off floor)"
     return line
+
+
+def _maybe_print_swar_kernel(count_backend: str, out) -> None:
+    """The ``swar kernel:`` line: compiled C or the NumPy fallback (and why).
+
+    Only the packed engines run the SWAR primitives; the per-pair ``host``
+    reference does not, so it prints no line.
+    """
+    if count_backend != "host":
+        from repro.core.swar_kernel import kernel_status
+
+        print(f"swar kernel: {kernel_status()}", file=out)
 
 
 def _build_backend_line(build_backend: str, requested: str) -> str:

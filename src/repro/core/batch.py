@@ -15,8 +15,9 @@ simulator:
   ``(n_class, width)`` ``uint32`` matrix gathered from the device buffer;
 * all pairs within a class — and all cross-class pairs, folded through the
   range-nesting property ``h mod r_small == (h mod r_large) mod r_small`` —
-  are counted with *one broadcasted SWAR comparison per class pair*, chunked
-  to bound peak memory;
+  are counted with *one call of a SWAR fold primitive per class pair*
+  (:mod:`repro.core.swar_kernel`: compiled C, or NumPy when no compiler is
+  available);
 * compatibility (shared hash family, compression floor) is validated **once**
   per engine, not once per pair.
 
@@ -58,6 +59,7 @@ from repro.core.results import (
     SparseAccumulator,
     TopKAccumulator,
 )
+from repro.core.swar_kernel import DEFAULT_BLOCK_WORDS, fold_counts, fold_counts_rows
 from repro.utils.validation import require, require_positive
 
 __all__ = [
@@ -70,82 +72,6 @@ __all__ = [
     "sparse_cross",
     "width_slot_bounds",
 ]
-
-#: Upper bound on the number of packed words materialised by one broadcasted
-#: comparison (the engine chunks the outer operand to stay below it).  Sized
-#: for cache residency, not allocator limits: 2**17 words keep each SWAR
-#: temporary around 1 MB, which on the E12 instance counts ~10x faster than
-#: the 2**23 budget this started with (25 MB temporaries thrash the LLC, and
-#: pathologically so when several executor workers compete for it).
-DEFAULT_BLOCK_WORDS = 1 << 17
-
-# SWAR constants for both lane widths.  The engine processes two packed
-# 32-bit device words per operation (uint64 lanes) whenever the row width is
-# even; byte order is preserved by the little-endian view, so the per-byte
-# match condition is exactly the one of :mod:`repro.core.swar`.
-_MSB = {np.dtype(np.uint32): np.uint32(0x80808080),
-        np.dtype(np.uint64): np.uint64(0x8080808080808080)}
-_LSB = {np.dtype(np.uint32): np.uint32(0x01010101),
-        np.dtype(np.uint64): np.uint64(0x0101010101010101)}
-_ONES = {np.dtype(np.uint32): np.uint32(0xFFFFFFFF),
-         np.dtype(np.uint64): np.uint64(0xFFFFFFFFFFFFFFFF)}
-_SEVEN = {np.dtype(np.uint32): np.uint32(7), np.dtype(np.uint64): np.uint64(7)}
-
-#: Words per width chunk: each byte lane accumulates at most one match per
-#: word, so chunks of <= 255 words cannot overflow a uint8 lane counter.
-_LANE_CHUNK = 252
-
-
-def _view_widest(a: np.ndarray) -> np.ndarray:
-    """Reinterpret a ``(n, w)`` uint32 matrix as uint64 lanes when ``w`` is even."""
-    if a.shape[1] % 2 == 0:
-        return a.view(np.uint64)
-    return a
-
-
-def _match_count_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs match counts between the rows of ``a`` (n_a, w) and ``b`` (n_b, w).
-
-    One fused SWAR pass per width chunk: compute the per-byte match mask
-    (payloads equal, indicator OR set — the condition of
-    :func:`repro.core.swar.match_bits`), turn the masked MSBs into per-byte
-    0/1 lanes, sum the lanes along the width axis (safe from overflow within
-    a chunk) and fold the byte lanes into the int64 result.
-    """
-    dt = a.dtype
-    msb, lsb, ones, seven = _MSB[dt], _LSB[dt], _ONES[dt], _SEVEN[dt]
-    n_a, w = a.shape
-    n_b = b.shape[0]
-    out = np.zeros((n_a, n_b), dtype=np.int64)
-    for start in range(0, w, _LANE_CHUNK):
-        stop = min(w, start + _LANE_CHUNK)
-        x = a[:, None, start:stop]
-        y = b[None, :, start:stop]
-        p = ((x ^ y) | msb) - lsb
-        matched = (p ^ ones) & ((x | y) & msb)
-        # per-byte 0/1 lanes; lane sums stay < 256 within a chunk, so the
-        # reduction cannot carry across byte lanes (dtype pinned: NumPy would
-        # otherwise promote uint32 to uint64)
-        lanes = np.add.reduce((matched >> seven) & lsb, axis=2, dtype=dt)
-        out += lanes.view(np.uint8).reshape(n_a, n_b, dt.itemsize).sum(axis=2, dtype=np.int64)
-    return out
-
-
-def _match_count_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-aligned match counts: row ``k`` of ``a`` against row ``k`` of ``b``."""
-    dt = a.dtype
-    msb, lsb, ones, seven = _MSB[dt], _LSB[dt], _ONES[dt], _SEVEN[dt]
-    n, w = a.shape
-    out = np.zeros(n, dtype=np.int64)
-    for start in range(0, w, _LANE_CHUNK):
-        stop = min(w, start + _LANE_CHUNK)
-        x = a[:, start:stop]
-        y = b[:, start:stop]
-        p = ((x ^ y) | msb) - lsb
-        matched = (p ^ ones) & ((x | y) & msb)
-        lanes = np.add.reduce((matched >> seven) & lsb, axis=1, dtype=dt)
-        out += lanes.view(np.uint8).reshape(n, dt.itemsize).sum(axis=1, dtype=np.int64)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +90,11 @@ class WidthClass:
         return int(self.sorted_indices.size)
 
 
+#: Row band of :meth:`WidthClassIndex.all_pairs` within one width class:
+#: only the diagonal ``band x band`` blocks are counted twice.
+SYMMETRIC_BAND_ROWS = 128
+
+
 class WidthClassIndex:
     """Width-class pair-counting engine over a flat packed word buffer.
 
@@ -179,6 +110,9 @@ class WidthClassIndex:
     (:meth:`all_pairs`) gather and cache them, while tile-shaped queries
     (:meth:`cross_slots`, :meth:`pairwise_slots`) gather only the rows they
     need — a worker that processes a few tiles never copies the full buffer.
+
+    ``block_words`` bounds the broadcast temporaries of the NumPy fallback
+    primitive; the compiled kernel makes none.
     """
 
     def __init__(
@@ -248,44 +182,24 @@ class WidthClassIndex:
             return cached[self.row_of[slots]]
         return self._gather(slots)
 
-    # ------------------------------------------------------------------ #
-    # Low-level blocked SWAR comparisons
-    # ------------------------------------------------------------------ #
-    def _equal_width_counts(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pairwise match counts between two word matrices of the same width.
+    def _fold(self, large: np.ndarray, small: np.ndarray) -> np.ndarray:
+        """Pairwise counts (rows of ``large`` x rows of ``small``), wide folded onto narrow."""
+        return fold_counts(large, small, block_words=self.block_words)
 
-        Chunks the rows of ``a`` so no broadcast temporary exceeds the block
-        budget, and widens to uint64 lanes (two device words per operation)
-        whenever the width allows.
+    def _fold_symmetric(self, words: np.ndarray) -> np.ndarray:
+        """``_fold(words, words)``, computing each off-diagonal block once.
+
+        Counts are symmetric, so every band of rows is counted against the
+        columns from its own first row on and mirrored into the lower part.
         """
-        aw = _view_widest(a)
-        bw = _view_widest(b)
-        n_a, width = aw.shape
-        n_b = bw.shape[0]
-        out = np.empty((n_a, n_b), dtype=np.int64)
-        rows = max(1, self.block_words // max(1, n_b * max(1, width)))
-        for start in range(0, n_a, rows):
-            stop = min(n_a, start + rows)
-            out[start:stop] = _match_count_matrix(aw[start:stop], bw)
+        n = words.shape[0]
+        out = np.empty((n, n), dtype=np.int64)
+        for start in range(0, n, SYMMETRIC_BAND_ROWS):
+            stop = min(n, start + SYMMETRIC_BAND_ROWS)
+            band = self._fold(words[start:stop], words[start:])
+            out[start:stop, start:] = band
+            out[start:, start:stop] = band.T
         return out
-
-    def _folded_counts(self, large: np.ndarray, small: np.ndarray) -> np.ndarray:
-        """Pairwise counts (rows of ``large`` x rows of ``small``), folding wide onto narrow.
-
-        Word position ``p`` of a wide batmap compares against position
-        ``p mod width_small`` of the narrow one, so the wide matrix is
-        processed as ``reps`` contiguous blocks each compared against the
-        whole narrow matrix.
-        """
-        width_small = small.shape[1]
-        reps = large.shape[1] // width_small
-        if reps == 1:
-            return self._equal_width_counts(large, small)
-        total = np.zeros((large.shape[0], small.shape[0]), dtype=np.int64)
-        for block in range(reps):
-            sl = slice(block * width_small, (block + 1) * width_small)
-            total += self._equal_width_counts(large[:, sl], small)
-        return total
 
     # ------------------------------------------------------------------ #
     # Slot-level queries
@@ -302,9 +216,9 @@ class WidthClassIndex:
         for i in range(self.n_classes):
             words_i = self.class_words(i)
             slots_i = self.members[i]
-            out[np.ix_(slots_i, slots_i)] = self._equal_width_counts(words_i, words_i)
+            out[np.ix_(slots_i, slots_i)] = self._fold_symmetric(words_i)
             for j in range(i + 1, self.n_classes):
-                cross = self._folded_counts(self.class_words(j), words_i)  # (n_j, n_i)
+                cross = self._fold(self.class_words(j), words_i)  # (n_j, n_i)
                 slots_j = self.members[j]
                 out[np.ix_(slots_j, slots_i)] = cross
                 out[np.ix_(slots_i, slots_j)] = cross.T
@@ -324,9 +238,9 @@ class WidthClassIndex:
                 col_mask = self.class_of[col_slots] == cj_idx
                 b = self._rows(col_slots[col_mask], cj_idx)
                 if a.shape[1] >= b.shape[1]:
-                    block = self._folded_counts(a, b)
+                    block = self._fold(a, b)
                 else:
-                    block = self._folded_counts(b, a).T
+                    block = self._fold(b, a).T
                 out[np.ix_(np.nonzero(row_mask)[0], np.nonzero(col_mask)[0])] = block
         return out
 
@@ -363,9 +277,9 @@ class WidthClassIndex:
                 col_mask = other.class_of[col_slots] == cj_idx
                 b = other._rows(col_slots[col_mask], cj_idx)
                 if a.shape[1] >= b.shape[1]:
-                    block = self._folded_counts(a, b)
+                    block = self._fold(a, b)
                 else:
-                    block = self._folded_counts(b, a).T
+                    block = self._fold(b, a).T
                 out[np.ix_(np.nonzero(row_mask)[0], np.nonzero(col_mask)[0])] = block
         return out
 
@@ -390,16 +304,8 @@ class WidthClassIndex:
         combos = np.stack([self.class_of[wide], self.class_of[narrow]], axis=1)
         for ci_idx, cj_idx in np.unique(combos, axis=0).tolist():
             mask = (combos[:, 0] == ci_idx) & (combos[:, 1] == cj_idx)
-            large = self._rows(wide[mask], ci_idx)
-            small = self._rows(narrow[mask], cj_idx)
-            width_small = int(self.class_widths[cj_idx])
-            reps = int(self.class_widths[ci_idx]) // width_small
-            acc = np.zeros(int(mask.sum()), dtype=np.int64)
-            small_w = _view_widest(small)
-            for block in range(reps):
-                sl = slice(block * width_small, (block + 1) * width_small)
-                acc += _match_count_rows(_view_widest(large[:, sl]), small_w)
-            out[mask] = acc
+            out[mask] = fold_counts_rows(self._rows(wide[mask], ci_idx),
+                                         self._rows(narrow[mask], cj_idx))
         return out
 
     def pairwise_index(self, other: "WidthClassIndex", a_slots, b_slots) -> np.ndarray:
@@ -430,19 +336,10 @@ class WidthClassIndex:
             mask = (combos[:, 0] == ci_idx) & (combos[:, 1] == cj_idx)
             a = self._rows(a_slots[mask], ci_idx)
             b = other._rows(b_slots[mask], cj_idx)
-            width_a = int(self.class_widths[ci_idx])
-            width_b = int(other.class_widths[cj_idx])
-            if width_a >= width_b:
-                wide, narrow, width_small = a, b, width_b
+            if a.shape[1] >= b.shape[1]:
+                out[mask] = fold_counts_rows(a, b)
             else:
-                wide, narrow, width_small = b, a, width_a
-            reps = max(width_a, width_b) // width_small
-            acc = np.zeros(int(mask.sum()), dtype=np.int64)
-            narrow_w = _view_widest(narrow)
-            for block in range(reps):
-                sl = slice(block * width_small, (block + 1) * width_small)
-                acc += _match_count_rows(_view_widest(wide[:, sl]), narrow_w)
-            out[mask] = acc
+                out[mask] = fold_counts_rows(b, a)
         return out
 
 
@@ -515,9 +412,15 @@ def sparse_all_pairs(
                         stats["tiles_skipped"] += 1
                         continue
                 a = index._rows(rows, cj)
-                block = index._folded_counts(a, b)
                 if ci == cj:
+                    # columns left of the first row lie wholly below the
+                    # diagonal: masked to zero, so never counted
+                    first = int(np.searchsorted(cols, rows[0]))
+                    block = np.zeros((rows.size, cols.size), dtype=np.int64)
+                    block[:, first:] = index._fold(a, b[first:])
                     block = np.where(rows[:, None] <= cols[None, :], block, 0)
+                else:
+                    block = index._fold(a, b)
                 consume(rows, cols, block)
     return stats
 
@@ -581,9 +484,9 @@ def sparse_cross(
                         continue
                 a = index._rows(rows, ci_idx)
                 if a.shape[1] >= b.shape[1]:
-                    block = index._folded_counts(a, b)
+                    block = index._fold(a, b)
                 else:
-                    block = index._folded_counts(b, a).T
+                    block = index._fold(b, a).T
                 consume(rows, cols, block)
     return stats
 
@@ -592,7 +495,7 @@ class BatchPairCounter:
     """All-pairs / pairs-list / top-k intersection counts for one collection.
 
     The engine validates compatibility once, gathers the packed words once,
-    and answers every subsequent query with broadcasted NumPy SWAR — no
+    and answers every subsequent query with the SWAR fold primitives — no
     per-pair Python call.  Build it through
     :meth:`repro.core.collection.BatmapCollection.batch_counter`, which caches
     one instance per collection.

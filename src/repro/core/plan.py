@@ -20,10 +20,10 @@ that maps the plan to an engine.  The policy, in order:
    hosts run the serial ``batch`` engine — pool startup plus result transfer
    would dominate the counting work.
 4. **Wide-class-heavy collections** (mean packed width at or above
-   :data:`WIDE_WORDS_PER_SET`) also stay on ``batch``: the SWAR pass is
-   memory-bandwidth-bound on wide rows, exactly as the paper's Figure 11
-   measures for the CPU loop, so extra processes add contention, not
-   throughput.
+   :data:`WIDE_WORDS_PER_SET`) also stay on ``batch``: once rows outgrow the
+   kernel's cache blocking the SWAR pass is memory-bandwidth-bound, as the
+   paper's Figure 11 measures for the CPU loop, so extra processes add
+   contention, not throughput.
 5. Everything else fans out to ``parallel``.
 
 The GPU simulator is not a planner backend: it models a device, it does not
@@ -69,10 +69,15 @@ __all__ = [
 BACKENDS = ("host", "batch", "parallel", "sharded")
 
 #: Mean packed words per set at which a collection counts as wide-class
-#: heavy: one width-class SWAR pass over rows this wide already saturates
-#: memory bandwidth, so the planner keeps such workloads on the serial batch
-#: engine instead of paying pool startup for no extra throughput.
-WIDE_WORDS_PER_SET = 1 << 12
+#: heavy: the SWAR pass over rows this wide is memory-bandwidth-bound, so
+#: the planner keeps such workloads on the serial batch engine instead of
+#: paying pool startup for no extra throughput.  The compiled kernel keeps
+#: a block of narrow rows and two wide rows in a core's L2 cache, which
+#: holds up to rows of 2**16 words (256 KB); below that it is compute-bound
+#: and a pool pays (E21: 1024 sets of 12288 words count in 1.5 s on batch,
+#: 1.0 s on 2 workers).  The bound itself is derived from the blocking, not
+#: measured: 1536 sets that wide pack to 400 MB.
+WIDE_WORDS_PER_SET = 1 << 16
 
 #: Shard count at which shard-pair amplification dominates the counting
 #: shape: ``k`` shards mean ``k*(k+1)/2`` independent rectangles, each

@@ -63,15 +63,21 @@ __all__ = [
 RESULT_FORMATS = ("auto", "dense", "sparse")
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+_KEY_MAX = int(np.iinfo(np.int64).max)
 
 
 def coalesce_coo(rows, cols, values, *, sort_only: bool = False):
     """Canonicalise COO triplets: sort by ``(row, col)`` and sum duplicates.
 
     Engines append tile extractions in whatever order the tiles complete;
-    repair merges may re-add coordinates that already exist.  One lexsort +
+    repair merges may re-add coordinates that already exist.  One sort +
     ``reduceat`` pass makes the representation canonical, which is what lets
     two sparse results be compared with plain array equality.
+
+    The sort runs on the single int64 key ``row * n_cols + col`` (one
+    ``argsort`` is ~6x faster than a two-key ``lexsort``).  Duplicate keys
+    are summed, so only ``sort_only`` needs a stable sort; coordinates too
+    large for the key fall back to ``lexsort``.
     """
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
@@ -80,7 +86,13 @@ def coalesce_coo(rows, cols, values, *, sort_only: bool = False):
             "rows, cols and values must have the same length")
     if rows.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
-    order = np.lexsort((cols, rows))
+    lo = min(int(rows.min()), int(cols.min()))
+    n_cols = int(cols.max()) + 1
+    if lo >= 0 and int(rows.max()) * n_cols + n_cols - 1 <= _KEY_MAX:
+        order = np.argsort(rows * n_cols + cols,
+                           kind="stable" if sort_only else None)
+    else:
+        order = np.lexsort((cols, rows))
     rows, cols, values = rows[order], cols[order], values[order]
     if not sort_only:
         new_group = np.empty(rows.size, dtype=bool)

@@ -71,18 +71,23 @@ __all__ = [
 SHM_PREFIX = "repro-batmap-"
 
 #: Below this many sets the pool/segment setup dominates the counting work
-#: and the serial batch engine wins; the planner falls back to it.
-PARALLEL_MIN_SETS = 256
+#: and the serial batch engine wins; the planner falls back to it.  Measured
+#: with the compiled SWAR kernel on a 2-core host (EXPERIMENTS.md E21):
+#: density instances cross over between 1200 sets (batch 0.34 s, pool
+#: 0.47 s) and 1600 sets (0.75 s vs 0.50 s); Zipfian collections stay
+#: faster or tied on batch up to ~4000 sets.
+PARALLEL_MIN_SETS = 1536
 
 #: Auto-selected worker counts are capped here: the pair-count kernel is
 #: memory-bound, so (exactly as Figure 11 measures for the CPU SWAR loop)
 #: throughput saturates within a socket long before high core counts.
 MAX_AUTO_WORKERS = 8
 
-#: Upper bound on the auto-selected tile edge.  Small tiles keep the
-#: broadcast SWAR temporaries cache-resident: on the E12 instance a 128-wide
-#: tile counts ~3x faster than a 400-wide one, so auto-tiling never exceeds
-#: this even when few workers would allow larger tiles.
+#: Upper bound on the auto-selected tile edge.  With the compiled kernel the
+#: edge trades per-tile transfer against load balance, and neither side
+#: dominates (E21, 2 workers): a 1600-set density instance counts in 0.49 s
+#: at 128 and 0.55 s at 256, a 2173-set Zipfian one in 0.40 s and 0.32 s.
+#: 128 keeps the sharded pipeline's tiles unchanged.
 DEFAULT_TILE_CAP = 128
 
 

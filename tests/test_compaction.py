@@ -184,7 +184,7 @@ class TestCompactIntegration:
 
 
 class TestPlannerShardFanout:
-    def features(self, n_shards, words_per_set=8, n_sets=512):
+    def features(self, n_shards, words_per_set=8, n_sets=2048):
         return PlanFeatures(n_sets=n_sets, total_words=n_sets * words_per_set,
                             r0=8, byte_entries=True, n_shards=n_shards)
 

@@ -233,6 +233,25 @@ class TestResultPrimitives:
         assert cols.tolist() == [2, 4]
         assert values.tolist() == [5, 3]
 
+    @pytest.mark.parametrize("high", [50, 1 << 31, 1 << 40])
+    def test_coalesce_matches_lexsort_reference(self, rng, high):
+        """Shuffled duplicates at small and huge indices: the lexsort canon."""
+        coords = rng.integers(0, high, size=(300, 2))
+        picks = rng.integers(0, coords.shape[0], size=2000)
+        rows, cols = coords[picks, 0], coords[picks, 1]
+        values = rng.integers(-3, 4, size=picks.size)
+        order = np.lexsort((cols, rows))
+        keys = np.stack([rows[order], cols[order]], axis=1)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        sums = np.zeros(uniq.shape[0], dtype=np.int64)
+        np.add.at(sums, inverse.ravel(), values[order])
+        keep = sums != 0
+
+        out_rows, out_cols, out_values = coalesce_coo(rows, cols, values)
+        assert out_rows.tolist() == uniq[keep, 0].tolist()
+        assert out_cols.tolist() == uniq[keep, 1].tolist()
+        assert out_values.tolist() == sums[keep].tolist()
+
     def test_dense_matrix_access_is_silent(self, rng):
         dense = DenseCountResult(np.zeros((4, 4), dtype=np.int64))
         dense.matrix()                               # oracle path: no warning
