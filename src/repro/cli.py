@@ -553,16 +553,25 @@ def _count_backend_line(count_backend: str, requested: str) -> str:
     return line
 
 
-def _maybe_print_swar_kernel(count_backend: str, out) -> None:
+def _print_swar_kernel(out) -> None:
     """The ``swar kernel:`` line: compiled C or the NumPy fallback (and why).
 
-    Only the packed engines run the SWAR primitives; the per-pair ``host``
-    reference does not, so it prints no line.
+    The one library holds the SWAR counting loop and the cuckoo
+    construction loops, so the line names what counted and what built.
+    """
+    from repro.core.swar_kernel import kernel_status
+
+    print(f"swar kernel: {kernel_status()}", file=out)
+
+
+def _maybe_print_swar_kernel(count_backend: str, out) -> None:
+    """:func:`_print_swar_kernel` after a count on the packed engines.
+
+    The per-pair ``host`` reference runs no SWAR primitive, so it prints
+    no line.
     """
     if count_backend != "host":
-        from repro.core.swar_kernel import kernel_status
-
-        print(f"swar kernel: {kernel_status()}", file=out)
+        _print_swar_kernel(out)
 
 
 def _build_backend_line(build_backend: str, requested: str) -> str:
@@ -756,15 +765,20 @@ def _build_index_sets_file(args: argparse.Namespace, budget: int, out) -> int:
     )
     np.save(Path(args.spill_dir) / "item_map.npy",
             np.arange(len(sets), dtype=np.int64))
-    elapsed = time.perf_counter() - start
+    _report_index(args, collection, time.perf_counter() - start, out)
+    return 0
+
+
+def _report_index(args: argparse.Namespace, collection, elapsed: float, out) -> None:
+    """The output lines of a finished ``build-index``."""
     print(f"indexed {len(collection)} sets over universe "
           f"{collection.universe_size} in {elapsed:.3f}s wall clock", file=out)
     print(f"spill artifact: {args.spill_dir} ({collection.n_shards} shard(s), "
           f"{collection.total_packed_bytes} packed bytes, "
           f"{args.family} family, generation {collection.generation})",
           file=out)
+    _print_swar_kernel(out)
     print(f"serve it with: repro serve {args.spill_dir}", file=out)
-    return 0
 
 
 def _cmd_build_index(args: argparse.Namespace, out) -> int:
@@ -803,15 +817,7 @@ def _cmd_build_index(args: argparse.Namespace, out) -> int:
         print(f"error: {exc}", file=out)
         return 2
     np.save(Path(args.spill_dir) / "item_map.npy", pre.item_map)
-    elapsed = time.perf_counter() - start
-    collection = pre.collection
-    print(f"indexed {len(collection)} sets over universe "
-          f"{collection.universe_size} in {elapsed:.3f}s wall clock", file=out)
-    print(f"spill artifact: {args.spill_dir} ({collection.n_shards} shard(s), "
-          f"{collection.total_packed_bytes} packed bytes, "
-          f"{args.family} family, generation {collection.generation})",
-          file=out)
-    print(f"serve it with: repro serve {args.spill_dir}", file=out)
+    _report_index(args, pre.collection, time.perf_counter() - start, out)
     return 0
 
 
@@ -838,6 +844,7 @@ def _cmd_ingest(args: argparse.Namespace, out) -> int:
     print(f"generation {collection.generation}: {collection.n_shards} "
           f"shard(s), universe {collection.universe_size}, "
           f"{collection.total_packed_bytes} packed bytes", file=out)
+    _print_swar_kernel(out)
     if collection.n_shards >= 8:
         print(f"hint: {collection.n_shards} shards amplify counting work; "
               f"run `repro compact {args.spill_dir}`", file=out)

@@ -14,6 +14,9 @@ may instead ask for an exception.
 The output of this module is a :class:`Placement` — three integer rows
 holding raw element ids — which :mod:`repro.core.batmap` then encodes into
 the compressed byte layout.
+
+The walk runs as compiled C (:func:`repro.core.swar_kernel.walk_set`);
+:func:`_walk` is the Python fallback and the tests' reference.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import InsertionFailure
 from repro.core.hashing import HashFamily
+from repro.core.swar_kernel import native_library, walk_set
 from repro.utils.validation import require, require_power_of_two
 
 __all__ = ["EMPTY", "Placement", "PlacementStats", "place_set"]
@@ -130,43 +134,25 @@ class Placement:
 class _Inserter:
     """Mutable state for the cuckoo insertion loop over one set.
 
-    Slot positions for every element of the set are precomputed in bulk (one
-    vectorised hash call per table) because the insertion loop only ever
-    moves elements of the set being built.
+    Works on element *indices* into the set's sorted element array:
+    ``positions[t, i]`` is the one legal slot of element ``i`` in table
+    ``t``, precomputed in bulk (one vectorised hash call per table) because
+    the loop only ever moves elements of the set being built.
     """
 
-    def __init__(
-        self,
-        family: HashFamily,
-        r: int,
-        config: BatmapConfig,
-        elements: np.ndarray,
-    ) -> None:
-        self.family = family
-        self.r = r
-        self.config = config
+    def __init__(self, positions: np.ndarray, r: int, max_loop: int) -> None:
         self.rows = np.full((3, r), EMPTY, dtype=np.int64)
-        self.max_loop = config.effective_max_loop(r)
+        self.max_loop = max_loop
         self.stats = PlacementStats()
-        # positions[t, i] is the one legal slot of elements[i] in table t.
-        # Elements arrive sorted duplicate-free (place_set guarantees it),
-        # so a binary search resolves an element to its row — the seed kept
-        # a dict of per-element Python 3-tuples instead, ~250 B of object
-        # overhead per element that dominated a host build's working set.
-        self._elements = elements
-        self._positions = np.stack([family.positions(t, elements, r)
-                                    for t in range(3)])
-
-    def _slot(self, table: int, x: int) -> int:
-        return int(self._positions[table, np.searchsorted(self._elements, x)])
+        self._positions = positions.tolist()
 
     def insert_once(self, x: int) -> int:
         """Insert one copy of ``x``; return :data:`EMPTY` on success or the nestless element."""
-        tau = int(x)
+        tau = x
         moves = 0
         for _ in range(self.max_loop):
             for table in range(3):
-                slot = self._slot(table, tau)
+                slot = self._positions[table][tau]
                 tau, self.rows[table, slot] = int(self.rows[table, slot]), tau
                 moves += 1
                 if tau == EMPTY:
@@ -197,19 +183,40 @@ class _Inserter:
                 continue
             # Failure: drop x entirely, then try to re-home the victim.
             self.remove_all(x)
-            failed.append(int(x))
+            failed.append(x)
             if nestless != x:
-                victim_nestless = self.insert_once(int(nestless))
+                victim_nestless = self.insert_once(nestless)
                 if victim_nestless != EMPTY:
                     # Extremely unlikely secondary failure: give up on the
                     # victim as well so the structure stays consistent
                     # (failed elements have no stored copies).
-                    self.remove_all(int(victim_nestless))
-                    failed.append(int(victim_nestless))
+                    self.remove_all(victim_nestless)
+                    failed.append(victim_nestless)
             break
         self.stats.inserted += 1
         self.stats.failed += len(failed)
         return failed
+
+
+def _walk(elements: np.ndarray, positions: np.ndarray, r: int, max_loop: int,
+          stop_on_failure: bool) -> tuple[np.ndarray, list[int], PlacementStats]:
+    """The serial walk in Python: the fallback and test reference of the compiled one.
+
+    Returns the ``(3, r)`` element-id rows, the failed element ids in the
+    order they were recorded, and the statistics — what
+    :func:`repro.core.swar_kernel.walk_set` returns.
+    """
+    inserter = _Inserter(positions, r, max_loop)
+    failed: list[int] = []
+    for x in range(elements.size):
+        newly_failed = inserter.insert_element(x)
+        failed.extend(newly_failed)
+        if newly_failed and stop_on_failure:
+            break
+    rows = inserter.rows
+    stored = rows != EMPTY
+    rows[stored] = elements[rows[stored]]
+    return rows, [int(elements[x]) for x in failed], inserter.stats
 
 
 def place_set(
@@ -248,14 +255,17 @@ def place_set(
     if elements.size and (elements.min() < 0 or elements.max() >= family.universe_size):
         raise ValueError("element id out of range for the hash family's universe")
 
-    inserter = _Inserter(family, r, config, elements)
-    failed: list[int] = []
-    for x in elements.tolist():
-        newly_failed = inserter.insert_element(int(x))
-        if newly_failed and on_failure == "raise":
-            raise InsertionFailure(newly_failed[0])
-        failed.extend(newly_failed)
+    positions = np.stack([family.positions(t, elements, r) for t in range(3)])
+    max_loop = config.effective_max_loop(r)
+    stop = on_failure == "raise"
+    lib = native_library()
+    if lib is None:
+        rows, failed, stats = _walk(elements, positions, r, max_loop, stop)
+    else:
+        rows, failed, counts = walk_set(lib, elements, positions, r, max_loop, stop)
+        stats = PlacementStats(*counts)
+    if failed and stop:
+        raise InsertionFailure(failed[0])
     # A victim that failed during a later insertion might have been recorded
     # while an earlier copy of it is long gone; keep the list duplicate-free.
-    failed = sorted(set(failed))
-    return Placement(rows=inserter.rows, r=r, failed=failed, stats=inserter.stats)
+    return Placement(rows=rows, r=r, failed=sorted(set(failed)), stats=stats)

@@ -34,9 +34,19 @@ the paper) now dominates.  This module rebuilds it as a **bulk engine**:
   the repaired end-to-end mining results stay exact (Section III-C repair
   is failure-list-driven per build);
 * the byte encoding of :meth:`Batmap.from_placement` is applied to the whole
-  group at once (one scatter for all sets), and the packed device-word
+  group at once (one pass over all sets), and the packed device-word
   layout of Figure 4 is produced group-wise, skipping the per-set
   re-stacking entirely.
+
+The rounds and the 8-bit encoding run as compiled C
+(:func:`repro.core.swar_kernel.place_sets` and
+:func:`~repro.core.swar_kernel.encode_group`, in the library that also holds
+the SWAR counting loop).  The C round engine places one set at a time with
+a ``3 r`` claim scratch instead of group-wide claim and frontier arrays; its
+outputs are identical to :func:`_run_rounds`, because claims never cross
+sets and each set's walks keep their order in every next frontier.
+:func:`_run_rounds` and :meth:`GroupPlacement._numpy_encode` run only when
+the kernel cannot be loaded, and are the tests' reference.
 
 Because every slot array is per-set (claims from different sets can never
 collide), a set's placement depends only on its own elements — group
@@ -62,6 +72,7 @@ from repro.core.builder import EMPTY, Placement, PlacementStats, place_set
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import LayoutError
 from repro.core.hashing import HashFamily
+from repro.core.swar_kernel import encode_group, native_library, place_sets
 from repro.utils.validation import require, require_power_of_two
 
 __all__ = [
@@ -123,7 +134,6 @@ class GroupPlacement:
     set_of: np.ndarray         #: owning set of each flat element
     starts: np.ndarray         #: first flat index of each set
     lengths: np.ndarray        #: deduplicated size of each set
-    positions: np.ndarray      #: (3, n_elements) row-local slot of each element
     payloads: np.ndarray       #: (3, n_elements) compressed payload of each element
     slots: np.ndarray          #: (3, n_elements) flat slot index of each element
     rows_flat: np.ndarray      #: (n_sets * 3 * r,) flat element index or EMPTY
@@ -139,13 +149,12 @@ class GroupPlacement:
             out[int(self.set_of[idx])].append(int(self.elements[idx]))
         return out
 
-    def stats(self, set_index: int, n_failed: int) -> PlacementStats:
-        return PlacementStats(
-            inserted=int(self.lengths[set_index]),
-            failed=n_failed,
-            total_moves=int(self.set_moves[set_index]),
-            max_transcript=int(self.set_transcript[set_index]),
-        )
+    def stats(self, failed: list[list[int]]) -> list[PlacementStats]:
+        """Per-set statistics, given :meth:`failed_lists`."""
+        return [PlacementStats(inserted, len(f), moves, transcript)
+                for inserted, f, moves, transcript in zip(
+                    self.lengths.tolist(), failed, self.set_moves.tolist(),
+                    self.set_transcript.tolist())]
 
     def placements(self) -> list[Placement]:
         """Per-set :class:`Placement` objects (element-id rows)."""
@@ -155,9 +164,8 @@ class GroupPlacement:
         rows_elem = rows_elem.reshape(self.n_sets, 3, self.r)
         failed = self.failed_lists()
         return [
-            Placement(rows=rows_elem[k], r=self.r, failed=failed[k],
-                      stats=self.stats(k, len(failed[k])))
-            for k in range(self.n_sets)
+            Placement(rows=rows_elem[k], r=self.r, failed=failed[k], stats=stats)
+            for k, stats in enumerate(self.stats(failed))
         ]
 
     def encode(self, family: HashFamily, config: BatmapConfig) -> np.ndarray:
@@ -165,9 +173,21 @@ class GroupPlacement:
 
         The same layout :meth:`Batmap.from_placement` produces per set —
         payload in the low bits, the cyclic-order indicator pinned to the
-        storage top bit — computed with one gather/scatter pass over every
-        stored element of every set in the group.
+        storage top bit — computed in one pass over every stored element of
+        every set in the group: by the compiled encoder for 8-bit entries,
+        else by :meth:`_numpy_encode`.
         """
+        lib = native_library()
+        if lib is None or config.entry_dtype != np.uint8:
+            return self._numpy_encode(config)
+        return encode_group(
+            lib, self.rows_flat, self.slots, self.payloads, self.failed_mask,
+            payload_mask=config.payload_mask, indicator_shift=config.indicator_shift,
+            elements=self.elements,
+        ).reshape(self.n_sets, 3, self.r)
+
+    def _numpy_encode(self, config: BatmapConfig) -> np.ndarray:
+        """:meth:`encode` as NumPy gathers and scatters (fallback and test reference)."""
         n = self.elements.size
         entries_flat = np.zeros(self.n_sets * 3 * self.r, dtype=config.entry_dtype)
         if n == 0:
@@ -322,22 +342,29 @@ def bulk_place_group(
         raise ValueError("element id out of range for the hash family's universe")
     set_of = np.repeat(np.arange(n_sets, dtype=np.int64), lengths)
 
-    # One permutation gather per table serves both the slot positions and
-    # (later) the encoded payloads — they are two bit-fields of pi_t(x).
-    permuted = np.stack([family.permuted(t, flat) for t in range(3)], axis=0)
-    positions = permuted & np.int64(r - 1)
-    payloads = (permuted >> np.int64(family.shift)) + 1
     row_span = 3 * r
     require(n_sets * row_span < (1 << 31),
             "group slot table exceeds the int32 engine range; chunk the "
             "group (bulk_build_sets does this automatically)")
-    slots = (set_of[None, :] * row_span
-             + np.arange(3, dtype=np.int64)[:, None] * r
-             + positions).astype(np.int32)
+    # One permutation gather per table serves both the slot positions and
+    # (later) the encoded payloads — they are two bit-fields of pi_t(x).
+    # Both are derived in place, so no (3, n) int64 temporary is made.
+    payloads = np.empty((3, flat.size), dtype=np.int64)
+    for t in range(3):
+        payloads[t] = family.permuted(t, flat)
+    slots = np.empty(payloads.shape, dtype=np.int32)
+    np.bitwise_and(payloads, r - 1, out=slots, casting="unsafe")
+    slots += (set_of * row_span).astype(np.int32)
+    slots += (np.arange(3, dtype=np.int32) * r)[:, None]
+    payloads >>= family.shift
+    payloads += 1
     max_moves = min(3 * config.effective_max_loop(r), BULK_MOVE_BUDGET)
-    rows_flat, failed_mask, set_moves, set_transcript, rounds = _run_rounds(
-        slots, set_of, n_sets * row_span, max_moves, n_sets
-    )
+    lib = native_library()
+    if lib is not None:
+        placed = place_sets(lib, slots, starts, lengths, r, max_moves)
+    else:
+        placed = _run_rounds(slots, set_of, n_sets * row_span, max_moves, n_sets)
+    rows_flat, failed_mask, set_moves, set_transcript, rounds = placed
 
     if oracle_on_failure and failed_mask.any():
         for s in np.unique(set_of[failed_mask]).tolist():
@@ -358,7 +385,7 @@ def bulk_place_group(
 
     return GroupPlacement(
         r=r, n_sets=n_sets, elements=flat, set_of=set_of, starts=starts,
-        lengths=lengths, positions=positions, payloads=payloads, slots=slots,
+        lengths=lengths, payloads=payloads, slots=slots,
         rows_flat=rows_flat, failed_mask=failed_mask, set_moves=set_moves,
         set_transcript=set_transcript, rounds=rounds,
     )
@@ -524,8 +551,7 @@ def bulk_build_chunks(
                 indices=chunk,
                 entries=group.encode(family, config),
                 failed=failed,
-                stats=[group.stats(row, len(failed[row]))
-                       for row in range(len(chunk))],
+                stats=group.stats(failed),
             ))
     return chunks
 

@@ -49,6 +49,26 @@ def _dedup_sorted(s) -> np.ndarray:
     return np.unique(arr)
 
 
+def _dedup_sets(sets, universe_size: int) -> list[np.ndarray]:
+    """:func:`_dedup_sorted` over every set, with one range check.
+
+    One vectorized pass over the concatenated sets finds the few that are
+    not strictly ascending, and only those pay for ``np.unique``.  A NumPy
+    check per set costs ~5 us, a quarter of a 150-element set's whole bulk
+    build (E22).
+    """
+    arrs = [np.asarray(s, dtype=np.int64).ravel() for s in sets]
+    flat = np.concatenate(arrs)
+    if flat.size and (flat.min() < 0 or flat.max() >= universe_size):
+        raise ValueError("element id out of range for the hash family's universe")
+    ends = np.cumsum([a.size for a in arrs])
+    drops = np.flatnonzero(flat[1:] <= flat[:-1]) + 1  # flat[p] <= flat[p - 1]
+    drops = drops[~np.isin(drops, ends)]  # ignore the first element of a set
+    for k in np.unique(np.searchsorted(ends, drops, side="right")).tolist():
+        arrs[k] = np.unique(arrs[k])
+    return arrs
+
+
 @dataclass(frozen=True)
 class DeviceBuffer:
     """Flat packed representation of every batmap, as transferred to the device.
@@ -161,12 +181,7 @@ class BatmapCollection:
         # Deduplicate each set exactly once; sizes, ranges and the build
         # loop below all reuse the same arrays (the seed ran np.unique
         # twice per set — one pass for sizes, another inside the loop).
-        dedup = [_dedup_sorted(s) for s in sets]
-        for elements in dedup:
-            if elements.size and (elements[0] < 0
-                                  or elements[-1] >= universe_size):
-                raise ValueError(
-                    "element id out of range for the hash family's universe")
+        dedup = _dedup_sets(sets, universe_size)
         sizes = np.array([d.size for d in dedup], dtype=np.int64)
         order = np.argsort(sizes, kind="stable") if sort_by_size else np.arange(len(sets))
         # Keep the packed-word path available even for tiny sets.  Sizes
@@ -230,10 +245,12 @@ class BatmapCollection:
             # the in-process path below reuses the encoder's stacks as-is).
             pack_jobs = chunk_built_sets(built)
         else:
-            # The bulk engine keeps roughly six 8-byte per-slot arrays alive
-            # while a group places (~45 B per slot measured); a budget caps
-            # the slots per chunk so the placement working set stays near a
-            # quarter of the ceiling.
+            # A budget caps the slots per chunk.  Placing and encoding a
+            # chunk peaks at ~12 B per slot compiled and ~27 B on the NumPy
+            # fallback (tracemalloc at full load, E22), so 1/192 of the
+            # ceiling in slots keeps that working set at 1/16 (1/7) of it.
+            # Larger chunks bought no build time and raised the
+            # mine-zipf-stream peak by ~5 MB (E22).
             slot_budget = (None if memory_budget is None
                            else max(1, memory_budget // 192))
             chunks = bulk_build_chunks(sorted_sets, sorted_rs, family, config,
@@ -252,12 +269,16 @@ class BatmapCollection:
         collection.build_plan = plan
 
         if config.entry_storage_bits == 8:
-            r0 = min(b.r for b in built)
-            widths, offsets, total = device_word_layout([b.r for b in built])
+            r0 = min(sorted_rs)
+            widths, offsets, total = device_word_layout(sorted_rs)
             words = np.zeros(total, dtype=np.uint32)
             for slots, entries in pack_jobs:
                 packed, _ = pack_group_words(entries, r0)
-                words[offsets[slots][:, None] + np.arange(packed.shape[1])] = packed
+                if slots[-1] - slots[0] == len(slots) - 1:  # ascending, so consecutive
+                    start = int(offsets[slots[0]])
+                    words[start:start + packed.size] = packed.ravel()
+                else:
+                    words[offsets[slots][:, None] + np.arange(packed.shape[1])] = packed
             collection._device_buffer = DeviceBuffer(
                 words=words, offsets=offsets, widths=widths, r0=r0)
         return collection

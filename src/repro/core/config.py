@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -89,9 +90,12 @@ class BatmapConfig:
                 return bits
         raise AssertionError("entry_bits > 32 is rejected by __post_init__")
 
-    @property
+    @cached_property
     def entry_dtype(self) -> np.dtype:
-        """NumPy dtype backing the entries array (uint8/uint16/uint32)."""
+        """NumPy dtype backing the entries array (uint8/uint16/uint32).
+
+        Cached: every batmap checks its entries against it on creation.
+        """
         return np.dtype(f"uint{self.entry_storage_bits}")
 
     @property

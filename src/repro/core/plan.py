@@ -336,21 +336,25 @@ def plan_counts(
 BUILD_BACKENDS = ("host", "bulk", "parallel", "sharded")
 
 #: Total deduplicated elements below which construction stays on the serial
-#: per-element inserter: the bulk engine's group setup (concatenation, flat
-#: slot tables, claim arrays) costs a few vector passes that a handful of
-#: tiny sets never amortises — and keeping small builds on the oracle keeps
-#: their placements bit-identical to the seed's.
+#: per-element inserter.  Not a speed floor: even at this size the bulk
+#: engine builds 3-10x faster (E22), because the serial path encodes every
+#: set on its own.  The floor keeps small builds on the oracle, so their
+#: placements stay bit-identical to the seed's (pair counts are identical
+#: on either engine).
 BULK_BUILD_MIN_ELEMENTS = 2048
 
-#: Set-count floor for the multiprocess bulk builder; below it the shards
-#: are too few/small for pool startup plus per-worker hash-family transfer.
+#: Set-count floor for the multiprocess bulk builder: enough sets to cut
+#: into one shard per worker.  With compiled placement the element floor
+#: below is the one that binds (E22).
 PARALLEL_BUILD_MIN_SETS = 1024
 
-#: Element floor for the multiprocess bulk builder.  Construction work per
-#: element is light (a few vector ops per round), so the pool only pays off
-#: once the element volume is large; below this the in-process bulk engine
-#: finishes before the workers warm up.
-PARALLEL_BUILD_MIN_ELEMENTS = 1 << 21
+#: Element floor for the multiprocess bulk builder.  Compiled placement
+#: builds 6-8M elements per second in-process, while the pool pays about
+#: 0.1 s per million elements to ship sets out and entries back.  In the
+#: E22 grid (two workers, up to 8M elements) the pool took 0.94-2.8x the
+#: bulk time and lost at all but one point, so the floor sits above every
+#: measured point; explicit ``parallel`` requests still run the pool.
+PARALLEL_BUILD_MIN_ELEMENTS = 1 << 24
 
 
 @dataclass(frozen=True)

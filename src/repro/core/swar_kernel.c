@@ -107,3 +107,256 @@ void fold_counts_rows(const uint32_t *large, int64_t n, int64_t stride_a, int64_
     for (int64_t k = 0; k < n; k++)
         out[k] = fold_pair(large + k * stride_a, wa, small + k * stride_b, wb);
 }
+
+/* ------------------------------------------------------------------------ *
+ * Cuckoo construction (repro.core.bulk_build and repro.core.builder).
+ *
+ * Element indices are flat positions into the caller's element array; EMPTY
+ * (-1) marks a vacant slot.  None of these loops allocates per element: the
+ * round engine uses one 3r claim scratch and three frontier buffers sized
+ * for the largest set, reused set after set.
+ * ------------------------------------------------------------------------ */
+#include <stdlib.h>
+
+#define EMPTY (-1)
+
+static const int32_t next_table[3] = {1, 2, 0};
+
+/* One set of the round engine.  Every pending copy is a walk (element,
+ * table).  Each round all walks claim their candidate slot (the last walk in
+ * frontier order wins); winners store their element and hand the displaced
+ * occupant's walk on; losers retry at the next table.  The next frontier is
+ * the losers, then the displaced, both in frontier order.  Every walk moves
+ * once per round, so after round k every pending walk has made k moves:
+ * when k reaches max_moves, all pending walks fail their elements at once
+ * (stored copies evicted).  Returns the number of rounds this set took. */
+static int64_t place_one(const int32_t *slots, int64_t n_total, int64_t first,
+                         int64_t n, int64_t base, int64_t max_moves,
+                         int32_t *rows, uint8_t *failed, int32_t *claim,
+                         int32_t *cur, int32_t *nxt, int32_t *disp,
+                         int64_t *moves_out, int64_t *transcript_out)
+{
+    /* cur/nxt/disp hold 2 int32 columns each: element, table. */
+    int64_t size = 2 * n, rounds = 0, total = 0;
+    for (int64_t i = 0; i < n; i++) {
+        cur[i] = cur[n + i] = (int32_t)(first + i);
+        cur[2 * n + i] = 0;
+        cur[3 * n + i] = 1;
+    }
+    while (size > 0) {
+        int32_t *fe = cur, *ft = cur + 2 * n, *ne = nxt, *nt = nxt + 2 * n;
+        int32_t *de = disp, *dt = disp + 2 * n;
+        int64_t n_next = 0, n_disp = 0;
+        rounds++;
+        for (int64_t i = 0; i < size; i++)
+            claim[slots[ft[i] * n_total + fe[i]] - base] = (int32_t)i;
+        for (int64_t i = 0; i < size; i++) {
+            int32_t target = slots[ft[i] * n_total + fe[i]];
+            int32_t *owner = claim + (target - base);
+            if (*owner != (int32_t)i) {          /* lost: every loser precedes the winner */
+                ne[n_next] = fe[i];
+                nt[n_next++] = next_table[ft[i]];
+                continue;
+            }
+            *owner = -1;
+            int32_t displaced = rows[target];
+            rows[target] = fe[i];
+            if (displaced == EMPTY) {            /* found a nest */
+                total += rounds;
+            } else {
+                de[n_disp] = displaced;
+                dt[n_disp++] = next_table[ft[i]];
+            }
+        }
+        for (int64_t k = 0; k < n_disp; k++) {
+            ne[n_next] = de[k];
+            nt[n_next++] = dt[k];
+        }
+        if (rounds >= max_moves) {               /* every pending walk is out of budget */
+            for (int64_t k = 0; k < n_next; k++) {
+                int32_t e = ne[k];
+                total += rounds;
+                if (failed[e])
+                    continue;
+                failed[e] = 1;
+                for (int t = 0; t < 3; t++) {
+                    int32_t s = slots[t * n_total + e];
+                    if (rows[s] == e)
+                        rows[s] = EMPTY;
+                }
+            }
+            n_next = 0;
+        }
+        size = n_next;
+        int32_t *swap = cur;
+        cur = nxt;
+        nxt = swap;
+    }
+    *moves_out = total;
+    *transcript_out = rounds;
+    return rounds;
+}
+
+/* The round engine over a group of sets sharing the range r.  slots is the
+ * (3, n_total) flat slot of every element in every table; set s owns
+ * elements [starts[s], starts[s] + lengths[s]) and slots [3rs, 3r(s+1)).
+ * Claims never cross sets, so each set runs its rounds on its own.  rows
+ * (3r per set, filled here) and failed (zeroed) are outputs.  Returns the largest
+ * per-set round count, -1 when scratch memory cannot be allocated, or -2
+ * when a slot lies outside its set's region (nothing is placed then). */
+int64_t place_sets(const int32_t *slots, int64_t n_total,
+                   const int64_t *starts, const int64_t *lengths, int64_t n_sets,
+                   int64_t r, int64_t max_moves, int32_t *rows, uint8_t *failed,
+                   int64_t *set_moves, int64_t *set_transcript)
+{
+    int64_t longest = 0, rounds = 0;
+    for (int64_t s = 0; s < n_sets; s++) {
+        for (int t = 0; t < 3; t++)
+            for (int64_t i = starts[s]; i < starts[s] + lengths[s]; i++) {
+                int32_t slot = slots[t * n_total + i];
+                if (slot < 3 * r * s || slot >= 3 * r * (s + 1))
+                    return -2;
+            }
+        if (lengths[s] > longest)
+            longest = lengths[s];
+    }
+    int32_t *claim = malloc(3 * r * sizeof(int32_t));
+    int32_t *scratch = malloc((12 * longest + 1) * sizeof(int32_t));
+    if (claim == NULL || scratch == NULL) {
+        free(claim);
+        free(scratch);
+        return -1;
+    }
+    for (int64_t k = 0; k < 3 * r; k++)
+        claim[k] = -1;
+    for (int64_t s = 0; s < n_sets; s++) {
+        int64_t n = lengths[s];
+        int32_t *cur = scratch, *nxt = scratch + 4 * n, *disp = scratch + 8 * n;
+        for (int64_t k = 3 * r * s; k < 3 * r * (s + 1); k++)
+            rows[k] = EMPTY;
+        int64_t took = place_one(slots, n_total, starts[s], n, 3 * r * s, max_moves,
+                                 rows, failed, claim, cur, nxt, disp,
+                                 set_moves + s, set_transcript + s);
+        if (took > rounds)
+            rounds = took;
+    }
+    free(claim);
+    free(scratch);
+    return rounds;
+}
+
+/* One copy of the serial INSERT walk: push tau around the tables in cyclic
+ * order until a vacant slot takes it or max_loop full cycles pass.  Returns
+ * EMPTY on success, else the element left without a nest. */
+static int64_t insert_once(int64_t x, const int64_t *pos, int64_t n, int64_t r,
+                           int64_t max_loop, int64_t *rows, int64_t *stats)
+{
+    int64_t tau = x, moves = 0;
+    for (int64_t loop = 0; loop < max_loop && tau != EMPTY; loop++)
+        for (int t = 0; t < 3; t++) {
+            int64_t *cell = rows + t * r + pos[t * n + tau];
+            int64_t out = *cell;
+            *cell = tau;
+            tau = out;
+            moves++;
+            if (tau == EMPTY)
+                break;
+        }
+    stats[2] += moves;
+    if (moves > stats[3])
+        stats[3] = moves;
+    return tau;
+}
+
+/* Clear the stored copies of x (only its three hash slots can hold it). */
+static void remove_all(int64_t x, const int64_t *pos, int64_t n, int64_t r,
+                       int64_t *rows)
+{
+    for (int t = 0; t < 3; t++) {
+        int64_t *cell = rows + t * r + pos[t * n + x];
+        if (*cell == x)
+            *cell = EMPTY;
+    }
+}
+
+/* The serial inserter (place_set) over n sorted elements with (3, n) slot
+ * positions.  Each element is inserted twice; a copy that finds no nest
+ * fails the element (all copies removed) and re-walks the displaced victim
+ * once, failing it too if that walk finds no nest either.  rows (3, r) is
+ * output, as element ids; failed receives failed element ids in the order
+ * they were recorded (at most 2n); stats = {inserted, failed, total_moves,
+ * max_transcript}.  With stop_on_failure the walk ends after the first
+ * element that recorded a failure.  Returns the number of failed entries. */
+int64_t walk_set(const int64_t *elements, const int64_t *pos, int64_t n, int64_t r,
+                 int64_t max_loop, int64_t stop_on_failure, int64_t *rows,
+                 int64_t *failed, int64_t *stats)
+{
+    int64_t n_failed = 0;
+    for (int64_t k = 0; k < 3 * r; k++)
+        rows[k] = EMPTY;
+    for (int k = 0; k < 4; k++)
+        stats[k] = 0;
+    for (int64_t x = 0; x < n; x++) {
+        int64_t before = n_failed;
+        for (int copy = 0; copy < 2; copy++) {
+            int64_t nestless = insert_once(x, pos, n, r, max_loop, rows, stats);
+            if (nestless == EMPTY)
+                continue;
+            remove_all(x, pos, n, r, rows);
+            failed[n_failed++] = x;
+            if (nestless != x) {
+                int64_t victim = insert_once(nestless, pos, n, r, max_loop, rows, stats);
+                if (victim != EMPTY) {
+                    remove_all(victim, pos, n, r, rows);
+                    failed[n_failed++] = victim;
+                }
+            }
+            break;
+        }
+        stats[0]++;
+        stats[1] += n_failed - before;
+        if (stop_on_failure && n_failed > before)
+            break;
+    }
+    for (int64_t k = 0; k < 3 * r; k++)
+        if (rows[k] != EMPTY)
+            rows[k] = elements[rows[k]];
+    for (int64_t k = 0; k < n_failed; k++)
+        failed[k] = elements[failed[k]];
+    return n_failed;
+}
+
+/* Byte-encode a placed group (8-bit entries): every element stored in
+ * exactly two tables gets the payload of each table in the low bits and the
+ * cyclic-order indicator bit at indicator_shift -- set on the first table
+ * only for the pair {0, 2}, which is ordered 2 -> 0.  entries (zeroed) is
+ * output.  Returns 0; 1 when an element holds a wrong number of copies
+ * (info = {element index, copies}, the first such element); 2 when a stored
+ * element's payload exceeds payload_mask in any table. */
+int64_t encode_group(const int32_t *rows, const int32_t *slots, const int64_t *payloads,
+                     const uint8_t *failed, int64_t n, int64_t payload_mask,
+                     int64_t indicator_shift, uint8_t *entries, int64_t *info)
+{
+    int overflow = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int present[3], copies = 0;
+        for (int t = 0; t < 3; t++) {
+            present[t] = rows[slots[t * n + i]] == (int32_t)i;
+            copies += present[t];
+        }
+        if (failed[i] ? copies != 0 : copies != 2) {
+            info[0] = i;
+            info[1] = copies;
+            return 1;
+        }
+        if (copies == 0)
+            continue;
+        for (int t = 0; t < 3; t++)
+            overflow |= payloads[t * n + i] > payload_mask;
+        int a = present[0] ? 0 : 1, b = present[2] ? 2 : 1;
+        int64_t bit_a = a == 0 && b == 2;
+        entries[slots[a * n + i]] = (uint8_t)((bit_a << indicator_shift) | payloads[a * n + i]);
+        entries[slots[b * n + i]] = (uint8_t)(((1 - bit_a) << indicator_shift) | payloads[b * n + i]);
+    }
+    return overflow ? 2 : 0;
+}

@@ -1,4 +1,4 @@
-"""The two SWAR primitives under the width-class engine, compiled or in NumPy.
+"""The compiled kernel library: the SWAR primitives and the construction loops.
 
 :class:`repro.core.batch.WidthClassIndex` reduces every counting query to two
 calls:
@@ -25,12 +25,21 @@ name and ``os.replace``'d into place, so concurrent processes and pool
 workers are safe, and it is never loaded from a directory, or as a file,
 that other users can write.
 
+The same library holds the three loops of cuckoo construction: the bulk
+round engine (:func:`place_sets`), the serial INSERT walk
+(:func:`walk_set`) and the 8-bit group encoder (:func:`encode_group`).
+:mod:`repro.core.bulk_build` and :mod:`repro.core.builder` call them with
+:func:`native_library`.
+
 When no compiler is found, the compile fails, the cache is unsafe or the
-loaded library fails its self-check, the NumPy implementations below
-(:func:`numpy_fold_counts`, :func:`numpy_fold_counts_rows`) run instead —
-chosen by observation only.  They are also the reference the tests compare
-the compiled kernel against.  :func:`kernel_status` names the one in use;
-``repro mine`` prints it as its ``swar kernel:`` line.
+loaded library fails its self-check, the NumPy implementations run instead:
+:func:`numpy_fold_counts` and :func:`numpy_fold_counts_rows` below, and the
+construction loops' NumPy and Python originals in their own modules.  The
+choice is made by observation only.  The same implementations are the
+reference the tests compare the compiled kernel against.
+:func:`kernel_status` names the one in use; ``repro mine``,
+``repro build-index`` and ``repro ingest`` print it as their
+``swar kernel:`` line.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.errors import LayoutError
+
 __all__ = [
     "DEFAULT_BLOCK_WORDS",
     "fold_counts",
@@ -48,6 +59,10 @@ __all__ = [
     "numpy_fold_counts",
     "numpy_fold_counts_rows",
     "kernel_status",
+    "native_library",
+    "place_sets",
+    "walk_set",
+    "encode_group",
 ]
 
 SOURCE = Path(__file__).with_name("swar_kernel.c")
@@ -257,7 +272,7 @@ def _compile(cc: list, target: Path) -> str | None:
 
 
 def _bind(path: Path):
-    """Load the library and declare its two entry points."""
+    """Load the library and declare its five entry points."""
     import ctypes
 
     lib = ctypes.CDLL(str(path))
@@ -266,6 +281,12 @@ def _bind(path: Path):
     lib.fold_counts.restype = None
     lib.fold_counts_rows.argtypes = [ptr, i64, i64, i64, ptr, i64, i64, ptr]
     lib.fold_counts_rows.restype = None
+    lib.place_sets.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr]
+    lib.place_sets.restype = i64
+    lib.walk_set.argtypes = [ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr]
+    lib.walk_set.restype = i64
+    lib.encode_group.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr]
+    lib.encode_group.restype = i64
     return lib
 
 
@@ -323,12 +344,65 @@ _SELF_CHECK_COUNTS = [[2, 0, 0, 0], [1, 8, 0, 0], [0, 0, 10, 0],
                       [0, 0, 0, 8], [3, 0, 0, 0], [0, 6, 0, 0]]
 
 
+def _self_check_group():
+    """A tiny group at ``r = 4``: ``(slots, starts, lengths, payloads)``.
+
+    Set 0 crowds five elements into few slots, so the round engine (under a
+    budget of 6 moves) and the serial walk (``max_loop = 2``) must both fail
+    some; set 1 holds two elements; set 2 is empty.
+    """
+    r = 4
+    lengths = np.array([5, 2, 0], dtype=np.int64)
+    starts = np.array([0, 5, 7], dtype=np.int64)
+    positions = np.array([[0, 0, 0, 1, 1, 2, 2],
+                          [3, 3, 0, 0, 0, 1, 3],
+                          [2, 2, 2, 2, 1, 0, 0]], dtype=np.int64)
+    set_of = np.repeat(np.arange(3, dtype=np.int64), lengths)
+    slots = (set_of * 3 * r + np.arange(3)[:, None] * r + positions).astype(np.int32)
+    payloads = np.arange(1, 22, dtype=np.int64).reshape(3, 7) * 5 % 127
+    return slots, starts, lengths, payloads
+
+
+_E = -1  # an empty slot
+
+#: ``[rows, failed elements, set_moves, set_transcript, rounds]`` of the
+#: NumPy round engine on :func:`_self_check_group` with a 6-move budget.
+_SELF_CHECK_PLACEMENT = [
+    [_E, _E, _E, _E, 4, _E, _E, _E, _E, 4, _E, _E,
+     _E, _E, 6, _E, _E, 5, _E, 6, 5, _E, _E, _E,
+     _E, _E, _E, _E, _E, _E, _E, _E, _E, _E, _E, _E],
+    [0, 1, 2, 3], [33, 6, 0], [6, 3, 0], 6]
+#: The NumPy group encoder on that placement (8-bit entries).
+_SELF_CHECK_ENTRIES = [0, 0, 0, 0, 60, 0, 0, 0, 0, 223, 0, 0,
+                       0, 0, 35, 0, 0, 65, 0, 198, 228, 0, 0, 0,
+                       0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+#: ``[rows, failed, stats]`` of the Python serial walk of set 0 (element ids
+#: 10..14, ``max_loop = 2``).
+_SELF_CHECK_WALK = [[[10, 14, _E, _E], [12, _E, _E, 10], [_E, 14, 12, _E]],
+                    [11, 13], [5, 2, 36, 6]]
+
+
 def _self_check(lib) -> bool:
-    """Compare the loaded kernel with the pinned NumPy reference counts."""
+    """Compare the loaded kernel with the pinned reference outputs."""
     large, small = _self_check_case()
-    return (_native_counts(lib, large, small).tolist() == _SELF_CHECK_COUNTS
-            and _native_rows(lib, large[:4], small).tolist()
-            == [_SELF_CHECK_COUNTS[k][k] for k in range(4)])
+    if (_native_counts(lib, large, small).tolist() != _SELF_CHECK_COUNTS
+            or _native_rows(lib, large[:4], small).tolist()
+            != [_SELF_CHECK_COUNTS[k][k] for k in range(4)]):
+        return False
+    slots, starts, lengths, payloads = _self_check_group()
+    try:
+        rows, failed, moves, transcript, rounds = place_sets(lib, slots, starts, lengths, 4, 6)
+        entries = encode_group(lib, rows, slots, payloads, failed,
+                               payload_mask=127, indicator_shift=7)
+    except (LayoutError, ValueError):  # a faulty loop can trip the wrappers' checks
+        return False
+    placement = [rows.tolist(), np.nonzero(failed)[0].tolist(), moves.tolist(),
+                 transcript.tolist(), rounds]
+    walk_rows, walk_failed, stats = walk_set(
+        lib, np.arange(10, 15, dtype=np.int64), slots[:, :5] % 4, 4, 2, False)
+    return (placement == _SELF_CHECK_PLACEMENT
+            and entries.tolist() == _SELF_CHECK_ENTRIES
+            and [walk_rows.tolist(), walk_failed, stats] == _SELF_CHECK_WALK)
 
 
 def _kernel():
@@ -340,6 +414,16 @@ def _kernel():
                 lib, reason = _load_native()
                 _state = (lib, "native" if lib is not None else f"numpy ({reason})")
     return _state
+
+
+def native_library():
+    """The loaded compiled library, or ``None`` when the NumPy fallback runs.
+
+    Construction code (:mod:`repro.core.bulk_build`, :mod:`repro.core.builder`)
+    branches on it and passes it to :func:`place_sets`, :func:`walk_set` and
+    :func:`encode_group`.
+    """
+    return _kernel()[0]
 
 
 def kernel_status() -> str:
@@ -425,3 +509,101 @@ def fold_counts_rows(large: np.ndarray, small: np.ndarray) -> np.ndarray:
     if lib is None:
         return numpy_fold_counts_rows(large, small)
     return _native_rows(lib, large, small)
+
+
+# --------------------------------------------------------------------------- #
+# Cuckoo construction
+# --------------------------------------------------------------------------- #
+
+def _c(a: np.ndarray, dtype) -> np.ndarray:
+    """``a`` as a C-contiguous array of ``dtype`` (no copy when it already is)."""
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
+def place_sets(lib, slots: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               r: int, max_moves: int):
+    """The compiled round engine: ``(rows, failed_mask, set_moves, set_transcript, rounds)``.
+
+    Same inputs and outputs as :func:`repro.core.bulk_build._run_rounds`
+    (``slots`` is the ``(3, n)`` flat slot of every element; set ``s`` owns
+    elements ``starts[s]:starts[s] + lengths[s]`` and slots
+    ``3 r s:3 r (s + 1)``), but placed set by set with one ``3 r`` claim
+    scratch instead of group-wide claim and frontier arrays.
+    """
+    slots = _c(slots, np.int32)
+    starts, lengths = _c(starts, np.int64), _c(lengths, np.int64)
+    n, n_sets = slots.shape[1], lengths.size
+    if (slots.shape[0] != 3 or starts.shape != lengths.shape or lengths.min(initial=0) < 0
+            or not np.array_equal(starts, np.cumsum(lengths) - lengths)
+            or int(lengths.sum()) != n):
+        raise ValueError("slots, starts and lengths do not describe one group")
+    rows = np.empty(n_sets * 3 * r, dtype=np.int32)  # the C loop fills each set's region
+    failed = np.zeros(n, dtype=bool)
+    set_moves = np.zeros(n_sets, dtype=np.int64)
+    set_transcript = np.zeros(n_sets, dtype=np.int64)
+    rounds = lib.place_sets(slots.ctypes.data, n, starts.ctypes.data, lengths.ctypes.data,
+                            n_sets, r, max_moves, rows.ctypes.data, failed.ctypes.data,
+                            set_moves.ctypes.data, set_transcript.ctypes.data)
+    if rounds == -1:
+        raise MemoryError("round engine scratch allocation failed")
+    if rounds < 0:
+        raise ValueError("a slot lies outside its set's region of the group")
+    return rows, failed, set_moves, set_transcript, int(rounds)
+
+
+def walk_set(lib, elements: np.ndarray, positions: np.ndarray, r: int, max_loop: int,
+             stop_on_failure: bool):
+    """The compiled serial INSERT walk: ``(rows, failed, stats)``.
+
+    ``elements`` are sorted unique ids and ``positions`` their ``(3, n)``
+    slots.  ``rows`` is the ``(3, r)`` element-id placement, ``failed`` the
+    failed ids in the order they were recorded and ``stats`` the four
+    :class:`~repro.core.builder.PlacementStats` fields in order.  With
+    ``stop_on_failure`` the walk ends after the first element that fails.
+    """
+    elements, positions = _c(elements, np.int64), _c(positions, np.int64)
+    n = elements.size
+    if positions.shape != (3, n) or n and (int(positions.min()) < 0
+                                           or int(positions.max()) >= r):
+        raise ValueError("positions must be (3, n) slots in [0, r)")
+    rows = np.empty((3, r), dtype=np.int64)
+    failed = np.empty(2 * n, dtype=np.int64)
+    stats = np.empty(4, dtype=np.int64)
+    n_failed = lib.walk_set(elements.ctypes.data, positions.ctypes.data, n, r, max_loop,
+                            int(stop_on_failure), rows.ctypes.data, failed.ctypes.data,
+                            stats.ctypes.data)
+    return rows, failed[:n_failed].tolist(), stats.tolist()
+
+
+#: Return codes of the C ``encode_group``.
+_ENCODE_COPIES, _ENCODE_OVERFLOW = 1, 2
+
+
+def encode_group(lib, rows_flat: np.ndarray, slots: np.ndarray, payloads: np.ndarray,
+                 failed_mask: np.ndarray, *, payload_mask: int, indicator_shift: int,
+                 elements: np.ndarray | None = None) -> np.ndarray:
+    """The compiled 8-bit group encoder: uint8 entries shaped like ``rows_flat``.
+
+    Inputs are those of :meth:`repro.core.bulk_build.GroupPlacement.encode`;
+    raises the same :class:`~repro.core.errors.LayoutError` for an element
+    stored in other than two tables (or a failed one in any) and for a
+    payload above ``payload_mask``.  ``elements`` names the offender.
+    """
+    rows_flat, slots = _c(rows_flat, np.int32), _c(slots, np.int32)
+    payloads, failed_mask = _c(payloads, np.int64), _c(failed_mask, np.bool_)
+    n = failed_mask.size
+    if (slots.shape != (3, n) or payloads.shape != (3, n)
+            or n and (int(slots.min()) < 0 or int(slots.max()) >= rows_flat.size)):
+        raise ValueError("rows, slots, payloads and failed mask do not describe one group")
+    entries = np.zeros(rows_flat.size, dtype=np.uint8)
+    info = np.zeros(2, dtype=np.int64)
+    code = lib.encode_group(rows_flat.ctypes.data, slots.ctypes.data, payloads.ctypes.data,
+                            failed_mask.ctypes.data, n, payload_mask, indicator_shift,
+                            entries.ctypes.data, info.ctypes.data)
+    if code == _ENCODE_COPIES:
+        index, copies = info.tolist()
+        offender = index if elements is None else int(elements[index])
+        raise LayoutError(f"element {offender} stored in {copies} tables after bulk placement")
+    if code == _ENCODE_OVERFLOW:
+        raise LayoutError("payload overflow: increase payload_bits or the hash-family shift")
+    return entries

@@ -18,9 +18,10 @@ pool initializer) and the small per-set failure/stats metadata cross the
 process boundary; the bulk of the output never does.
 
 The pay-off floors live in the workload planner
-(:func:`repro.core.plan.plan_build`): construction work per element is a
-few vector operations, so the pool only wins on large collections; below
-the floors the planner demotes to the in-process bulk engine.
+(:func:`repro.core.plan.plan_build`): construction runs as compiled C, so
+shipping sets out and entries back costs about as much as the placement
+it spreads, and the pool only wins on very large collections; below the
+floors the planner demotes to the in-process bulk engine.
 """
 
 from __future__ import annotations
