@@ -12,11 +12,10 @@ per-part count dicts (see EXPERIMENTS.md E5) — the serial reduction is what
 caps the speed-up below linear.
 
 **Measured mode** (:class:`TestFigure9Measured`): in addition to the paper's
-split-simulation, the multiprocess executor
-(:mod:`repro.parallel.executor`) runs the batmap pair-counting workload for
-real — shared-memory buffer, worker pool, tile fan-out, serial merge — and
-the recorded speed-up curve is a wall-clock measurement, not a model.  See
-EXPERIMENTS.md E12.
+split-simulation, the threaded executor (:mod:`repro.parallel.executor`)
+runs the batmap pair-counting workload for real — engine set-up, thread
+start, row tiles reduced into the result — and the recorded speed-up curve
+is a wall-clock measurement, not a model.  See EXPERIMENTS.md E12 and E23.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ DENSITY = 0.05
 #: Worker counts of the measured (non-simulated) executor runs.
 MEASURED_WORKERS = (1, 2, 4)
 #: Sets in the measured pair-counting instance; sized so the counting work
-#: dominates pool startup (override for a closer / faster run).
+#: dominates thread start-up (override for a closer / faster run).
 MEASURED_N_SETS = int(os.environ.get("REPRO_BENCH_MEASURED_SETS", 1200))
 
 
@@ -109,7 +108,7 @@ class TestFigure9:
 # Measured mode: the executor runs the workload for real
 # --------------------------------------------------------------------------- #
 def _measured_collection(seed: int = 13) -> BatmapCollection:
-    """A pair-counting instance large enough that the pool pays off."""
+    """A pair-counting instance large enough that the threads pay off."""
     rng = np.random.default_rng(seed)
     universe = 8192
     sets = [np.sort(rng.choice(universe, size=int(rng.integers(16, 260)),
@@ -119,19 +118,18 @@ def _measured_collection(seed: int = 13) -> BatmapCollection:
 
 
 def measured_core_scaling_series() -> tuple:
-    """Real multiprocess speed-up of all-pairs counting (not a simulation).
+    """Real threaded speed-up of all-pairs counting (not a simulation).
 
     Every point is an end-to-end wall-clock run of
-    :class:`~repro.parallel.executor.ParallelPairCounter`: shared-segment
-    creation, pool startup, tile fan-out and the serial per-tile merge are
-    all inside the measured window.
+    :class:`~repro.parallel.executor.ParallelPairCounter`: engine set-up,
+    thread start and the tiled count are all inside the measured window.
     """
     collection = _measured_collection()
     points = measure_executor_scaling(collection, worker_counts=MEASURED_WORKERS,
                                       repeats=2)
     speedups = relative_speedups(points)
     table = SeriesTable(
-        title="Figure 9 (measured) — real multiprocess pair-counting speed-up",
+        title="Figure 9 (measured) — real threaded pair-counting speed-up",
         x_label="#workers",
     )
     table.x_values = list(MEASURED_WORKERS)
@@ -139,8 +137,8 @@ def measured_core_scaling_series() -> tuple:
     table.add("seconds", [round(p.seconds, 3) for p in points])
     table.add("speedup", [round(speedups[w], 2) for w in MEASURED_WORKERS])
     table.note(f"measured end-to-end on {os.cpu_count()} host cores "
-               f"({MEASURED_N_SETS} sets, shared-memory executor; "
-               "EXPERIMENTS.md E12)")
+               f"({MEASURED_N_SETS} sets, threaded executor; "
+               "EXPERIMENTS.md E12, E23)")
     return table, speedups
 
 
@@ -156,9 +154,9 @@ class TestFigure9Measured:
             # 1-worker wall clock (the PR 2 acceptance bar).  On fewer cores
             # no real speed-up is physically available, so only sanity holds.
             # Downsized runs (CI smoke) use a softer bar: with a smaller
-            # instance the fixed pool/merge overhead claims a larger share.
+            # instance the fixed thread start-up overhead claims a larger share.
             assert speedups[4] >= (2.0 if MEASURED_N_SETS >= 1200 else 1.5)
         if cores < 2:
             # Single-core host: parallelism cannot win, but the executor must
-            # not collapse either (startup + merge overhead stays bounded).
+            # not collapse either (thread start-up overhead stays bounded).
             assert speedups[max(MEASURED_WORKERS)] >= 0.3

@@ -9,9 +9,9 @@ subcommands cover the workflows a downstream user actually runs:
     and the phase/throughput summary.  ``--compute`` names the counting
     backend: ``auto`` (default) defers the choice to the workload planner
     (:mod:`repro.core.plan`), ``host`` is the per-pair reference, ``batch``
-    the serial vectorised engine, and ``parallel --workers N`` counts
-    across a process pool over a shared-memory buffer (small inputs fall
-    back to the batch engine).  All four print identical pairs; the GPU
+    the serial vectorised engine, and ``parallel --workers N`` runs the
+    batch engine on ``N`` threads (small inputs fall back to the batch
+    engine).  All four print identical pairs; the GPU
     simulator is a modelling API (``BatmapPairMiner(compute="device")``),
     not a CLI backend.
     ``--max-size k`` with ``k > 2`` extends the batmap engine levelwise to
@@ -19,7 +19,7 @@ subcommands cover the workflows a downstream user actually runs:
     bitmap engine of :mod:`repro.mining.levelwise`).
     ``--stream --memory-budget B`` mines out-of-core: the file is streamed
     in bounded chunks, batmap shards sized to the budget are spilled to
-    disk and counted with memory-mapped re-attach — bit-identical pairs to
+    disk and counted over memory-mapped shards — bit-identical pairs to
     the in-memory run (``--memory-budget`` alone lets the workload planner
     demote to this pipeline only when the packed buffers would not fit).
     ``--pairs-out FILE`` writes every frequent pair in a sorted,
@@ -132,20 +132,20 @@ def build_parser() -> argparse.ArgumentParser:
                       default="auto",
                       help="batmap counting backend: auto (the workload "
                            "planner picks), the per-pair host reference, the "
-                           "serial batch engine, or the multiprocess executor "
-                           "(small inputs fall back to the batch engine)")
+                           "serial batch engine, or the batch engine on "
+                           "threads (small inputs fall back to the batch engine)")
     mine.add_argument("--workers", type=int, default=None,
-                      help="worker processes for --compute parallel "
+                      help="worker threads for --compute parallel "
                            "(default: auto from the core count)")
     mine.add_argument("--build-compute",
                       choices=["auto", "host", "bulk", "parallel"],
                       default="auto",
                       help="batmap construction backend: serial per-element "
                            "inserter, vectorized round-based bulk engine, "
-                           "multiprocess bulk build over set shards, or auto "
+                           "the bulk engine on threads, or auto "
                            "(the workload planner picks)")
     mine.add_argument("--build-workers", type=int, default=None,
-                      help="worker processes for --build-compute parallel "
+                      help="worker threads for --build-compute parallel "
                            "(default: auto from the core count)")
     mine.add_argument("--max-size", type=int, default=2,
                       help="largest itemset size to mine (batmap engine only); "
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "sets make parallel fall back to the batch "
                             "engine)")
     inter.add_argument("--workers", type=int, default=None,
-                       help="worker processes for --compute parallel")
+                       help="worker threads for --compute parallel")
     inter.add_argument("--build-compute",
                        choices=["auto", "host", "bulk", "parallel"],
                        default="auto",
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="batmap construction backend "
                             "(see `repro mine --help`)")
     build.add_argument("--build-workers", type=int, default=None,
-                       help="worker processes for --build-compute parallel")
+                       help="worker threads for --build-compute parallel")
     build.add_argument("--max-transactions", type=int, default=None)
     build.add_argument("--family", choices=["eager", "lazy"], default="eager",
                        help="hash family kind: eager (fixed universe) or "

@@ -15,7 +15,7 @@ simulator:
   ``(n_class, width)`` ``uint32`` matrix gathered from the device buffer;
 * all pairs within a class — and all cross-class pairs, folded through the
   range-nesting property ``h mod r_small == (h mod r_large) mod r_small`` —
-  are counted with *one call of a SWAR fold primitive per class pair*
+  are counted in row tiles, one call of a SWAR fold primitive per tile
   (:mod:`repro.core.swar_kernel`: compiled C, or NumPy when no compiler is
   available);
 * compatibility (shared hash family, compression floor) is validated **once**
@@ -34,20 +34,27 @@ The module is split into two layers:
   the flat ``uint32`` word buffer plus per-slot offsets and widths; every
   query is expressed in width-sorted **slot** indices.  Because it needs no
   :class:`Batmap` objects, hash family or original-index mapping, the
-  multiprocess executor (:mod:`repro.parallel.executor`) can rebuild one
-  inside each worker over a shared-memory view of the same buffer.
+  out-of-core pipeline builds one over each memory-mapped spilled shard.
 * :class:`BatchPairCounter` — the collection-level wrapper: validates
   compatibility once, owns the original-index <-> slot mapping and the
   cached all-pairs matrix.
 
+Every tiled query takes an optional :class:`TilePool`: the compiled fold
+releases the GIL for the whole call, so a pool of threads counts tiles in
+parallel over the same (possibly memory-mapped) rows, and each thread
+reduces its block straight into the dense matrix (tiles own disjoint
+regions) or the thread-safe result accumulator.  Without a pool the same
+tiles run inline.
+
 The engine is the shared hot path for :meth:`BatmapCollection.count_all_pairs`,
 the boolean-matrix workloads (:mod:`repro.matrix.multiply`), the mining
-pipeline's host compute mode (:mod:`repro.mining.pair_mining`) and the
-per-tile work of the multiprocess executor.
+pipeline (:mod:`repro.mining.pair_mining`) and the parallel counters of
+:mod:`repro.parallel`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +67,15 @@ from repro.core.results import (
     TopKAccumulator,
 )
 from repro.core.swar_kernel import DEFAULT_BLOCK_WORDS, fold_counts, fold_counts_rows
+from repro.utils.arrays import sorted_unique
 from repro.utils.validation import require, require_positive
 
 __all__ = [
     "WidthClass",
     "WidthClassIndex",
     "BatchPairCounter",
+    "TilePool",
+    "map_tiles",
     "DEFAULT_BLOCK_WORDS",
     "SPARSE_TILE_ENTRIES",
     "sparse_all_pairs",
@@ -90,9 +100,88 @@ class WidthClass:
         return int(self.sorted_indices.size)
 
 
-#: Row band of :meth:`WidthClassIndex.all_pairs` within one width class:
-#: only the diagonal ``band x band`` blocks are counted twice.
+#: Rows per band of :meth:`WidthClassIndex.all_pairs` within one width
+#: class: only the diagonal ``band x band`` blocks are counted twice.
 SYMMETRIC_BAND_ROWS = 128
+
+
+def _span(slots: np.ndarray):
+    """``slots`` as a slice when they are consecutive (width-sorted classes are)."""
+    if slots.size and int(slots[-1]) - int(slots[0]) == slots.size - 1:
+        return slice(int(slots[0]), int(slots[-1]) + 1)
+    return slots
+
+
+def _scatter(out: np.ndarray, rows, cols, block: np.ndarray) -> None:
+    """``out[rows x cols] = block``, a slice copy when both axes are consecutive."""
+    rows, cols = _span(rows), _span(cols)
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        out[rows, cols] = block
+    else:
+        out[np.ix_(np.r_[rows], np.r_[cols])] = block
+
+
+class TilePool:
+    """Threads that count tiles concurrently.
+
+    The compiled fold releases the GIL for the whole call, so the threads
+    count tiles in parallel, all reading the same rows.  Use as a context
+    manager, or call :meth:`close`.
+    """
+
+    def __init__(self, workers: int) -> None:
+        from concurrent.futures import ThreadPoolExecutor  # only parallel runs need it
+
+        require_positive(workers, "workers")
+        self.workers = int(workers)
+        self._executor = ThreadPoolExecutor(self.workers,
+                                            thread_name_prefix="repro-tile")
+
+    def map(self, fn, tiles):
+        """Yield ``(tile, fn(tile))`` in tile order, ``2 * workers`` tiles in flight.
+
+        The window bounds the count blocks alive at once.  ``tiles`` is
+        pulled from the calling thread, so a pruning check inside it sees
+        every block reduced so far.  An exception raised by ``fn`` reaches
+        the caller, and the tiles still queued are cancelled.
+        """
+        window: deque = deque()
+        try:
+            for tile in tiles:
+                window.append((tile, self._executor.submit(fn, tile)))
+                if len(window) >= 2 * self.workers:
+                    done, future = window.popleft()
+                    yield done, future.result()
+            while window:
+                done, future = window.popleft()
+                yield done, future.result()
+        finally:
+            for _, future in window:
+                future.cancel()
+
+    def close(self) -> None:
+        self._executor.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "TilePool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def map_tiles(fn, tiles, pool: TilePool | None = None):
+    """``(tile, fn(tile))`` for every tile: on ``pool``'s threads, or inline."""
+    if pool is not None:
+        return pool.map(fn, tiles)
+    return ((tile, fn(tile)) for tile in tiles)
+
+
+def _require_nested(widths_a: np.ndarray, widths_b: np.ndarray) -> None:
+    merged = sorted_unique(np.concatenate([widths_a, widths_b]))
+    for small, large in zip(merged[:-1], merged[1:]):
+        require(int(large) % int(small) == 0,
+                f"cross-buffer widths {int(large)} and {int(small)} do not nest; "
+                "both shards must be packed from the same nested range family")
 
 
 class WidthClassIndex:
@@ -102,14 +191,12 @@ class WidthClassIndex:
     arrays of a :class:`~repro.core.collection.DeviceBuffer` (``words``,
     ``offsets``, ``widths``) and answers counting queries in width-sorted
     *slot* indices.  It never touches :class:`Batmap` objects, so it can be
-    reconstructed inside a worker process over a zero-copy
-    ``multiprocessing.shared_memory`` view of the very same words array —
-    which is how :mod:`repro.parallel.executor` distributes tiles.
+    built over a memory-mapped spilled shard as well as an in-memory buffer.
 
     Dense per-class matrices are materialised lazily: whole-class queries
     (:meth:`all_pairs`) gather and cache them, while tile-shaped queries
-    (:meth:`cross_slots`, :meth:`pairwise_slots`) gather only the rows they
-    need — a worker that processes a few tiles never copies the full buffer.
+    (:meth:`cross_index`, :meth:`pairwise_index`) gather only the rows they
+    need.
 
     ``block_words`` bounds the broadcast temporaries of the NumPy fallback
     primitive; the compiled kernel makes none.
@@ -133,7 +220,7 @@ class WidthClassIndex:
         require(self.widths.size == self.n_slots,
                 "offsets and widths must have the same length")
 
-        self.class_widths = np.unique(self.widths)      # ascending
+        self.class_widths = sorted_unique(self.widths)      # ascending
         #: per sorted slot: index of its width class / its row inside the class
         self.class_of = np.empty(self.n_slots, dtype=np.int64)
         self.row_of = np.empty(self.n_slots, dtype=np.int64)
@@ -186,65 +273,56 @@ class WidthClassIndex:
         """Pairwise counts (rows of ``large`` x rows of ``small``), wide folded onto narrow."""
         return fold_counts(large, small, block_words=self.block_words)
 
-    def _fold_symmetric(self, words: np.ndarray) -> np.ndarray:
-        """``_fold(words, words)``, computing each off-diagonal block once.
-
-        Counts are symmetric, so every band of rows is counted against the
-        columns from its own first row on and mirrored into the lower part.
-        """
-        n = words.shape[0]
-        out = np.empty((n, n), dtype=np.int64)
-        for start in range(0, n, SYMMETRIC_BAND_ROWS):
-            stop = min(n, start + SYMMETRIC_BAND_ROWS)
-            band = self._fold(words[start:stop], words[start:])
-            out[start:stop, start:] = band
-            out[start:, start:stop] = band.T
-        return out
-
     # ------------------------------------------------------------------ #
     # Slot-level queries
     # ------------------------------------------------------------------ #
-    def all_pairs(self) -> np.ndarray:
+    def all_pairs(self, *, pool: TilePool | None = None,
+                  band_rows: int | None = None) -> np.ndarray:
         """Dense ``n x n`` count matrix in width-sorted (slot) order.
 
+        Counted in bands of ``band_rows`` rows (default
+        :data:`SYMMETRIC_BAND_ROWS`): within a class a band meets
+        the columns from its own first row on (the rest is its mirror), and
+        a band of a wider class meets every row of each narrower one.
         The diagonal needs no special-casing: comparing a batmap with itself
         matches exactly the slots whose indicator bit is set, one per stored
         element, i.e. :attr:`Batmap.stored_count`.
         """
-        n = self.n_slots
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in range(self.n_classes):
-            words_i = self.class_words(i)
-            slots_i = self.members[i]
-            out[np.ix_(slots_i, slots_i)] = self._fold_symmetric(words_i)
-            for j in range(i + 1, self.n_classes):
-                cross = self._fold(self.class_words(j), words_i)  # (n_j, n_i)
-                slots_j = self.members[j]
-                out[np.ix_(slots_j, slots_i)] = cross
-                out[np.ix_(slots_i, slots_j)] = cross.T
+        band_rows = band_rows or SYMMETRIC_BAND_ROWS
+        out = np.empty((self.n_slots, self.n_slots), dtype=np.int64)
+
+        def bands():
+            for narrow in range(self.n_classes):
+                self.class_words(narrow)
+                for wide in range(narrow, self.n_classes):
+                    self.class_words(wide)
+                    for start in range(0, self.members[wide].size, band_rows):
+                        yield wide, narrow, start
+
+        def count(band) -> None:
+            # bands own disjoint regions of ``out`` (a band and its mirror)
+            wide, narrow, start = band
+            first = start if wide == narrow else 0
+            block = self._fold(self._class_words[wide][start:start + band_rows],
+                               self._class_words[narrow][first:])
+            rows = self.members[wide][start:start + band_rows]
+            cols = self.members[narrow][first:]
+            _scatter(out, rows, cols, block)
+            _scatter(out, cols, rows, block.T)
+
+        for _ in map_tiles(count, bands(), pool):
+            pass
         return out
 
-    def cross_slots(self, row_slots, col_slots) -> np.ndarray:
+    def cross_slots(self, row_slots, col_slots, *, pool: TilePool | None = None,
+                    band_rows: int | None = None) -> np.ndarray:
         """Rectangular count matrix between two lists of width-sorted slots."""
-        row_slots = np.asarray(row_slots, dtype=np.int64).ravel()
-        col_slots = np.asarray(col_slots, dtype=np.int64).ravel()
-        out = np.zeros((row_slots.size, col_slots.size), dtype=np.int64)
-        if row_slots.size == 0 or col_slots.size == 0:
-            return out
-        for ci_idx in np.unique(self.class_of[row_slots]).tolist():
-            row_mask = self.class_of[row_slots] == ci_idx
-            a = self._rows(row_slots[row_mask], ci_idx)
-            for cj_idx in np.unique(self.class_of[col_slots]).tolist():
-                col_mask = self.class_of[col_slots] == cj_idx
-                b = self._rows(col_slots[col_mask], cj_idx)
-                if a.shape[1] >= b.shape[1]:
-                    block = self._fold(a, b)
-                else:
-                    block = self._fold(b, a).T
-                out[np.ix_(np.nonzero(row_mask)[0], np.nonzero(col_mask)[0])] = block
-        return out
+        return self.cross_index(self, row_slots, col_slots, pool=pool,
+                                band_rows=band_rows)
 
-    def cross_index(self, other: "WidthClassIndex", row_slots=None, col_slots=None) -> np.ndarray:
+    def cross_index(self, other: "WidthClassIndex", row_slots=None, col_slots=None,
+                    *, pool: TilePool | None = None,
+                    band_rows: int | None = None) -> np.ndarray:
         """Rectangular counts: rows of *this* buffer against columns of *another*.
 
         The cross-shard primitive of the out-of-core pipeline
@@ -255,8 +333,9 @@ class WidthClassIndex:
         block granularity ``r0`` (the spill format pins a collection-wide
         ``r0`` for exactly this reason) and every pair of widths to nest;
         the nesting is checked here, the shared ``r0`` is the caller's
-        contract.  With ``other is self`` this degenerates to
-        :meth:`cross_slots`.
+        contract.  With ``other is self`` this is :meth:`cross_slots`.
+        Each class pair is cut into tiles of ``band_rows`` rows (default:
+        one tile), run on ``pool`` when one is given.
         """
         row_slots = (np.arange(self.n_slots) if row_slots is None
                      else np.asarray(row_slots, dtype=np.int64).ravel())
@@ -265,75 +344,43 @@ class WidthClassIndex:
         out = np.zeros((row_slots.size, col_slots.size), dtype=np.int64)
         if row_slots.size == 0 or col_slots.size == 0:
             return out
-        merged = np.unique(np.concatenate([self.class_widths, other.class_widths]))
-        for small, large in zip(merged[:-1], merged[1:]):
-            require(int(large) % int(small) == 0,
-                    f"cross-buffer widths {int(large)} and {int(small)} do not nest; "
-                    "both shards must be packed from the same nested range family")
-        for ci_idx in np.unique(self.class_of[row_slots]).tolist():
-            row_mask = self.class_of[row_slots] == ci_idx
-            a = self._rows(row_slots[row_mask], ci_idx)
-            for cj_idx in np.unique(other.class_of[col_slots]).tolist():
-                col_mask = other.class_of[col_slots] == cj_idx
-                b = other._rows(col_slots[col_mask], cj_idx)
-                if a.shape[1] >= b.shape[1]:
-                    block = self._fold(a, b)
-                else:
-                    block = self._fold(b, a).T
-                out[np.ix_(np.nonzero(row_mask)[0], np.nonzero(col_mask)[0])] = block
+        def count(tile) -> None:
+            _scatter(out, tile[1], tile[3],
+                     _fold_tile(self, other, row_slots, col_slots, tile))
+
+        tiles = _cross_tiles(self, other, row_slots, col_slots,
+                             lambda n_cols: band_rows or row_slots.size)
+        for _ in map_tiles(count, tiles, pool):
+            pass
         return out
 
     def pairwise_slots(self, a_slots, b_slots) -> np.ndarray:
-        """Aligned counts: slot ``a_slots[k]`` intersected with ``b_slots[k]``.
-
-        Pairs are grouped by their (width, width) class combination so each
-        group is answered with one vectorised folded comparison; the result
-        keeps the input order.
-        """
-        a_slots = np.asarray(a_slots, dtype=np.int64).ravel()
-        b_slots = np.asarray(b_slots, dtype=np.int64).ravel()
-        require(a_slots.size == b_slots.size,
-                "pairwise_slots operands must have the same length")
-        out = np.empty(a_slots.size, dtype=np.int64)
-        if a_slots.size == 0:
-            return out
-        # orient every pair as (wide, narrow)
-        swap = self.widths[a_slots] < self.widths[b_slots]
-        wide = np.where(swap, b_slots, a_slots)
-        narrow = np.where(swap, a_slots, b_slots)
-        combos = np.stack([self.class_of[wide], self.class_of[narrow]], axis=1)
-        for ci_idx, cj_idx in np.unique(combos, axis=0).tolist():
-            mask = (combos[:, 0] == ci_idx) & (combos[:, 1] == cj_idx)
-            out[mask] = fold_counts_rows(self._rows(wide[mask], ci_idx),
-                                         self._rows(narrow[mask], cj_idx))
-        return out
+        """Aligned counts: slot ``a_slots[k]`` intersected with ``b_slots[k]``."""
+        return self.pairwise_index(self, a_slots, b_slots)
 
     def pairwise_index(self, other: "WidthClassIndex", a_slots, b_slots) -> np.ndarray:
         """Aligned cross-buffer counts: *this* slot ``a_slots[k]`` vs ``other``'s ``b_slots[k]``.
 
-        The pairs-list counterpart of :meth:`cross_index`: each requested pair
-        straddles two packed buffers (e.g. two spilled shards), and pairs are
-        grouped by their (width, width) class combination so every group runs
-        as one vectorised row-aligned fold instead of a dense rectangle.  As
-        with :meth:`cross_index`, both buffers must be interleaved at the same
-        granularity ``r0``; width nesting is checked here.  With
-        ``other is self`` this matches :meth:`pairwise_slots` exactly.
+        The pairs-list counterpart of :meth:`cross_index`: pairs are grouped
+        by their (width, width) class combination so every group runs as one
+        vectorised row-aligned fold, and the result keeps the input order.
+        As with :meth:`cross_index`, both buffers must be interleaved at the
+        same granularity ``r0``; width nesting is checked here.  With
+        ``other is self`` this is :meth:`pairwise_slots`.
         """
         a_slots = np.asarray(a_slots, dtype=np.int64).ravel()
         b_slots = np.asarray(b_slots, dtype=np.int64).ravel()
         require(a_slots.size == b_slots.size,
-                "pairwise_index operands must have the same length")
+                "pairwise operands must have the same length")
         out = np.empty(a_slots.size, dtype=np.int64)
         if a_slots.size == 0:
             return out
-        merged = np.unique(np.concatenate([self.class_widths, other.class_widths]))
-        for small, large in zip(merged[:-1], merged[1:]):
-            require(int(large) % int(small) == 0,
-                    f"cross-buffer widths {int(large)} and {int(small)} do not nest; "
-                    "both shards must be packed from the same nested range family")
-        combos = np.stack([self.class_of[a_slots], other.class_of[b_slots]], axis=1)
-        for ci_idx, cj_idx in np.unique(combos, axis=0).tolist():
-            mask = (combos[:, 0] == ci_idx) & (combos[:, 1] == cj_idx)
+        if other is not self:
+            _require_nested(self.class_widths, other.class_widths)
+        combos = self.class_of[a_slots] * other.n_classes + other.class_of[b_slots]
+        for combo in sorted_unique(combos).tolist():
+            ci_idx, cj_idx = divmod(combo, other.n_classes)
+            mask = combos == combo
             a = self._rows(a_slots[mask], ci_idx)
             b = other._rows(b_slots[mask], cj_idx)
             if a.shape[1] >= b.shape[1]:
@@ -343,12 +390,47 @@ class WidthClassIndex:
         return out
 
 
+def _cross_tiles(index, other, row_slots, col_slots, rows_per_tile):
+    """Class-pair tiles of a rectangle: ``(ci, row positions, cj, col positions)``.
+
+    Positions index ``row_slots`` / ``col_slots``; each class pair is cut
+    into tiles of at most ``rows_per_tile(n_cols)`` rows.
+    """
+    if other is not index:
+        _require_nested(index.class_widths, other.class_widths)
+    row_class = index.class_of[row_slots]
+    col_class = other.class_of[col_slots]
+    for cj in sorted_unique(col_class).tolist():
+        col_pos = np.flatnonzero(col_class == cj)
+        chunk = rows_per_tile(col_pos.size)
+        for ci in sorted_unique(row_class).tolist():
+            row_pos = np.flatnonzero(row_class == ci)
+            for start in range(0, row_pos.size, chunk):
+                yield ci, row_pos[start:start + chunk], cj, col_pos
+
+
+def _fold_tile(index, other, row_slots, col_slots, tile) -> np.ndarray:
+    """Counts of one :func:`_cross_tiles` tile, the wider side folded onto the narrower."""
+    ci, row_pos, cj, col_pos = tile
+    a = index._rows(row_slots[row_pos], ci)
+    b = other._rows(col_slots[col_pos], cj)
+    if a.shape[1] >= b.shape[1]:
+        return index._fold(a, b)
+    return index._fold(b, a).T
+
+
 #: Upper bound on the entries of one sparse-mode count tile (the dense
 #: ``(rows, cols)`` int64 block that exists only transiently between the
 #: SWAR fold and the nonzero extraction).  2**20 entries keep each
 #: temporary at 8 MB — small enough that the sparse path's peak is governed
 #: by the stored nonzeros, not by tile scratch.
 SPARSE_TILE_ENTRIES = 1 << 20
+
+
+def _tile_rows(tile_entries: int, n_cols: int, band_rows: int | None) -> int:
+    """Rows per sparse tile: ``tile_entries`` worth, capped at ``band_rows``."""
+    rows = max(1, tile_entries // max(1, n_cols))
+    return rows if band_rows is None else min(rows, band_rows)
 
 
 def width_slot_bounds(widths, failed_per_slot=None) -> np.ndarray:
@@ -375,19 +457,24 @@ def sparse_all_pairs(
     bounds=None,
     threshold=None,
     tile_entries: int = SPARSE_TILE_ENTRIES,
+    pool: TilePool | None = None,
+    band_rows: int | None = None,
 ) -> dict:
     """All-pairs counting as a stream of pruned tiles instead of one matrix.
 
     Walks the same class-pair structure as :meth:`WidthClassIndex.all_pairs`
     but chunks each class pair into row tiles of at most ``tile_entries``
-    entries and hands every *computed* tile to ``consume(rows, cols, block)``
-    (slot-space axes) instead of scattering into a preallocated ``n x n``
-    result.  Before any SWAR work, each tile's count upper bound —
-    ``min(max(bounds[rows]), max(bounds[cols]))`` — is tested against the
-    caller's running ``threshold()``; tiles strictly below it are skipped
-    entirely.  Same-class tiles are pre-masked to the slot-space upper
-    triangle so each unordered pair reaches ``consume`` exactly once
-    (diagonal self-counts included).
+    entries (and ``band_rows`` rows, when given) and hands every *computed*
+    tile to ``consume(rows, cols, block)`` (slot-space axes) instead of
+    scattering into a preallocated ``n x n`` result.  Before any SWAR work,
+    each tile's count upper bound — ``min(max(bounds[rows]),
+    max(bounds[cols]))`` — is tested against the caller's running
+    ``threshold()``; tiles strictly below it are skipped entirely.
+    Same-class tiles are pre-masked to the slot-space upper triangle so each
+    unordered pair reaches ``consume`` exactly once (diagonal self-counts
+    included).  With a ``pool`` the tiles are counted on its threads, and
+    ``consume`` runs on them too: it must be thread-safe (the result
+    accumulators are).
 
     Returns pruning telemetry: ``{"tiles_total": ..., "tiles_skipped": ...}``.
     """
@@ -396,32 +483,42 @@ def sparse_all_pairs(
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=np.int64)
     stats = {"tiles_total": 0, "tiles_skipped": 0}
-    for ci in range(index.n_classes):
+
+    def tiles():
+        for ci in range(index.n_classes):
+            cols = index.members[ci]
+            index.class_words(ci)
+            col_bound = int(bounds[cols].max()) if bounds is not None else None
+            chunk = _tile_rows(tile_entries, cols.size, band_rows)
+            for cj in range(ci, index.n_classes):
+                rows_all = index.members[cj]
+                for start in range(0, rows_all.size, chunk):
+                    rows = rows_all[start:start + chunk]
+                    stats["tiles_total"] += 1
+                    floor = thr()
+                    if floor > 0 and bounds is not None:
+                        if min(int(bounds[rows].max()), col_bound) < floor:
+                            stats["tiles_skipped"] += 1
+                            continue
+                    yield ci, cj, rows
+
+    def count(tile) -> None:
+        ci, cj, rows = tile
         cols = index.members[ci]
+        a = index._rows(rows, cj)
         b = index.class_words(ci)
-        col_bound = int(bounds[cols].max()) if bounds is not None else None
-        for cj in range(ci, index.n_classes):
-            rows_all = index.members[cj]
-            chunk = max(1, tile_entries // max(1, cols.size))
-            for start in range(0, rows_all.size, chunk):
-                rows = rows_all[start:start + chunk]
-                stats["tiles_total"] += 1
-                floor = thr()
-                if floor > 0 and bounds is not None:
-                    if min(int(bounds[rows].max()), col_bound) < floor:
-                        stats["tiles_skipped"] += 1
-                        continue
-                a = index._rows(rows, cj)
-                if ci == cj:
-                    # columns left of the first row lie wholly below the
-                    # diagonal: masked to zero, so never counted
-                    first = int(np.searchsorted(cols, rows[0]))
-                    block = np.zeros((rows.size, cols.size), dtype=np.int64)
-                    block[:, first:] = index._fold(a, b[first:])
-                    block = np.where(rows[:, None] <= cols[None, :], block, 0)
-                else:
-                    block = index._fold(a, b)
-                consume(rows, cols, block)
+        if ci != cj:
+            consume(rows, cols, index._fold(a, b))
+            return
+        # columns left of the first row lie wholly below the diagonal:
+        # masked to zero, so never counted
+        first = int(np.searchsorted(cols, rows[0]))
+        block = np.zeros((rows.size, cols.size), dtype=np.int64)
+        block[:, first:] = index._fold(a, b[first:])
+        consume(rows, cols, np.where(rows[:, None] <= cols[None, :], block, 0))
+
+    for _ in map_tiles(count, tiles(), pool):
+        pass
     return stats
 
 
@@ -436,13 +533,17 @@ def sparse_cross(
     col_bounds=None,
     threshold=None,
     tile_entries: int = SPARSE_TILE_ENTRIES,
+    pool: TilePool | None = None,
+    band_rows: int | None = None,
 ) -> dict:
     """Rectangular counting as a stream of pruned tiles (cross-buffer safe).
 
     The sparse counterpart of :meth:`WidthClassIndex.cross_index`: rows are
     gathered from ``index``, columns from ``other`` (which may be ``index``
-    itself), grouped by width-class pair, chunked to ``tile_entries`` and
-    pruned against ``threshold()`` exactly as :func:`sparse_all_pairs` does.
+    itself), grouped by width-class pair, chunked to ``tile_entries``
+    (and ``band_rows``) and pruned against ``threshold()`` exactly as
+    :func:`sparse_all_pairs` does, on ``pool`` when one is given (where
+    ``consume`` must be thread-safe).
     ``consume(rows, cols, block)`` receives *slot ids* on each side — every
     ordered (row, col) pair exactly once, no triangle masking — so the
     caller owns the slot-to-global mapping and any symmetry canonicalisation.
@@ -456,38 +557,31 @@ def sparse_cross(
     stats = {"tiles_total": 0, "tiles_skipped": 0}
     if row_slots.size == 0 or col_slots.size == 0:
         return stats
-    if row_bounds is not None:
+    prunable = row_bounds is not None and col_bounds is not None
+    if prunable:
         row_bounds = np.asarray(row_bounds, dtype=np.int64)
-    if col_bounds is not None:
         col_bounds = np.asarray(col_bounds, dtype=np.int64)
-    merged = np.unique(np.concatenate([index.class_widths, other.class_widths]))
-    for small, large in zip(merged[:-1], merged[1:]):
-        require(int(large) % int(small) == 0,
-                f"cross-buffer widths {int(large)} and {int(small)} do not nest; "
-                "both shards must be packed from the same nested range family")
-    for cj_idx in np.unique(other.class_of[col_slots]).tolist():
-        cols = col_slots[other.class_of[col_slots] == cj_idx]
-        b = other._rows(cols, cj_idx)
-        col_bound = (int(col_bounds[cols].max())
-                     if col_bounds is not None else None)
-        for ci_idx in np.unique(index.class_of[row_slots]).tolist():
-            rows_in_class = row_slots[index.class_of[row_slots] == ci_idx]
-            chunk = max(1, tile_entries // max(1, cols.size))
-            for start in range(0, rows_in_class.size, chunk):
-                rows = rows_in_class[start:start + chunk]
-                stats["tiles_total"] += 1
-                floor = thr()
-                if (floor > 0 and row_bounds is not None
-                        and col_bounds is not None):
-                    if min(int(row_bounds[rows].max()), col_bound) < floor:
-                        stats["tiles_skipped"] += 1
-                        continue
-                a = index._rows(rows, ci_idx)
-                if a.shape[1] >= b.shape[1]:
-                    block = index._fold(a, b)
-                else:
-                    block = index._fold(b, a).T
-                consume(rows, cols, block)
+
+    def tiles():
+        for tile in _cross_tiles(
+                index, other, row_slots, col_slots,
+                lambda n_cols: _tile_rows(tile_entries, n_cols, band_rows)):
+            stats["tiles_total"] += 1
+            floor = thr()
+            if floor > 0 and prunable:
+                _, row_pos, _, col_pos = tile
+                if min(int(row_bounds[row_slots[row_pos]].max()),
+                       int(col_bounds[col_slots[col_pos]].max())) < floor:
+                    stats["tiles_skipped"] += 1
+                    continue
+            yield tile
+
+    def count(tile) -> None:
+        consume(row_slots[tile[1]], col_slots[tile[3]],
+                _fold_tile(index, other, row_slots, col_slots, tile))
+
+    for _ in map_tiles(count, tiles(), pool):
+        pass
     return stats
 
 
@@ -499,7 +593,15 @@ class BatchPairCounter:
     per-pair Python call.  Build it through
     :meth:`repro.core.collection.BatmapCollection.batch_counter`, which caches
     one instance per collection.
+
+    Queries run their tiles inline; :class:`repro.parallel.executor.ParallelPairCounter`
+    is this engine with a :class:`TilePool` attached.
     """
+
+    #: threads the tiled queries run on (``None``: inline)
+    _pool: TilePool | None = None
+    #: rows per tile of the tiled queries (``None``: each query's default)
+    _band_rows: int | None = None
 
     def __init__(self, collection, *, block_words: int = DEFAULT_BLOCK_WORDS) -> None:
         self.collection = collection
@@ -545,7 +647,8 @@ class BatchPairCounter:
     def counts_sorted(self) -> np.ndarray:
         """Dense ``n x n`` count matrix in width-sorted (device) order, cached."""
         if self._counts_sorted is None:
-            self._counts_sorted = self.index.all_pairs()
+            self._counts_sorted = self.index.all_pairs(pool=self._pool,
+                                                       band_rows=self._band_rows)
         return self._counts_sorted
 
     def count_all_pairs(self) -> np.ndarray:
@@ -579,7 +682,8 @@ class BatchPairCounter:
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         rank = self.collection.rank
-        return self.index.cross_slots(rank[rows], rank[cols])
+        return self.index.cross_slots(rank[rows], rank[cols], pool=self._pool,
+                                      band_rows=self._band_rows)
 
     def top_k(self, k: int) -> list:
         """The ``k`` off-diagonal pairs with the largest counts.
@@ -620,6 +724,18 @@ class BatchPairCounter:
         """
         return np.array([bm.set_size for bm in self.collection.batmaps_sorted],
                         dtype=np.int64)
+
+    def repairable(self) -> np.ndarray:
+        """Original-index mask of the sets with failed insertions.
+
+        Repair raises only pairs that involve one of them, so a sparse sink
+        may drop every other count below its ``min_support``.
+        """
+        mask = np.zeros(len(self.collection), dtype=bool)
+        for slot, bm in enumerate(self.collection.batmaps_sorted):
+            if bm.failed:
+                mask[self.collection.order[slot]] = True
+        return mask
 
     def count_result(
         self,
@@ -668,21 +784,24 @@ class BatchPairCounter:
             stats = sparse_all_pairs(
                 self.index, consume=consume_topk, bounds=bounds,
                 threshold=lambda: max(min_support, acc.floor),
-                tile_entries=tile_entries)
+                tile_entries=tile_entries, pool=self._pool,
+                band_rows=self._band_rows)
             return acc.result(n, min_support=min_support, stats=stats,
                               fill_zeros=min_support <= 1)
         if result_format == "dense":
             # the dense path computes every count — nothing is pruned, so
             # the result carries no filtering floor
             return DenseCountResult(self.count_all_pairs())
-        sparse = SparseAccumulator(n, min_support=min_support)
+        sparse = SparseAccumulator(n, min_support=min_support,
+                                   repairable=self.repairable())
 
         def consume(rows, cols, block):
             sparse.add_block(order[rows], order[cols], block)
 
         stats = sparse_all_pairs(
             self.index, consume=consume, bounds=bounds,
-            threshold=lambda: min_support, tile_entries=tile_entries)
+            threshold=lambda: min_support, tile_entries=tile_entries,
+            pool=self._pool, band_rows=self._band_rows)
         sparse.tiles_total = stats["tiles_total"]
         sparse.tiles_skipped = stats["tiles_skipped"]
         return sparse.finalize()
@@ -709,8 +828,8 @@ class BatchPairCounter:
         require(min_support >= 0, f"min_support must be >= 0, got {min_support}")
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
-        require(np.unique(rows).size == rows.size
-                and np.unique(cols).size == cols.size,
+        require(sorted_unique(rows).size == rows.size
+                and sorted_unique(cols).size == cols.size,
                 "count_cross_result requires duplicate-free index lists")
         rank = self.collection.rank
         row_slots = rank[rows]
@@ -733,7 +852,7 @@ class BatchPairCounter:
             row_slots=row_slots, col_slots=col_slots,
             row_bounds=bounds, col_bounds=bounds,
             threshold=(lambda: min_support) if min_support > 0 else None,
-            tile_entries=tile_entries)
+            tile_entries=tile_entries, pool=self._pool, band_rows=self._band_rows)
         acc.tiles_total = stats["tiles_total"]
         acc.tiles_skipped = stats["tiles_skipped"]
         return acc.finalize()

@@ -29,6 +29,7 @@ from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import InsertionFailure
 from repro.core.hashing import HashFamily
 from repro.core.swar_kernel import native_library, walk_set
+from repro.utils.arrays import sorted_unique
 from repro.utils.validation import require, require_power_of_two
 
 __all__ = ["EMPTY", "Placement", "PlacementStats", "place_set"]
@@ -74,8 +75,7 @@ class Placement:
     @property
     def stored_elements(self) -> np.ndarray:
         """Sorted unique element ids currently stored (each appears in 2 slots)."""
-        vals = self.rows[self.rows != EMPTY]
-        return np.unique(vals)
+        return sorted_unique(self.rows[self.rows != EMPTY])
 
     def occurrences(self, element: int) -> list[tuple[int, int]]:
         """Return the ``(table, position)`` slots currently holding ``element``."""

@@ -50,9 +50,10 @@ the kernel cannot be loaded, and are the tests' reference.
 
 Because every slot array is per-set (claims from different sets can never
 collide), a set's placement depends only on its own elements — group
-composition, sharding and build order do not change the result.  That is
-what lets :mod:`repro.parallel.build` fan shards out to worker processes
-and still produce bit-identical collections.
+composition, chunking and build order do not change the result.  That is
+what lets :func:`bulk_build_chunks` place and encode chunks on a pool of
+threads (the compiled loops release the GIL and ``malloc`` their own
+scratch) and still produce bit-identical collections.
 
 Placements differ from the serial insertion order (copies may settle in a
 different 2-of-3 table pair), but the layout's pair counts are
@@ -73,6 +74,7 @@ from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import LayoutError
 from repro.core.hashing import HashFamily
 from repro.core.swar_kernel import encode_group, native_library, place_sets
+from repro.utils.arrays import sorted_unique
 from repro.utils.validation import require, require_power_of_two
 
 __all__ = [
@@ -88,7 +90,6 @@ __all__ = [
     "bulk_build_chunks",
     "bulk_build_sets",
     "sets_from_chunks",
-    "chunk_built_sets",
 ]
 
 #: Upper bound on the slot-table size (``n_sets * 3 * r``) one bulk round
@@ -113,7 +114,7 @@ _NEXT_TABLE = np.array([1, 2, 0], dtype=np.int32)
 #: are declared failed instead, which merely routes their *sets* to the
 #: serial oracle (the fallback every bulk-failing set takes anyway), so
 #: placements stay exactly serial for them.  The cap is per-walk, hence
-#: independent of grouping/sharding — chunked, whole-group and multiprocess
+#: independent of grouping/sharding — chunked, whole-group and threaded
 #: builds remain bit-identical.
 BULK_MOVE_BUDGET = 48
 
@@ -367,7 +368,7 @@ def bulk_place_group(
     rows_flat, failed_mask, set_moves, set_transcript, rounds = placed
 
     if oracle_on_failure and failed_mask.any():
-        for s in np.unique(set_of[failed_mask]).tolist():
+        for s in sorted_unique(set_of[failed_mask]).tolist():
             seg = slice(int(starts[s]), int(starts[s] + lengths[s]))
             oracle = place_set(flat[seg], family, r, config, assume_unique=True)
             region = rows_flat[s * row_span:(s + 1) * row_span]
@@ -521,39 +522,40 @@ def bulk_build_chunks(
     config: BatmapConfig = DEFAULT_CONFIG,
     *,
     slot_budget: int | None = None,
+    pool=None,
 ) -> list[BulkChunk]:
     """Build every set with the bulk engine, grouped by hash range.
 
     ``sets`` are sorted, deduplicated element arrays; ``rs[k]`` is the hash
     range for ``sets[k]``.  Groups are formed per distinct range, split into
-    chunks within :data:`GROUP_SLOT_BUDGET`, and each chunk is placed and
-    encoded with one vectorized pass.  Per-set results are independent of
-    the grouping (claims never cross sets), so neither the chunking nor any
-    sharding of this call can change a single byte of the output.
+    chunks within ``slot_budget`` slots (default :data:`GROUP_SLOT_BUDGET`),
+    and each chunk is placed and encoded with one vectorized pass — on the
+    threads of ``pool`` (a :class:`~repro.core.batch.TilePool`) when one is
+    given.  Per-set results are independent of the grouping (claims never
+    cross sets), so neither the chunking nor the threads can change a single
+    byte of the output.
 
     The chunk form keeps each chunk's entries stacked — exactly what the
-    device-buffer packer and the shared-memory writer of the parallel
-    builder consume — while :func:`bulk_build_sets` flattens to per-set
-    views for callers that want one object per set.
+    device-buffer packer consumes — while :func:`bulk_build_sets` flattens
+    to per-set views for callers that want one object per set.
     """
+    from repro.core.batch import map_tiles
+
     require(len(sets) == len(rs), "sets and rs must have the same length")
     by_range: dict[int, list[int]] = {}
     for k, r in enumerate(rs):
         by_range.setdefault(int(r), []).append(k)
-    chunks: list[BulkChunk] = []
-    for r, members in by_range.items():
-        for lo, hi in _group_chunks(len(members), r, slot_budget):
-            chunk = members[lo:hi]
-            group = bulk_place_group([sets[k] for k in chunk], family, r, config)
-            failed = group.failed_lists()
-            chunks.append(BulkChunk(
-                r=r,
-                indices=chunk,
-                entries=group.encode(family, config),
-                failed=failed,
-                stats=group.stats(failed),
-            ))
-    return chunks
+    jobs = [(r, members[lo:hi]) for r, members in by_range.items()
+            for lo, hi in _group_chunks(len(members), r, slot_budget)]
+
+    def build(job) -> BulkChunk:
+        r, chunk = job
+        group = bulk_place_group([sets[k] for k in chunk], family, r, config)
+        failed = group.failed_lists()
+        return BulkChunk(r=r, indices=chunk, entries=group.encode(family, config),
+                         failed=failed, stats=group.stats(failed))
+
+    return [chunk for _, chunk in map_tiles(build, jobs, pool)]
 
 
 def sets_from_chunks(chunks: list[BulkChunk], n_sets: int) -> list[BulkBuiltSet]:
@@ -571,25 +573,6 @@ def sets_from_chunks(chunks: list[BulkChunk], n_sets: int) -> list[BulkBuiltSet]
                 stats=chunk.stats[row],
             )
     return out  # type: ignore[return-value]
-
-
-def chunk_built_sets(built: list[BulkBuiltSet]) -> list[tuple[list[int], np.ndarray]]:
-    """Regroup per-set outputs into packable ``(indices, stacked entries)`` chunks.
-
-    The inverse of :func:`sets_from_chunks` as far as packing is concerned:
-    used when the per-set results arrived individually (e.g. out of the
-    parallel builder's shared buffer) and the device packer wants the same
-    width-grouped, budget-chunked batches :func:`bulk_build_chunks`
-    produces.  One stack copy per chunk.
-    """
-    by_range: dict[int, list[int]] = {}
-    for slot, b in enumerate(built):
-        by_range.setdefault(int(b.r), []).append(slot)
-    return [
-        (members[lo:hi], np.stack([built[s].entries for s in members[lo:hi]]))
-        for r, members in by_range.items()
-        for lo, hi in _group_chunks(len(members), r)
-    ]
 
 
 def bulk_build_sets(

@@ -17,6 +17,7 @@ This is the host-side object the mining pipeline builds during preprocessing
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.core.builder import place_set
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.hashing import HashFamily
 from repro.core.intersection import count_common
+from repro.utils.arrays import sorted_unique
 from repro.utils.bits import pack_bytes_to_words
 from repro.utils.rng import RngLike
 from repro.utils.validation import require, require_positive
@@ -35,37 +37,39 @@ __all__ = ["DeviceBuffer", "BatmapCollection"]
 
 
 def _dedup_sorted(s) -> np.ndarray:
-    """``np.unique`` with a fast path for already-sorted duplicate-free input.
+    """One set as a sorted duplicate-free int64 array; ascending input passes through.
 
     Tidlists — the mining pipeline's sets — arrive strictly ascending, so
-    the O(n log n) sort inside ``np.unique`` is pure overhead for them; a
-    single vectorized monotonicity check replaces it.  The returned array
-    is never mutated downstream, so passing the caller's array through on
-    the fast path is safe.
+    the sort is pure overhead for them; a single vectorized monotonicity
+    check replaces it.  The returned array is never mutated downstream, so
+    passing the caller's array through on the fast path is safe.
     """
     arr = np.asarray(s, dtype=np.int64).ravel()
     if arr.size < 2 or bool(np.all(arr[1:] > arr[:-1])):
         return arr
-    return np.unique(arr)
+    return sorted_unique(arr)
 
 
 def _dedup_sets(sets, universe_size: int) -> list[np.ndarray]:
-    """:func:`_dedup_sorted` over every set, with one range check.
+    """Every set as a sorted duplicate-free int64 array, with one range check.
 
-    One vectorized pass over the concatenated sets finds the few that are
-    not strictly ascending, and only those pay for ``np.unique``.  A NumPy
-    check per set costs ~5 us, a quarter of a 150-element set's whole bulk
-    build (E22).
+    :func:`_dedup_sorted` over every set: one vectorized pass over the
+    concatenated sets finds the few that are not strictly ascending, and
+    only those are sorted.  A NumPy check per set costs ~5 us, a quarter of
+    a 150-element set's whole bulk build (E22).
     """
     arrs = [np.asarray(s, dtype=np.int64).ravel() for s in sets]
     flat = np.concatenate(arrs)
     if flat.size and (flat.min() < 0 or flat.max() >= universe_size):
         raise ValueError("element id out of range for the hash family's universe")
     ends = np.cumsum([a.size for a in arrs])
-    drops = np.flatnonzero(flat[1:] <= flat[:-1]) + 1  # flat[p] <= flat[p - 1]
-    drops = drops[~np.isin(drops, ends)]  # ignore the first element of a set
-    for k in np.unique(np.searchsorted(ends, drops, side="right")).tolist():
-        arrs[k] = np.unique(arrs[k])
+    # flat[p] <= flat[p - 1], except where p is the first element of a set
+    descent = flat[1:] <= flat[:-1]
+    first = ends[(ends > 0) & (ends < flat.size)]
+    descent[first - 1] = False
+    drops = np.flatnonzero(descent) + 1
+    for k in sorted_unique(np.searchsorted(ends, drops, side="right")).tolist():
+        arrs[k] = sorted_unique(arrs[k])
     return arrs
 
 
@@ -155,9 +159,9 @@ class BatmapCollection:
         workload planner (:func:`~repro.core.plan.plan_build`): ``"host"``
         is the serial per-element inserter (the oracle), ``"bulk"`` the
         round-based vectorized engine (:mod:`repro.core.bulk_build`),
-        ``"parallel"`` the multiprocess bulk builder over set shards
-        (:mod:`repro.parallel.build`; demoted to ``"bulk"`` below its
-        pay-off floor), and ``"auto"`` (default) lets the planner pick.
+        ``"parallel"`` the bulk engine with its chunks on a pool of
+        threads (demoted to ``"bulk"`` below its pay-off floor), and
+        ``"auto"`` (default) lets the planner pick.
         All engines yield collections with identical pair counts on every
         counting path; the bulk engines additionally pre-assemble the
         packed device buffer, so :meth:`device_buffer` is free afterwards.
@@ -218,7 +222,7 @@ class BatmapCollection:
     @classmethod
     def _build_bulk(cls, dedup, rs, family, config, order, universe_size,
                     plan, memory_budget=None) -> "BatmapCollection":
-        """Assemble the collection from the bulk (or parallel-bulk) engine.
+        """Assemble the collection from the bulk engine (inline or on threads).
 
         Batmap entries stay views into the chunk-stacked arrays the encoder
         produced, and the same stacks are packed straight into the
@@ -226,9 +230,10 @@ class BatmapCollection:
         of :meth:`device_buffer`) — no per-set re-stacking ever runs for
         bulk-built collections.
         """
+        from repro.core.batch import TilePool
         from repro.core.bulk_build import (
+            GROUP_SLOT_BUDGET,
             bulk_build_chunks,
-            chunk_built_sets,
             device_word_layout,
             pack_group_words,
             sets_from_chunks,
@@ -236,27 +241,24 @@ class BatmapCollection:
 
         sorted_sets = [dedup[k] for k in order.tolist()]
         sorted_rs = [rs[k] for k in order.tolist()]
+        # A budget caps the slots per chunk.  Placing and encoding a chunk
+        # peaks at ~12 B per slot compiled and ~27 B on the NumPy fallback
+        # (tracemalloc at full load, E22), so 1/192 of the ceiling in slots
+        # keeps that working set at 1/16 (1/7) of it.  Larger chunks bought
+        # no build time and raised the mine-zipf-stream peak by ~5 MB (E22).
+        slot_budget = (GROUP_SLOT_BUDGET if memory_budget is None
+                       else max(1, memory_budget // 192))
+        threads = nullcontext()
         if plan.backend == "parallel":
-            from repro.parallel.build import parallel_bulk_build_sets
-
-            built = parallel_bulk_build_sets(sorted_sets, sorted_rs, family,
-                                             config, workers=plan.workers)
-            # Re-stack per width-group chunk for packing (one pass of copies;
-            # the in-process path below reuses the encoder's stacks as-is).
-            pack_jobs = chunk_built_sets(built)
-        else:
-            # A budget caps the slots per chunk.  Placing and encoding a
-            # chunk peaks at ~12 B per slot compiled and ~27 B on the NumPy
-            # fallback (tracemalloc at full load, E22), so 1/192 of the
-            # ceiling in slots keeps that working set at 1/16 (1/7) of it.
-            # Larger chunks bought no build time and raised the
-            # mine-zipf-stream peak by ~5 MB (E22).
-            slot_budget = (None if memory_budget is None
-                           else max(1, memory_budget // 192))
+            # ~2 chunks per thread, so an unlucky heavy chunk cannot
+            # serialise the end of the build
+            slot_budget = min(slot_budget, -(-3 * sum(sorted_rs) // (2 * plan.workers)))
+            threads = TilePool(plan.workers)
+        with threads as pool:
             chunks = bulk_build_chunks(sorted_sets, sorted_rs, family, config,
-                                       slot_budget=slot_budget)
-            built = sets_from_chunks(chunks, len(sorted_sets))
-            pack_jobs = [(chunk.indices, chunk.entries) for chunk in chunks]
+                                       slot_budget=slot_budget, pool=pool)
+        built = sets_from_chunks(chunks, len(sorted_sets))
+        pack_jobs = [(chunk.indices, chunk.entries) for chunk in chunks]
 
         batmaps = [
             Batmap(family=family, config=config, r=b.r, entries=b.entries,
@@ -404,7 +406,7 @@ class BatmapCollection:
         applies the full policy, ``"parallel"`` falls back to the serial
         batch engine for small inputs, and layouts the packed engines cannot
         represent run on the per-pair ``"host"`` reference.  ``workers``
-        sizes the parallel pool (``None``: from the core count).
+        sizes the parallel thread pool (``None``: from the core count).
 
         ``result_format="auto"`` resolves against ``memory_budget``
         (:func:`~repro.core.plan.resolve_result_format`), ``min_support``

@@ -3,7 +3,8 @@
 Three interchangeable pair-counting engines exist — the per-pair host
 reference (:func:`repro.core.intersection.count_common`), the serial
 vectorised batch engine (:class:`repro.core.batch.BatchPairCounter`) and the
-multiprocess executor (:class:`repro.parallel.executor.ParallelPairCounter`).
+same engine on a pool of threads
+(:class:`repro.parallel.executor.ParallelPairCounter`).
 :func:`plan_counts` inspects the request — collection size, packed width
 mix, available cores, and (when known) how many pairs the query touches —
 and returns a :class:`CountPlan` naming the backend to run;
@@ -17,14 +18,12 @@ that maps the plan to an engine.  The policy, in order:
 2. **Point queries** stay on ``host``: a handful of pairs never amortises
    gathering the packed buffer into width-class matrices.
 3. **Small collections** (below :data:`PARALLEL_MIN_SETS`) or single-core
-   hosts run the serial ``batch`` engine — pool startup plus result transfer
-   would dominate the counting work.
-4. **Wide-class-heavy collections** (mean packed width at or above
-   :data:`WIDE_WORDS_PER_SET`) also stay on ``batch``: once rows outgrow the
-   kernel's cache blocking the SWAR pass is memory-bandwidth-bound, as the
-   paper's Figure 11 measures for the CPU loop, so extra processes add
-   contention, not throughput.
-5. Everything else fans out to ``parallel``.
+   hosts run the serial ``batch`` engine — too few tiles to keep two
+   threads busy.
+4. **No compiled kernel**: when :func:`repro.core.swar_kernel.kernel_status`
+   is not ``"native"`` the NumPy fallback holds the GIL for much of its
+   work, so threads cannot pay and ``parallel`` is never chosen.
+5. Everything else runs on ``parallel`` threads.
 
 The GPU simulator is not a planner backend: it models a device, it does not
 serve requests, and it is reached only through the explicit modelling API
@@ -33,8 +32,8 @@ serve requests, and it is reached only through the explicit modelling API
 
 The executor's pay-off floor and worker cap remain defined in
 :mod:`repro.parallel.executor` (tests monkeypatch them there); this module
-reads them lazily at plan time, which also keeps ``repro.core`` importable
-without pulling in ``multiprocessing``.
+reads them lazily at plan time, because ``repro.parallel`` sits above the
+core layer.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "BACKENDS",
     "RESULT_FORMATS",
     "BUILD_BACKENDS",
-    "WIDE_WORDS_PER_SET",
     "SHARD_FANOUT_MIN",
     "HOST_MAX_PAIRS",
     "PlanFeatures",
@@ -68,23 +66,10 @@ __all__ = [
 #: would not fit under it.
 BACKENDS = ("host", "batch", "parallel", "sharded")
 
-#: Mean packed words per set at which a collection counts as wide-class
-#: heavy: the SWAR pass over rows this wide is memory-bandwidth-bound, so
-#: the planner keeps such workloads on the serial batch engine instead of
-#: paying pool startup for no extra throughput.  The compiled kernel keeps
-#: a block of narrow rows and two wide rows in a core's L2 cache, which
-#: holds up to rows of 2**16 words (256 KB); below that it is compute-bound
-#: and a pool pays (E21: 1024 sets of 12288 words count in 1.5 s on batch,
-#: 1.0 s on 2 workers).  The bound itself is derived from the blocking, not
-#: measured: 1536 sets that wide pack to 400 MB.
-WIDE_WORDS_PER_SET = 1 << 16
-
 #: Shard count at which shard-pair amplification dominates the counting
-#: shape: ``k`` shards mean ``k*(k+1)/2`` independent rectangles, each
-#: attaching its own mmaps — embarrassingly parallel work that hides attach
-#: latency even when the wide-class gate would keep an unsharded collection
-#: serial.  Delta-shard ingest grows ``k`` between compactions, so sharded
-#: counting plans consult this before the width heuristics.
+#: shape: ``k`` shards mean ``k*(k+1)/2`` rectangles, each attaching its own
+#: mmaps.  Delta-shard ingest grows ``k`` between compactions, so a build
+#: that appends past it recommends compaction (:func:`plan_build`).
 SHARD_FANOUT_MIN = 8
 
 #: Explicit pair lists at or below this size stay on the per-pair host
@@ -138,6 +123,19 @@ def _executor_policy():
     return executor.PARALLEL_MIN_SETS, executor.resolve_worker_count
 
 
+def _threads_blocked() -> str | None:
+    """Why threads cannot pay on this process's kernel, or ``None`` when they can.
+
+    Only the compiled kernel releases the GIL for a whole tile; the NumPy
+    fallback holds it for much of its work.  Resolving the status loads the
+    kernel, so this is asked only once a plan would otherwise use threads.
+    """
+    from repro.core.swar_kernel import kernel_status
+
+    status = kernel_status()
+    return None if status == "native" else f"the SWAR kernel is {status}"
+
+
 @dataclass(frozen=True)
 class PlanFeatures:
     """The problem-shape summary the planner decides from.
@@ -172,11 +170,6 @@ class PlanFeatures:
             result_format=result_format,
             min_support=min_support,
         )
-
-    @property
-    def mean_words(self) -> float:
-        """Mean packed row width in words — the wide-class-heavy gate's input."""
-        return self.total_words / self.n_sets if self.n_sets else 0.0
 
     @property
     def packed_bytes(self) -> int:
@@ -220,8 +213,9 @@ def plan_counts(
         ``"auto"`` applies the full policy.  An explicit backend name is
         honoured, with two demotions: ``"batch"`` and ``"parallel"`` drop
         to ``"host"`` on layouts the packed engines cannot represent, and
-        ``"parallel"`` drops to ``"batch"`` when the pool cannot pay off
-        (single worker, or below the executor's set floor).
+        ``"parallel"`` drops to ``"batch"`` when threads cannot pay off
+        (single worker, below the executor's set floor, or no compiled
+        kernel).
     workers:
         Worker count for the parallel backend; ``None`` auto-selects from
         the core count (capped by the executor policy).
@@ -274,8 +268,11 @@ def plan_counts(
             return plan(
                 "batch", 1,
                 f"parallel requested but {features.n_sets} sets is below the "
-                f"pool pay-off floor ({min_sets})",
+                f"thread pay-off floor ({min_sets})",
             )
+        blocked = _threads_blocked()
+        if blocked:
+            return plan("batch", 1, f"parallel requested but {blocked}")
         return plan("parallel", n_workers, "parallel requested")
 
     # --- auto policy ---------------------------------------------------- #
@@ -304,24 +301,16 @@ def plan_counts(
     if features.n_sets < min_sets:
         return plan(
             "batch", 1,
-            f"{features.n_sets} sets is below the pool pay-off floor ({min_sets})",
+            f"{features.n_sets} sets is below the thread pay-off floor ({min_sets})",
         )
-    if features.n_shards >= SHARD_FANOUT_MIN:
+    blocked = _threads_blocked()
+    if blocked:
+        return plan("batch", 1, f"{blocked}; threads cannot overlap its tiles")
+    reason = f"{features.n_sets} sets across {n_workers} threads"
+    if features.n_shards > 1:
         rectangles = features.n_shards * (features.n_shards + 1) // 2
-        return plan(
-            "parallel", n_workers,
-            f"{features.n_shards} shards amplify to {rectangles} shard-pair "
-            "rectangles; the pool overlaps per-rectangle attach latency "
-            "regardless of class width",
-        )
-    if features.mean_words >= WIDE_WORDS_PER_SET:
-        return plan(
-            "batch", 1,
-            f"wide-class heavy (mean {features.mean_words:.0f} words/set): the "
-            "SWAR pass is memory-bound, a pool adds contention not bandwidth",
-        )
-    return plan("parallel", n_workers,
-                f"{features.n_sets} sets across {n_workers} workers")
+        reason += f" ({features.n_shards} shards, {rectangles} shard-pair rectangles)"
+    return plan("parallel", n_workers, reason)
 
 
 # --------------------------------------------------------------------------- #
@@ -330,9 +319,9 @@ def plan_counts(
 
 #: Backends for collection construction: the per-element serial inserter
 #: (the oracle), the round-based vectorized bulk engine
-#: (:mod:`repro.core.bulk_build`), the multiprocess bulk builder over
-#: set shards (:mod:`repro.parallel.build`), and the out-of-core sharded
-#: builder (:mod:`repro.core.sharded`) that spills each shard to disk.
+#: (:mod:`repro.core.bulk_build`), the same engine with its chunks on a
+#: pool of threads, and the out-of-core sharded builder
+#: (:mod:`repro.core.sharded`) that spills each shard to disk.
 BUILD_BACKENDS = ("host", "bulk", "parallel", "sharded")
 
 #: Total deduplicated elements below which construction stays on the serial
@@ -343,18 +332,16 @@ BUILD_BACKENDS = ("host", "bulk", "parallel", "sharded")
 #: on either engine).
 BULK_BUILD_MIN_ELEMENTS = 2048
 
-#: Set-count floor for the multiprocess bulk builder: enough sets to cut
-#: into one shard per worker.  With compiled placement the element floor
-#: below is the one that binds (E22).
-PARALLEL_BUILD_MIN_SETS = 1024
+#: Set-count floor for the threaded bulk builder: enough sets to cut into
+#: two chunks per thread.  In the E23 grid (two threads) 100 sets already
+#: built 10% faster on threads; the element floor below binds first.
+PARALLEL_BUILD_MIN_SETS = 64
 
-#: Element floor for the multiprocess bulk builder.  Compiled placement
-#: builds 6-8M elements per second in-process, while the pool pays about
-#: 0.1 s per million elements to ship sets out and entries back.  In the
-#: E22 grid (two workers, up to 8M elements) the pool took 0.94-2.8x the
-#: bulk time and lost at all but one point, so the floor sits above every
-#: measured point; explicit ``parallel`` requests still run the pool.
-PARALLEL_BUILD_MIN_ELEMENTS = 1 << 24
+#: Element floor for the threaded bulk builder.  Threads share the sets
+#: and write their own chunks, so nothing is shipped.  In the E23 grid
+#: they tied the in-process engine between 0.05M and 0.2M elements
+#: (0.84-1.09x) and won from 0.3M elements on (0.57-0.75x).
+PARALLEL_BUILD_MIN_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -390,8 +377,8 @@ def plan_build(
     requested:
         ``"auto"`` applies the policy below.  Explicit names are honoured,
         with the same demotion rule the counting planner uses:
-        ``"parallel"`` drops to ``"bulk"`` when the pool cannot pay off
-        (single worker, or below the build floors).
+        ``"parallel"`` drops to ``"bulk"`` when threads cannot pay off
+        (single worker, below the build floors, or no compiled kernel).
     memory_budget / packed_bytes:
         Resident-set ceiling and the projected packed-buffer size
         (:func:`~repro.core.sharded.set_packed_bytes` totals).  When both
@@ -436,8 +423,11 @@ def plan_build(
             return BuildPlan(
                 "bulk", 1,
                 f"parallel requested but {n_sets} sets / {total_elements} "
-                "elements is below the build pool pay-off floor",
+                "elements is below the build thread pay-off floor",
             )
+        blocked = _threads_blocked()
+        if blocked:
+            return BuildPlan("bulk", 1, f"parallel requested but {blocked}")
         return BuildPlan("parallel", n_workers, "parallel bulk build requested")
 
     # --- auto policy ---------------------------------------------------- #
@@ -461,9 +451,10 @@ def plan_build(
                      f"shards amplifies counting to {rectangles} rectangles "
                      "— compaction recommended")
     if (n_workers >= 2 and n_sets >= PARALLEL_BUILD_MIN_SETS
-            and total_elements >= PARALLEL_BUILD_MIN_ELEMENTS):
+            and total_elements >= PARALLEL_BUILD_MIN_ELEMENTS
+            and not _threads_blocked()):
         return BuildPlan("parallel", n_workers,
-                         f"{n_sets} sets across {n_workers} workers" + amplified)
+                         f"{n_sets} sets across {n_workers} threads" + amplified)
     return BuildPlan("bulk", 1,
                      f"{n_sets} sets / {total_elements} elements on the "
                      "vectorized bulk engine" + amplified)
@@ -471,7 +462,7 @@ def plan_build(
 
 #: Candidate-words product (n_candidates * bitmap words) below which the
 #: levelwise support counter stays serial; one AND+popcount pass this small
-#: finishes before a pool even starts.
+#: finishes in a few milliseconds, and on threads it tied or lost (E23).
 LEVELWISE_MIN_WORK = 1 << 22
 
 

@@ -25,11 +25,14 @@ form everywhere: strictly-upper-triangle ``(i, j, value)`` triplets with
 :meth:`repro.mining.support.PairSupports.frequent_pairs`, so results are
 bit-comparable across formats by construction.
 
-Pruning contract: a result built with ``min_support = s > 1`` stores every
-count of every *computed* tile, but tiles whose upper bound is below ``s``
-were never computed — counts below ``s`` may therefore be partial or
-missing.  ``frequent_pairs(m)`` is exact for every ``m >= s`` (the
-property tests pin this against dense-then-filter), and
+Pruning contract: in a result built with ``min_support = s > 1``, tiles
+whose upper bound is below ``s`` were never computed, and a sparse sink
+given the *repairable* sets (those with failed insertions) keeps only the
+counts that can still matter: every count ``>= s``, the diagonal, and the
+rows and columns of repairable sets — the only pairs failed-insertion
+repair can raise.  Counts below ``s`` may therefore be partial or
+missing.  ``frequent_pairs(m)`` is exact for every ``m >= s``, also after
+repair (the property tests pin this against dense-then-filter), and
 :attr:`CountResult.min_support` records the floor so consumers can refuse
 a filter below it.
 """
@@ -37,6 +40,7 @@ a filter below it.
 from __future__ import annotations
 
 import heapq
+import threading
 import warnings
 
 import numpy as np
@@ -325,17 +329,40 @@ class SparseCountResult(CountResult):
         return out
 
     def add_entries(self, rows, cols, values) -> "SparseCountResult":
-        """Fold raw triplets into this result (repair uses this)."""
+        """Fold raw triplets into this result (repair uses this).
+
+        Only the new triplets are coalesced; they are then merged into the
+        stored arrays, which are already canonical, without re-sorting them.
+        """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         if self.symmetric and rows.size:
             flip = rows > cols
             rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
-        self.rows, self.cols, self.values = coalesce_coo(
-            np.concatenate([self.rows, rows]),
-            np.concatenate([self.cols, cols]),
-            np.concatenate([self.values,
-                            np.asarray(values, dtype=np.int64).ravel()]))
+        rows, cols, values = coalesce_coo(rows, cols, values)
+        if rows.size == 0:
+            return self
+        if self.n_rows * self.n_cols > _KEY_MAX:
+            self.rows, self.cols, self.values = coalesce_coo(
+                np.concatenate([self.rows, rows]),
+                np.concatenate([self.cols, cols]),
+                np.concatenate([self.values, values]))
+            return self
+        stored = self.rows * self.n_cols + self.cols
+        added = rows * self.n_cols + cols
+        pos = np.searchsorted(stored, added)
+        hit = pos < stored.size
+        hit[hit] = stored[pos[hit]] == added[hit]
+        merged = self.values.copy()
+        merged[pos[hit]] += values[hit]
+        new = ~hit
+        self.rows = np.insert(self.rows, pos[new], rows[new])
+        self.cols = np.insert(self.cols, pos[new], cols[new])
+        merged = np.insert(merged, pos[new], values[new])
+        keep = merged != 0
+        if not keep.all():
+            self.rows, self.cols, merged = self.rows[keep], self.cols[keep], merged[keep]
+        self.values = merged
         return self
 
     def merge(self, other: CountResult) -> "SparseCountResult":
@@ -421,18 +448,28 @@ class SparseAccumulator:
     ``(len(rows), len(cols))`` blocks in whatever index space they work in,
     already mapped to final indices by the caller); nonzero entries are
     extracted immediately so the dense tile can be freed.  ``finalize``
-    coalesces once at the end.
+    coalesces once at the end.  Tiles may arrive from several threads at
+    once: each one is stored with a single list append.
+
+    ``repairable`` (symmetric results only) is a final-index mask of the
+    sets with failed insertions.  Given it, entries below ``min_support``
+    are dropped at the sink unless they lie on the diagonal or in a
+    repairable row or column: repair can raise no other count, so no
+    dropped entry could reach the floor (the module's pruning contract).
     """
 
     def __init__(self, n_rows: int, n_cols: int | None = None, *,
-                 symmetric: bool = True, min_support: int = 0) -> None:
+                 symmetric: bool = True, min_support: int = 0,
+                 repairable=None) -> None:
         self.n_rows = int(n_rows)
         self.n_cols = int(n_rows if n_cols is None else n_cols)
         self.symmetric = bool(symmetric)
         self.min_support = int(min_support)
-        self._rows: list = []
-        self._cols: list = []
-        self._values: list = []
+        require(repairable is None or self.symmetric,
+                "repairable sets apply to symmetric results only")
+        self.repairable = (None if repairable is None or self.min_support <= 1
+                           else np.asarray(repairable, dtype=bool))
+        self._parts: list = []   # (rows, cols, values) per tile
         self.tiles_total = 0
         self.tiles_skipped = 0
 
@@ -452,14 +489,19 @@ class SparseAccumulator:
         values = block[r_local, c_local]
         rows = np.asarray(rows, dtype=np.int64)[r_local]
         cols = np.asarray(cols, dtype=np.int64)[c_local]
+        if self.repairable is not None:
+            keep = values >= self.min_support
+            keep |= rows == cols
+            keep |= self.repairable[rows]
+            keep |= self.repairable[cols]
+            if not keep.all():
+                rows, cols, values = rows[keep], cols[keep], values[keep]
         if self.symmetric:
             flip = rows > cols
             if flip.any():
                 rows, cols = (np.where(flip, cols, rows),
                               np.where(flip, rows, cols))
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._values.append(values.astype(np.int64, copy=False))
+        self._parts.append((rows, cols, values.astype(np.int64, copy=False)))
 
     def add_entries(self, rows, cols, values) -> None:
         rows = np.asarray(rows, dtype=np.int64).ravel()
@@ -472,18 +514,11 @@ class SparseAccumulator:
             if flip.any():
                 rows, cols = (np.where(flip, cols, rows),
                               np.where(flip, rows, cols))
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._values.append(values)
-
-    @property
-    def pending_entries(self) -> int:
-        return int(sum(a.size for a in self._values))
+        self._parts.append((rows, cols, values))
 
     def finalize(self, *, min_support: int | None = None) -> SparseCountResult:
-        rows = np.concatenate(self._rows) if self._rows else _EMPTY
-        cols = np.concatenate(self._cols) if self._cols else _EMPTY
-        values = np.concatenate(self._values) if self._values else _EMPTY
+        rows, cols, values = ((np.concatenate(column) for column in zip(*self._parts))
+                              if self._parts else (_EMPTY, _EMPTY, _EMPTY))
         result = SparseCountResult(
             self.n_rows, self.n_cols, rows=rows, cols=cols, values=values,
             symmetric=self.symmetric,
@@ -501,7 +536,7 @@ class TopKAccumulator:
     kept count once the heap is full — a tile whose count upper bound is
     strictly below the floor cannot change the result and may be skipped
     (ties must still be examined: a tying pair with smaller indices
-    displaces a kept one).
+    displaces a kept one).  :meth:`push` may be called from several threads.
     """
 
     def __init__(self, k: int) -> None:
@@ -510,6 +545,7 @@ class TopKAccumulator:
         # min-heap keyed (count, -i, -j): the root is the weakest entry
         # under the ranking convention.
         self._heap: list = []
+        self._lock = threading.Lock()
 
     @property
     def floor(self) -> int:
@@ -523,6 +559,10 @@ class TopKAccumulator:
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         values = np.asarray(values, dtype=np.int64).ravel()
+        with self._lock:
+            self._push(rows, cols, values)
+
+    def _push(self, rows, cols, values) -> None:
         heap, k = self._heap, self.k
         if len(heap) >= k:
             strong = values >= heap[0][0]

@@ -1037,9 +1037,9 @@ class ShardedCollection:
     def live_ids(self) -> np.ndarray:
         """Sorted physical ids of the live (non-tombstoned) sets."""
         if self._live_ids is None:
-            self._live_ids = np.setdiff1d(
-                np.arange(self.n_physical_sets, dtype=np.int64),
-                self.tombstones, assume_unique=True)
+            live = np.ones(self.n_physical_sets, dtype=bool)
+            live[self.tombstones] = False
+            self._live_ids = np.flatnonzero(live)
         return self._live_ids
 
     @property

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.datasets.fimi_io import iter_fimi_blocks
 from repro.datasets.transactions import row_offsets, split_rows
+from repro.utils.arrays import sorted_unique
 from repro.utils.validation import require_positive
 
 __all__ = [
@@ -251,7 +252,7 @@ def collect_transactions(
     tids with failed insertions).  Missing tids are simply absent from the
     result.
     """
-    wanted = np.unique(np.fromiter((int(t) for t in tids), dtype=np.int64))
+    wanted = sorted_unique(np.fromiter((int(t) for t in tids), dtype=np.int64))
     out: dict[int, np.ndarray] = {}
     if not wanted.size:
         return out

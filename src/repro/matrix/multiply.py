@@ -183,7 +183,7 @@ def multiply_batmap(
     selection goes through the workload planner
     (:func:`~repro.core.plan.plan_counts`): the cross block
     (``a``-rows x ``b``-columns) runs on the vectorised batch engine, fans
-    out to the multiprocess executor for large multi-core instances, or
+    out to the threaded executor for large multi-core instances, or
     falls back to the per-pair reference for layouts the packed engines
     cannot represent (``payload_bits > 7``, sub-word ranges).  Failed
     insertions (rare) are repaired exactly in every case.

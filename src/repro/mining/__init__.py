@@ -11,42 +11,38 @@
 * :mod:`~repro.mining.support` — result containers with phase timing.
 """
 
-from repro.mining.itemsets import BatmapItemsetMiner, ItemsetMiningResult
-from repro.mining.levelwise import (
-    TransactionBitmap,
-    count_candidate_supports,
-    scan_supports,
-)
-from repro.mining.pair_mining import BatmapPairMiner
-from repro.mining.postprocess import (
-    reorder_counts,
-    repair_pair_counts,
-    repair_pair_counts_from_failures,
-    upper_triangle_pairs,
-)
-from repro.mining.preprocess import (
-    PreprocessedData,
-    StreamedPreprocessedData,
-    preprocess,
-    preprocess_streaming,
-)
-from repro.mining.support import MiningReport, PairSupports
+from importlib import import_module
 
-__all__ = [
-    "BatmapPairMiner",
-    "BatmapItemsetMiner",
-    "ItemsetMiningResult",
-    "TransactionBitmap",
-    "count_candidate_supports",
-    "scan_supports",
-    "PreprocessedData",
-    "preprocess",
-    "StreamedPreprocessedData",
-    "preprocess_streaming",
-    "reorder_counts",
-    "repair_pair_counts",
-    "repair_pair_counts_from_failures",
-    "upper_triangle_pairs",
-    "MiningReport",
-    "PairSupports",
-]
+#: exported name -> submodule defining it.  Names load on first access
+#: (PEP 562), so the pair pipeline never imports the levelwise modules.
+_EXPORTS = {
+    "BatmapPairMiner": "pair_mining",
+    "BatmapItemsetMiner": "itemsets",
+    "ItemsetMiningResult": "itemsets",
+    "TransactionBitmap": "levelwise",
+    "count_candidate_supports": "levelwise",
+    "scan_supports": "levelwise",
+    "PreprocessedData": "preprocess",
+    "preprocess": "preprocess",
+    "StreamedPreprocessedData": "preprocess",
+    "preprocess_streaming": "preprocess",
+    "reorder_counts": "postprocess",
+    "repair_pair_counts": "postprocess",
+    "repair_pair_counts_from_failures": "postprocess",
+    "upper_triangle_pairs": "postprocess",
+    "MiningReport": "support",
+    "PairSupports": "support",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

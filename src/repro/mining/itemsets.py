@@ -10,7 +10,7 @@ smaller candidate sets.  This module provides that driver:
   pair-graph* (a candidate is only generated if all of its pairs are
   frequent), with supports counted by the vectorised bitmap engine of
   :mod:`repro.mining.levelwise` — one AND + popcount pass per level over the
-  packed transaction bitmap, optionally fanned out across a process pool —
+  packed transaction bitmap, optionally on a pool of threads —
   instead of the per-transaction Python scan the seed shipped (kept there as
   :func:`~repro.mining.levelwise.scan_supports`, the correctness oracle).
 
@@ -75,7 +75,7 @@ class BatmapItemsetMiner:
         ``"batch"``, ``"parallel"``, or ``"scan"`` (the legacy
         per-transaction scan, kept as the correctness oracle).
     workers:
-        Worker processes for the parallel levelwise path; ``None``
+        Worker threads for the parallel levelwise path; ``None``
         auto-selects from the core count.
     """
 

@@ -17,9 +17,9 @@ This module replaces that scan:
   item rows, and a whole level of candidates is answered with one broadcast
   AND + popcount pass per item column (:func:`count_candidate_supports`),
   chunked to bound peak memory;
-* for large levels the candidate list fans out across a process pool over a
-  shared-memory copy of the bitmap — the same zero-copy re-attach discipline
-  :mod:`repro.parallel.executor` uses for the pair engine — with the
+* for large levels the candidate list is cut into chunks counted on a
+  :class:`~repro.core.batch.TilePool` of threads over the one bitmap (NumPy
+  releases the GIL inside the AND and popcount passes), with the
   batch/parallel choice made by :func:`repro.core.plan.plan_levelwise`.
 
 :func:`scan_supports` keeps the original transaction scan as the correctness
@@ -28,7 +28,6 @@ oracle; the property tests assert bit-identity between all three paths.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,57 +118,22 @@ def _supports_chunked(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return out
 
 
-# --------------------------------------------------------------------------- #
-# Worker side (parallel path)
-# --------------------------------------------------------------------------- #
-_worker_shm = None
-_worker_words = None
-
-
-def _init_worker(name: str, n_items: int, n_words: int) -> None:
-    """Re-attach the shared bitmap zero-copy (same discipline as the executor)."""
-    global _worker_shm, _worker_words
-    from repro.parallel.executor import _attach_shared_memory
-
-    _worker_shm = _attach_shared_memory(name)
-    _worker_words = np.frombuffer(
-        _worker_shm.buf, dtype=np.uint64, count=n_items * n_words
-    ).reshape(n_items, n_words)
-
-
-def _supports_task(start: int, candidates: np.ndarray) -> tuple[int, np.ndarray]:
-    return start, _supports_chunked(_worker_words, candidates)
-
-
 def _count_parallel(bitmap: TransactionBitmap, candidates: np.ndarray,
                     workers: int | None) -> np.ndarray:
-    from repro.parallel.executor import SharedDeviceBuffer, resolve_worker_count
+    from repro.core.batch import TilePool
+    from repro.parallel.executor import resolve_worker_count
 
     n_workers = resolve_worker_count(workers)
     total = candidates.shape[0]
     chunk = max(1, -(-total // (4 * n_workers)))
     out = np.empty(total, dtype=np.int64)
-    # The segment API is uint32-based; a contiguous uint64 bitmap reinterprets
-    # losslessly (little-endian byte image is shared, workers re-view uint64).
-    flat = np.ascontiguousarray(bitmap.words).view(np.uint32).reshape(-1)
-    with SharedDeviceBuffer(flat) as shared:
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=(shared.name, bitmap.n_items, bitmap.n_words),
-        ) as pool:
-            futures = [
-                pool.submit(_supports_task, start, candidates[start:start + chunk])
-                for start in range(0, total, chunk)
-            ]
-            try:
-                for future in futures:
-                    start, counts = future.result()
-                    out[start:start + counts.size] = counts
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+
+    def count(start: int) -> np.ndarray:
+        return _supports_chunked(bitmap.words, candidates[start:start + chunk])
+
+    with TilePool(n_workers) as pool:
+        for start, counts in pool.map(count, range(0, total, chunk)):
+            out[start:start + counts.size] = counts
     return out
 
 
@@ -189,7 +153,7 @@ def count_candidate_supports(
     ids; every candidate of one call must have the same size ``k`` (the
     levelwise driver calls once per level).  ``compute`` is ``"auto"``
     (planner decides), ``"batch"`` (serial vectorised pass) or
-    ``"parallel"`` (candidate fan-out over a shared-memory bitmap).
+    ``"parallel"`` (candidate chunks on a pool of threads).
     """
     require(compute in ("auto", "batch", "parallel"),
             f"compute must be 'auto', 'batch' or 'parallel', got {compute!r}")

@@ -71,15 +71,14 @@ class BatmapPairMiner:
         (:func:`repro.core.plan.plan_counts`) pick; ``"host"`` is the
         per-pair reference (exact for every payload width); ``"batch"`` the
         serial vectorised engine (:mod:`repro.core.batch`); ``"parallel"``
-        distributes the same tiles across a process pool over a
-        shared-memory copy of the packed buffer, falling back to the batch
-        engine for small inputs.  All four are bit-identical and routed
+        counts the same tiles on a pool of threads, falling back to the
+        batch engine for small inputs.  All four are bit-identical and routed
         through :meth:`~repro.core.collection.BatmapCollection.count_result`.
         ``"device"`` is the modelling entry point: it runs the tiled
         pair-count kernel on the GPU simulator and reports its modelled
         timing and traffic statistics.
     workers:
-        Worker processes for the parallel backend; ``None`` auto-selects
+        Worker threads for the parallel backend; ``None`` auto-selects
         from the machine's core count.
     build_compute:
         Construction engine for the preprocessing phase (``"auto"``,
@@ -89,7 +88,7 @@ class BatmapPairMiner:
         preprocessing phase — the dominant cost once counting is fast —
         run vectorized instead of one element at a time.
     build_workers:
-        Worker processes for ``build_compute="parallel"``; ``None``
+        Worker threads for ``build_compute="parallel"``; ``None``
         auto-selects (and falls back to ``workers``).
     result_format:
         Shape of the count results: ``"dense"`` (default — the legacy

@@ -99,29 +99,28 @@ def repair_increments(failures: dict, transactions):
     failed item.  The ``+1`` contributions are returned as ``(rows, cols,
     values)`` triplets (``rows <= cols``, diagonal included) so they can be
     folded into a :class:`~repro.core.results.SparseCountResult` without
-    ever materialising the dense matrix.  Summing duplicates is the
-    consumer's job (``add_entries`` coalesces, ``np.add.at`` accumulates).
+    ever materialising the dense matrix.  Each transaction's pairs come
+    from one ``triu_indices`` mask.  Summing duplicates is the consumer's
+    job (``add_entries`` coalesces, ``np.add.at`` accumulates).
     """
-    rows: list[int] = []
-    cols: list[int] = []
+    rows: list = []
+    cols: list = []
+    triu: dict = {}
     for b, failed_items in failures.items():
-        transaction = transactions[b]
-        failed_set = set(int(a) for a in failed_items)
-        items = (transaction.tolist() if isinstance(transaction, np.ndarray)
-                 else list(transaction))
-        for ai in range(len(items)):
-            a = items[ai]
-            for ci in range(ai + 1, len(items)):
-                c = items[ci]
-                if a in failed_set or c in failed_set:
-                    rows.append(min(a, c))
-                    cols.append(max(a, c))
-        for a in failed_set:
-            rows.append(a)
-            cols.append(a)
-    return (np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.ones(len(rows), dtype=np.int64))
+        items = np.asarray(transactions[b], dtype=np.int64).ravel()
+        failed = np.asarray(sorted(set(int(a) for a in failed_items)), dtype=np.int64)
+        if items.size not in triu:
+            triu[items.size] = np.triu_indices(items.size, k=1)
+        iu, ju = triu[items.size]
+        hit = (items[:, None] == failed[None, :]).any(axis=1)
+        touched = hit[iu] | hit[ju]
+        a, c = items[iu[touched]], items[ju[touched]]
+        rows += [np.minimum(a, c), failed]
+        cols += [np.maximum(a, c), failed]
+    if not rows:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return rows, cols, np.ones(rows.size, dtype=np.int64)
 
 
 def repair_count_result(result, failures: dict, transactions):

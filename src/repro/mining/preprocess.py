@@ -41,6 +41,7 @@ from repro.datasets.streaming import (
     scan_fimi_stats,
 )
 from repro.datasets.transactions import TransactionDatabase
+from repro.utils.arrays import sorted_unique
 from repro.utils.memory import parse_memory_size
 from repro.utils.rng import RngLike
 from repro.utils.validation import require
@@ -103,7 +104,7 @@ def preprocess(
         Construction engine for the batmap collection, routed through
         :func:`~repro.core.plan.plan_build`: ``"host"`` (serial per-element
         inserter), ``"bulk"`` (vectorized round-based engine),
-        ``"parallel"`` (multiprocess bulk build) or ``"auto"`` (planner
+        ``"parallel"`` (bulk build on threads) or ``"auto"`` (planner
         picks).  Tidlist collections are exactly the Figure 6/7 workload
         whose preprocessing phase the bulk engine accelerates.
     """
@@ -322,7 +323,7 @@ def preprocess_streaming(
             pairs[:, 1] = chunk.occurrence_tids()[kept_items]
             del mapped, kept_items
             shard_of = np.searchsorted(bounds, pairs[:, 0], side="right")
-            for s in np.unique(shard_of).tolist():
+            for s in sorted_unique(shard_of).tolist():
                 handle = handles.get(s)
                 if handle is None:
                     handle = handles[s] = (parts_dir / f"part_{s:04d}.bin").open("ab")

@@ -152,7 +152,7 @@ class MiningReport:
     #: Which engine produced the counts: "kernel" (the simulated device of
     #: compute="device"), "batch" (serial host engine — also the
     #: small-input fallback of compute="parallel"), "parallel"
-    #: (multiprocess executor), "host" (per-pair reference — also the
+    #: (the batch engine on threads), "host" (per-pair reference — also the
     #: fallback for layouts the packed engines cannot represent), or
     #: "sharded(<inner>)" for the
     #: out-of-core pipeline (mine_stream), naming the engine its
@@ -160,7 +160,7 @@ class MiningReport:
     count_backend: str = "kernel"
     #: Which engine built the batmap collection: "host" (serial per-element
     #: inserter), "bulk" (vectorized round-based engine) or "parallel"
-    #: (multiprocess bulk builder).
+    #: (the bulk engine on threads).
     build_backend: str = "host"
 
     @property

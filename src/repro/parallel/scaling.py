@@ -127,7 +127,9 @@ def measure_split_scaling(
     is sampled in every time window — so slow background-load drift hits all
     configurations alike instead of biasing whichever point happened to run
     during a busy stretch (which can fabricate super-linear speed-ups).
-    The caller's heap is frozen out of the cyclic garbage collector while
+    One untimed run on the smallest part goes first, so one-off first-call
+    costs (lazy imports, allocator growth) are not billed to the first
+    core count.  The caller's heap is frozen out of the cyclic garbage collector while
     measuring: a full collection walks every tracked object, so one landing
     in a part's window would otherwise charge that part for whatever else
     the process holds.
@@ -143,6 +145,8 @@ def measure_split_scaling(
     best_times: dict[int, list[float]] = {c: [float("inf")] * c for c in core_counts}
     best_results: dict[int, list[object]] = {c: [None] * c for c in core_counts}
     points: list[ScalingPoint] = []
+    smallest = splits[max(core_counts)][0]
+    miner(smallest.transactions, smallest.n_items, min_support)  # warm-up, untimed
     gc.freeze()
     try:
         for _ in range(repeats):

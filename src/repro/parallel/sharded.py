@@ -1,56 +1,44 @@
-"""Shard-aware tile scheduling: stream shard-pair rectangles through the counters.
+"""Shard-aware tile scheduling: stream shard-pair rectangles through the engine.
 
-The multiprocess executor (:mod:`repro.parallel.executor`) fans tiles of one
-in-memory packed buffer out over shared memory.  This module is its
-out-of-core counterpart for a :class:`~repro.core.sharded.ShardedCollection`:
-the ``n x n`` pair space decomposes into shard-pair rectangles (upper
-triangle of shard pairs only, by symmetry), each rectangle is tiled, and
-every tile is answered by the very same width-class SWAR engine — serially
-with at most two shards attached, or across a process pool whose workers
-re-attach spilled shards by **memory mapping** (the page cache plays the
-role the shared-memory segment plays for the in-memory executor).  Counts
-are bit-identical to both in-memory engines on every workload.
+The out-of-core counterpart of :mod:`repro.parallel.executor` for a
+:class:`~repro.core.sharded.ShardedCollection`: the ``n x n`` pair space
+decomposes into shard-pair rectangles (upper triangle of shard pairs only,
+by symmetry), at most two shards are attached (memory-mapped) at a time,
+and every rectangle is cut into row tiles answered by the very same
+width-class SWAR engine — inline, or on a
+:class:`~repro.core.batch.TilePool` of threads that all read the same
+mapped rows.  Counts are bit-identical to both in-memory engines on every
+workload.
 
 Backend choice routes through the workload planner
-(:func:`repro.core.plan.plan_counts`): small collections or single-core
-hosts stay serial, everything else fans out — the same policy every other
-integration point shares.
+(:func:`repro.core.plan.plan_counts`): small collections, single-core hosts
+and the NumPy kernel fallback stay serial, everything else runs on threads
+— the same policy every other integration point shares.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
+from contextlib import nullcontext
 
 import numpy as np
 
 from repro.core.batch import (
     DEFAULT_BLOCK_WORDS,
     SPARSE_TILE_ENTRIES,
-    WidthClassIndex,
+    TilePool,
     sparse_all_pairs,
     sparse_cross,
     width_slot_bounds,
 )
 from repro.core.plan import PlanFeatures, plan_counts, resolve_result_format
 from repro.core.results import DenseCountResult, SparseAccumulator, TopKAccumulator
-from repro.kernels.tiling import TileScheduler
 from repro.parallel.executor import DEFAULT_TILE_CAP, resolve_worker_count
-from repro.parallel.scaling import merge_part_counts
 from repro.utils.validation import require, require_positive
 
 __all__ = [
-    "WORKER_SHARD_CACHE",
     "block_words_for_budget",
     "ShardedPairCounter",
 ]
-
-#: Shards a pool worker keeps attached at once.  Memory-mapped attachments
-#: are cheap to reopen (the pages stay in the OS cache), so a small cache
-#: only avoids re-parsing the ``.npy`` headers and rebuilding the
-#: width-class metadata between consecutive tiles of one rectangle.
-WORKER_SHARD_CACHE = 3
 
 
 def block_words_for_budget(memory_budget=None) -> int:
@@ -67,62 +55,16 @@ def block_words_for_budget(memory_budget=None) -> int:
     return int(min(DEFAULT_BLOCK_WORDS, max(1 << 12, memory_budget // 128)))
 
 
-# --------------------------------------------------------------------------- #
-# Worker side
-# --------------------------------------------------------------------------- #
-_worker_spill_dir = None
-_worker_block_words = DEFAULT_BLOCK_WORDS
-_worker_indexes: dict = {}
-
-
-def _init_sharded_worker(spill_dir: str, block_words: int) -> None:
-    global _worker_spill_dir, _worker_block_words, _worker_indexes
-    _worker_spill_dir = Path(spill_dir)
-    _worker_block_words = int(block_words)
-    _worker_indexes = {}
-
-
-def _worker_index_for(shard_dir: str) -> WidthClassIndex:
-    """Attach (or reuse) one spilled shard inside a pool worker."""
-    index = _worker_indexes.get(shard_dir)
-    if index is None:
-        directory = _worker_spill_dir / shard_dir
-        index = WidthClassIndex(
-            np.load(directory / "words.npy", mmap_mode="r"),
-            np.load(directory / "offsets.npy"),
-            np.load(directory / "widths.npy"),
-            block_words=_worker_block_words,
-        )
-        if len(_worker_indexes) >= WORKER_SHARD_CACHE:
-            _worker_indexes.pop(next(iter(_worker_indexes)))
-        _worker_indexes[shard_dir] = index
-    return index
-
-
-def _sharded_tile(p, q, dir_p, dir_q, row_lo, row_hi, col_lo, col_hi) -> dict:
-    """One tile of the (shard p) x (shard q) rectangle, keyed for the merge."""
-    idx_p = _worker_index_for(dir_p)
-    rows = np.arange(row_lo, row_hi)
-    cols = np.arange(col_lo, col_hi)
-    if p == q:
-        block = idx_p.cross_slots(rows, cols)
-    else:
-        block = idx_p.cross_index(_worker_index_for(dir_q), rows, cols)
-    return {(p, q, row_lo, col_lo): block}
-
-
-# --------------------------------------------------------------------------- #
-# Parent side
-# --------------------------------------------------------------------------- #
 class ShardedPairCounter:
     """All-pairs counting over a spilled :class:`ShardedCollection`.
 
-    ``compute`` mirrors the collection API: ``"batch"`` streams shard pairs
-    serially with at most two shards attached; ``"parallel"`` fans tiles to
-    a process pool (falling back to serial below the pool pay-off floor);
-    ``"auto"`` asks the workload planner.  ``memory_budget`` additionally
-    shrinks the SWAR block budget so counting temporaries respect the same
-    ceiling the shards were sized for.
+    ``compute`` mirrors the collection API: ``"batch"`` (and ``"host"``)
+    count every tile inline; ``"parallel"`` counts them on a pool of
+    threads (falling back to serial below the planner's floors); ``"auto"``
+    asks the workload planner.  Either way shard pairs stream with at most
+    two shards attached.  ``memory_budget`` additionally shrinks the SWAR
+    block budget so counting temporaries respect the same ceiling the shards
+    were sized for.
     """
 
     def __init__(
@@ -133,7 +75,6 @@ class ShardedPairCounter:
         workers=None,
         tile_size=None,
         memory_budget=None,
-        mp_context=None,
         result_format: str = "dense",
         min_support: int = 0,
     ) -> None:
@@ -156,7 +97,6 @@ class ShardedPairCounter:
             # available for counting temporaries.
             memory_budget = max(1, memory_budget - 8 * sharded.n_physical_sets ** 2)
         self.block_words = block_words_for_budget(memory_budget)
-        self._mp_context = mp_context
         requested = {"auto": "auto", "host": "batch", "batch": "batch",
                      "parallel": "parallel"}[compute]
         features = PlanFeatures(
@@ -177,6 +117,26 @@ class ShardedPairCounter:
         largest = max(shard.n_sets for shard in self.sharded.shards)
         return max(32, min(DEFAULT_TILE_CAP, largest))
 
+    def _tiling(self):
+        """``(pool context, rows per tile)`` for the planned backend.
+
+        Serial runs keep each query's own default tiling; threaded runs cut
+        rectangles into tiles of :meth:`_tile_edge` rows so every thread
+        has work.
+        """
+        if self.plan.backend == "parallel":
+            return TilePool(self.plan.workers), self._tile_edge()
+        return nullcontext(None), None
+
+    def _shard_pairs(self):
+        """``(p, index_p, q, index_q)`` per shard pair, ``q >= p``; two attached at a time."""
+        shards = self.sharded.shards
+        for p in range(len(shards)):
+            idx_p = self.sharded.attach(p, block_words=self.block_words)
+            yield p, idx_p, p, idx_p
+            for q in range(p + 1, len(shards)):
+                yield p, idx_p, q, self.sharded.attach(q, block_words=self.block_words)
+
     def counts(self) -> np.ndarray:
         """Dense count matrix over the *live* sets, in live index order.
 
@@ -185,74 +145,25 @@ class ShardedPairCounter:
         matrix drops tombstoned rows/columns, matching a from-scratch build
         over only the live sets bit for bit.
         """
-        if self.plan.backend == "parallel":
-            out = self._counts_parallel()
-        else:
-            out = self._counts_serial()
+        n = self.sharded.n_physical_sets
+        shards = self.sharded.shards
+        out = np.zeros((n, n), dtype=np.int64)
+        context, band_rows = self._tiling()
+        with context as pool:
+            for p, idx_p, q, idx_q in self._shard_pairs():
+                rows_global = shards[p].global_order
+                cols_global = shards[q].global_order
+                if p == q:
+                    out[np.ix_(rows_global, rows_global)] = idx_p.all_pairs(
+                        pool=pool, band_rows=band_rows)
+                    continue
+                rect = idx_p.cross_index(idx_q, pool=pool, band_rows=band_rows)
+                out[np.ix_(rows_global, cols_global)] = rect
+                out[np.ix_(cols_global, rows_global)] = rect.T
         tombstones = getattr(self.sharded, "tombstones", None)
         if tombstones is not None and tombstones.size:
             live = self.sharded.live_ids
             out = out[np.ix_(live, live)]
-        return out
-
-    def _counts_serial(self) -> np.ndarray:
-        n = self.sharded.n_physical_sets
-        shards = self.sharded.shards
-        out = np.zeros((n, n), dtype=np.int64)
-        for p in range(len(shards)):
-            idx_p = self.sharded.attach(p, block_words=self.block_words)
-            rows_global = shards[p].global_order
-            out[np.ix_(rows_global, rows_global)] = idx_p.all_pairs()
-            for q in range(p + 1, len(shards)):
-                idx_q = self.sharded.attach(q, block_words=self.block_words)
-                rect = idx_p.cross_index(idx_q)
-                cols_global = shards[q].global_order
-                out[np.ix_(rows_global, cols_global)] = rect
-                out[np.ix_(cols_global, rows_global)] = rect.T
-                del idx_q
-            del idx_p
-        return out
-
-    def _counts_parallel(self) -> np.ndarray:
-        n = self.sharded.n_physical_sets
-        shards = self.sharded.shards
-        edge = self._tile_edge()
-        tasks = []
-        for p in range(len(shards)):
-            dir_p = shards[p].directory.name
-            for q in range(p, len(shards)):
-                dir_q = shards[q].directory.name
-                if p == q:
-                    for t in TileScheduler(shards[p].n_sets, edge):
-                        tasks.append((p, q, dir_p, dir_q, t.row_start, t.row_end,
-                                      t.col_start, t.col_end))
-                else:
-                    for r_lo in range(0, shards[p].n_sets, edge):
-                        r_hi = min(r_lo + edge, shards[p].n_sets)
-                        for c_lo in range(0, shards[q].n_sets, edge):
-                            c_hi = min(c_lo + edge, shards[q].n_sets)
-                            tasks.append((p, q, dir_p, dir_q, r_lo, r_hi, c_lo, c_hi))
-        ctx = self._mp_context or multiprocessing.get_context()
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=ctx,
-            initializer=_init_sharded_worker,
-            initargs=(str(self.sharded.spill_dir), self.block_words),
-        ) as pool:
-            futures = [pool.submit(_sharded_tile, *task) for task in tasks]
-            try:
-                parts = [future.result() for future in futures]
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        merged = merge_part_counts(parts)
-        out = np.zeros((n, n), dtype=np.int64)
-        for (p, q, row_lo, col_lo), block in merged.items():
-            rows_global = shards[p].global_order[row_lo:row_lo + block.shape[0]]
-            cols_global = shards[q].global_order[col_lo:col_lo + block.shape[1]]
-            out[np.ix_(rows_global, cols_global)] = block
-            out[np.ix_(cols_global, rows_global)] = block.T
         return out
 
     # ------------------------------------------------------------------ #
@@ -285,6 +196,16 @@ class ShardedPairCounter:
             per_shard.append(b)
         return per_shard
 
+    def repairable(self) -> np.ndarray:
+        """Live-index mask of the sets with failed insertions (see ``SparseAccumulator``)."""
+        live_pos = self.sharded.live_positions
+        mask = np.zeros(self.sharded.n_sets, dtype=bool)
+        for shard in self.sharded.shards:
+            local = np.asarray(shard.failed, dtype=np.int64).reshape(-1, 2)[:, 1]
+            live = live_pos[local + shard.lo]
+            mask[live[live >= 0]] = True
+        return mask
+
     def count_result(self, *, min_support=None, top_k=None, bounds=None,
                      tile_entries: int = SPARSE_TILE_ENTRIES):
         """All-pairs counts as a :class:`~repro.core.results.CountResult`.
@@ -293,12 +214,11 @@ class ShardedPairCounter:
         Sparse and top-k results never materialise the ``n x n`` matrix:
         shard-pair rectangles stream through the pruned tile walkers
         (:func:`~repro.core.batch.sparse_all_pairs` within a shard,
-        :func:`~repro.core.batch.sparse_cross` across shards) serially, or
-        — when the plan says ``parallel`` — tiles below the bound are
-        dropped *before* submission to the pool and surviving blocks reduce
-        straight into the COO/heap accumulator.  Results are expressed in
-        live indices (tombstoned sets dropped), bit-identical to filtering
-        :meth:`counts`.
+        :func:`~repro.core.batch.sparse_cross` across shards), inline or on
+        the planned thread pool; tiles below the bound are skipped before
+        any SWAR work and surviving blocks reduce straight into the COO/heap
+        accumulator.  Results are expressed in live indices (tombstoned sets
+        dropped), bit-identical to filtering :meth:`counts`.
         """
         ms = self.min_support if min_support is None else int(min_support)
         require(ms >= 0, f"min_support must be >= 0, got {ms}")
@@ -316,7 +236,8 @@ class ShardedPairCounter:
             def threshold():
                 return max(ms, acc.floor)
         else:
-            acc = SparseAccumulator(n_live, min_support=ms)
+            acc = SparseAccumulator(n_live, min_support=ms,
+                                    repairable=self.repairable())
 
             def threshold():
                 return ms
@@ -350,108 +271,28 @@ class ShardedPairCounter:
             return consume
 
         stats = {"tiles_total": 0, "tiles_skipped": 0}
-        if self.plan.backend == "parallel":
-            self._sparse_parallel(consume_factory, shard_bounds,
-                                  max(1, ms) if top_k is not None else ms, stats)
-        else:
-            self._sparse_serial(consume_factory, shard_bounds, threshold,
-                                tile_entries, stats)
+        shards = self.sharded.shards
+        context, band_rows = self._tiling()
+        with context as pool:
+            for p, idx_p, q, idx_q in self._shard_pairs():
+                consume = consume_factory(shards[p].global_order,
+                                          shards[q].global_order)
+                if p == q:
+                    part = sparse_all_pairs(
+                        idx_p, consume=consume, bounds=shard_bounds[p],
+                        threshold=threshold, tile_entries=tile_entries,
+                        pool=pool, band_rows=band_rows)
+                else:
+                    part = sparse_cross(
+                        idx_p, idx_q, consume=consume,
+                        row_bounds=shard_bounds[p], col_bounds=shard_bounds[q],
+                        threshold=threshold, tile_entries=tile_entries,
+                        pool=pool, band_rows=band_rows)
+                stats["tiles_total"] += part["tiles_total"]
+                stats["tiles_skipped"] += part["tiles_skipped"]
         if top_k is not None:
             return acc.result(n_live, min_support=ms, stats=stats,
                               fill_zeros=ms <= 1)
         acc.tiles_total = stats["tiles_total"]
         acc.tiles_skipped = stats["tiles_skipped"]
         return acc.finalize()
-
-    def _sparse_serial(self, consume_factory, shard_bounds, threshold,
-                       tile_entries, stats) -> None:
-        """Stream shard-pair rectangles through the pruned tile walkers."""
-        shards = self.sharded.shards
-        for p in range(len(shards)):
-            idx_p = self.sharded.attach(p, block_words=self.block_words)
-            go_p = shards[p].global_order
-            part = sparse_all_pairs(
-                idx_p, consume=consume_factory(go_p, go_p),
-                bounds=shard_bounds[p], threshold=threshold,
-                tile_entries=tile_entries)
-            stats["tiles_total"] += part["tiles_total"]
-            stats["tiles_skipped"] += part["tiles_skipped"]
-            for q in range(p + 1, len(shards)):
-                idx_q = self.sharded.attach(q, block_words=self.block_words)
-                part = sparse_cross(
-                    idx_p, idx_q,
-                    consume=consume_factory(go_p, shards[q].global_order),
-                    row_bounds=shard_bounds[p], col_bounds=shard_bounds[q],
-                    threshold=threshold, tile_entries=tile_entries)
-                stats["tiles_total"] += part["tiles_total"]
-                stats["tiles_skipped"] += part["tiles_skipped"]
-                del idx_q
-            del idx_p
-
-    def _sparse_parallel(self, consume_factory, shard_bounds, floor,
-                         stats) -> None:
-        """Fan surviving tiles to the pool; reduce blocks into the sink.
-
-        Pruning happens parent-side against the static ``floor`` (the heap's
-        running floor is unknown before any tile returns), so a skipped tile
-        costs neither a pickle round-trip nor any worker SWAR.
-        """
-        shards = self.sharded.shards
-        edge = self._tile_edge()
-        tasks = []
-
-        def keep(p, q, r_lo, r_hi, c_lo, c_hi) -> bool:
-            stats["tiles_total"] += 1
-            if floor > 0:
-                bound = min(int(shard_bounds[p][r_lo:r_hi].max()),
-                            int(shard_bounds[q][c_lo:c_hi].max()))
-                if bound < floor:
-                    stats["tiles_skipped"] += 1
-                    return False
-            return True
-
-        for p in range(len(shards)):
-            dir_p = shards[p].directory.name
-            for q in range(p, len(shards)):
-                dir_q = shards[q].directory.name
-                if p == q:
-                    for t in TileScheduler(shards[p].n_sets, edge):
-                        if keep(p, q, t.row_start, t.row_end,
-                                t.col_start, t.col_end):
-                            tasks.append((p, q, dir_p, dir_q, t.row_start,
-                                          t.row_end, t.col_start, t.col_end))
-                else:
-                    for r_lo in range(0, shards[p].n_sets, edge):
-                        r_hi = min(r_lo + edge, shards[p].n_sets)
-                        for c_lo in range(0, shards[q].n_sets, edge):
-                            c_hi = min(c_lo + edge, shards[q].n_sets)
-                            if keep(p, q, r_lo, r_hi, c_lo, c_hi):
-                                tasks.append((p, q, dir_p, dir_q,
-                                              r_lo, r_hi, c_lo, c_hi))
-        if not tasks:
-            return
-        ctx = self._mp_context or multiprocessing.get_context()
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=ctx,
-            initializer=_init_sharded_worker,
-            initargs=(str(self.sharded.spill_dir), self.block_words),
-        ) as pool:
-            futures = [pool.submit(_sharded_tile, *task) for task in tasks]
-            try:
-                parts = [future.result() for future in futures]
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        for part in parts:
-            for (p, q, row_lo, col_lo), block in part.items():
-                rows = np.arange(row_lo, row_lo + block.shape[0])
-                cols = np.arange(col_lo, col_lo + block.shape[1])
-                if p == q and row_lo == col_lo:
-                    # diagonal tile of a within-shard rectangle: keep the
-                    # slot-space upper triangle so each unordered pair
-                    # reaches the sink exactly once
-                    block = np.where(rows[:, None] <= cols[None, :], block, 0)
-                consume_factory(shards[p].global_order,
-                                shards[q].global_order)(rows, cols, block)

@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.batmap import Batmap
 from repro.core.config import DEFAULT_CONFIG
 from repro.extensions.multiway import MultiwayResult, multiway_intersection
+from repro.utils.arrays import sorted_unique
 from repro.utils.bits import unpack_words_to_bytes
 from repro.utils.validation import require
 
@@ -220,7 +221,8 @@ class SpillQueryEngine:
                 # so no explicit empty-slot test is needed.
                 member |= (entries.astype(np.int64) & payload_mask) == payloads[t][sl]
             if bm.failed:
-                member |= np.isin(arrays[k], np.asarray(bm.failed, dtype=np.int64))
+                failed = np.asarray(bm.failed, dtype=np.int64)
+                member |= (arrays[k][:, None] == failed[None, :]).any(axis=1)
             member &= valid[sl]
             results.append(member)
         return results
@@ -256,9 +258,10 @@ class SpillQueryEngine:
         shard_left = np.where(flip, shards[:, 1], shards[:, 0])
         shard_right = np.where(flip, shards[:, 0], shards[:, 1])
         out = np.empty(pairs.shape[0], dtype=np.int64)
-        combos = np.stack([shard_left, shard_right], axis=1)
-        for p, q in np.unique(combos, axis=0).tolist():
-            mask = (shard_left == p) & (shard_right == q)
+        combos = shard_left * self.sharded.n_shards + shard_right
+        for combo in sorted_unique(combos).tolist():
+            p, q = divmod(combo, self.sharded.n_shards)
+            mask = combos == combo
             a_slots = self._slot_of(p, left[mask])
             b_slots = self._slot_of(q, right[mask])
             if p == q:
@@ -285,7 +288,7 @@ class SpillQueryEngine:
         out = np.zeros((set_ids.size, self.sharded.n_physical_sets),
                        dtype=np.int64)
         row_shards = self.shard_of(physical)
-        for p in np.unique(row_shards).tolist():
+        for p in sorted_unique(row_shards).tolist():
             row_mask = row_shards == p
             row_slots = self._slot_of(p, physical[row_mask])
             row_positions = np.nonzero(row_mask)[0]
@@ -362,7 +365,7 @@ class SpillQueryEngine:
         limits = [min(int(k), self.n_sets - 1) for _, k in requests]
         accs = [TopKAccumulator(limit) if limit > 0 else None
                 for limit in limits]
-        for p in np.unique(row_shards).tolist():
+        for p in sorted_unique(row_shards).tolist():
             in_shard = [i for i in np.nonzero(row_shards == p)[0].tolist()
                         if accs[i] is not None]
             for q in range(self.sharded.n_shards):

@@ -48,3 +48,48 @@ def test_mine_never_loads_simulator_or_baselines(tmp_path):
         f"if m.startswith(tuple({NOT_MINED!r})))))"
     )
     assert _run_fresh(code) == []
+
+
+#: Modules ``repro mine`` must never load: process pools, ``numpy.ma`` (the
+#: first ``np.unique``/``np.isin`` imports it) and the levelwise miners.
+NEVER_MINED = ["multiprocessing", "concurrent.futures.process", "numpy.ma",
+               "repro.mining.itemsets", "repro.mining.levelwise"]
+
+#: Every ``repro`` module ``repro mine`` loads in memory; ``--stream`` adds
+#: ``repro.parallel.sharded``.  A change here is a start-up cost: add a
+#: module only on purpose.
+MINE_MODULES = sorted("""
+repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
+repro.core.builder repro.core.bulk_build repro.core.collection repro.core.config
+repro.core.errors repro.core.hashing repro.core.integrity repro.core.intersection
+repro.core.plan repro.core.results repro.core.sharded repro.core.swar
+repro.core.swar_kernel repro.datasets repro.datasets.fimi_io
+repro.datasets.ibm_quest repro.datasets.streaming repro.datasets.synthetic
+repro.datasets.transactions repro.datasets.webdocs repro.gpu repro.gpu.device
+repro.mining repro.mining.pair_mining repro.mining.postprocess
+repro.mining.preprocess repro.mining.support repro.parallel
+repro.parallel.executor repro.parallel.scaling repro.utils repro.utils.arrays
+repro.utils.bits repro.utils.faultpoints repro.utils.memory repro.utils.rng
+repro.utils.timer repro.utils.validation
+""".split())
+
+
+def test_mine_import_snapshot(tmp_path):
+    """Pin what ``repro mine`` loads, in memory and with ``--stream``."""
+    path = tmp_path / "db.fimi"
+    path.write_text("0 1 2\n1 2\n0 2 3\n2 3\n0 1 2 3\n" * 20)
+    code = (
+        "import io, json, sys, repro.cli\n"
+        "seen = []\n"
+        "for extra in ([], ['--stream', '--memory-budget', '64M']):\n"
+        f"    argv = ['mine', {str(path)!r}, '--compute', 'auto', *extra]\n"
+        "    assert repro.cli.main(argv, out=io.StringIO()) == 0\n"
+        "    seen.append(sorted(m for m in sys.modules\n"
+        "                       if m == 'repro' or m.startswith('repro.')))\n"
+        f"seen.append(sorted(m for m in {NEVER_MINED!r} if m in sys.modules))\n"
+        "print(json.dumps(seen))"
+    )
+    in_memory, streamed, forbidden = _run_fresh(code)
+    assert forbidden == []
+    assert in_memory == MINE_MODULES
+    assert streamed == sorted(MINE_MODULES + ["repro.parallel.sharded"])

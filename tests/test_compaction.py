@@ -21,7 +21,6 @@ from repro.core.compaction import (
 )
 from repro.core.plan import (
     SHARD_FANOUT_MIN,
-    WIDE_WORDS_PER_SET,
     PlanFeatures,
     plan_build,
     plan_counts,
@@ -34,6 +33,8 @@ from repro.core.sharded import (
 from tests.conftest import random_sets
 
 UNIVERSE = 2048
+#: Mean packed words per set of a wide-row collection (256 KB rows).
+WIDE_WORDS = 1 << 16
 
 
 def make_sets(n, seed=5, min_size=1, max_size=300):
@@ -194,19 +195,12 @@ class TestPlannerShardFanout:
         assert "shard-pair" in plan.reason
 
     def test_fanout_overrides_wide_class_gate(self):
-        # Wide classes normally keep counting serial (memory-bound SWAR),
-        # but shard-pair rectangles are attach-latency-bound: fanout wins.
-        wide = self.features(SHARD_FANOUT_MIN, words_per_set=WIDE_WORDS_PER_SET)
+        # Threads win at every row width measured, so wide sharded
+        # collections count in parallel and the reason names the shards.
+        wide = self.features(SHARD_FANOUT_MIN, words_per_set=WIDE_WORDS)
         plan = plan_counts(wide, workers=4)
         assert plan.backend == "parallel"
         assert "shard" in plan.reason
-
-    def test_below_fanout_wide_class_stays_serial(self):
-        wide = self.features(SHARD_FANOUT_MIN - 1,
-                             words_per_set=WIDE_WORDS_PER_SET)
-        plan = plan_counts(wide, workers=4)
-        assert plan.backend == "batch"
-        assert "wide-class" in plan.reason
 
     def test_plan_build_recommends_compaction_past_fanout(self):
         plan = plan_build(1024, 200_000, workers=4,

@@ -10,7 +10,6 @@ from repro.core.plan import (
     BULK_BUILD_MIN_ELEMENTS,
     PARALLEL_BUILD_MIN_ELEMENTS,
     PARALLEL_BUILD_MIN_SETS,
-    WIDE_WORDS_PER_SET,
     BuildPlan,
     CountPlan,
     PlanFeatures,
@@ -23,6 +22,10 @@ from repro.core.plan import (
 def small_collection(n_sets=6, universe=256, rng=0):
     sets = [np.arange(i, universe, n_sets, dtype=np.int64) for i in range(n_sets)]
     return BatmapCollection.build(sets, universe, rng=rng)
+
+
+#: Mean packed words per set of a wide-row collection (256 KB rows).
+WIDE_WORDS = 1 << 16
 
 
 def features(n_sets=512, mean_words=64, r0=16, byte_entries=True, cached=False):
@@ -87,7 +90,7 @@ class TestExplicitRequests:
 
     def test_explicit_parallel_ignores_wide_heuristic(self):
         """An explicit parallel request is not second-guessed by the width mix."""
-        wide = features(n_sets=4096, mean_words=4 * WIDE_WORDS_PER_SET)
+        wide = features(n_sets=4096, mean_words=4 * WIDE_WORDS)
         assert plan_counts(wide, requested="parallel", workers=4).backend == "parallel"
 
 
@@ -105,12 +108,6 @@ class TestAutoPolicy:
 
     def test_single_worker_goes_batch(self):
         assert plan_counts(features(n_sets=4096), workers=1).backend == "batch"
-
-    def test_wide_class_heavy_goes_batch(self):
-        wide = features(n_sets=4096, mean_words=WIDE_WORDS_PER_SET)
-        plan = plan_counts(wide, workers=4)
-        assert plan.backend == "batch"
-        assert "wide" in plan.reason
 
     def test_large_multicore_goes_parallel(self):
         plan = plan_counts(features(n_sets=4096, mean_words=64), workers=4)
@@ -199,3 +196,41 @@ class TestPlanBuild:
             plan_build(-1, 10)
         with pytest.raises(ValueError):
             plan_build(1, -10)
+
+
+class TestKernelGate:
+    """Threads pay only while the compiled kernel releases the GIL."""
+
+    @pytest.fixture
+    def numpy_kernel(self, monkeypatch):
+        from repro.core import swar_kernel
+
+        monkeypatch.setattr(swar_kernel, "_state", (None, "numpy (disabled by the test)"))
+
+    @staticmethod
+    def shapes():
+        for n_sets in (4096, 1 << 16):
+            for mean_words in (16, 64, WIDE_WORDS):
+                for n_shards in (1, 4, 32):
+                    yield PlanFeatures(n_sets=n_sets, total_words=n_sets * mean_words,
+                                       r0=16, byte_entries=True, n_shards=n_shards)
+
+    @pytest.mark.parametrize("requested", ["auto", "parallel"])
+    def test_counting_never_picks_parallel(self, numpy_kernel, requested):
+        for shape in self.shapes():
+            plan = plan_counts(shape, requested=requested, workers=4)
+            assert plan.backend == "batch"
+            assert "numpy" in plan.reason
+
+    @pytest.mark.parametrize("requested", ["auto", "parallel"])
+    def test_build_never_picks_parallel(self, numpy_kernel, requested):
+        plan = plan_build(1 << 16, 1 << 26, requested=requested, workers=4)
+        assert plan.backend == "bulk"
+
+    def test_native_kernel_picks_parallel_on_the_same_shapes(self):
+        from repro.core.swar_kernel import kernel_status
+
+        if kernel_status() != "native":
+            pytest.skip("no compiled kernel on this host")
+        for shape in self.shapes():
+            assert plan_counts(shape, workers=4).backend == "parallel"

@@ -49,7 +49,6 @@ def test_readme_decision_tables_match_planner_constants():
     readme = (REPO_ROOT / "README.md").read_text()
     expected = {
         "HOST_MAX_PAIRS": plan.HOST_MAX_PAIRS,
-        "WIDE_WORDS_PER_SET": plan.WIDE_WORDS_PER_SET,
         "PARALLEL_MIN_SETS": executor.PARALLEL_MIN_SETS,
         "BULK_BUILD_MIN_ELEMENTS": plan.BULK_BUILD_MIN_ELEMENTS,
         "PARALLEL_BUILD_MIN_SETS": plan.PARALLEL_BUILD_MIN_SETS,

@@ -1,9 +1,8 @@
-"""Tests for the multiprocess pair-counting executor (repro.parallel.executor)."""
+"""Tests for the threaded pair-counting executor (repro.parallel.executor)."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures.process import BrokenProcessPool
+import threading
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from repro.core.plan import plan_counts
 from repro.parallel.executor import (
     MAX_AUTO_WORKERS,
     PARALLEL_MIN_SETS,
-    SHM_PREFIX,
     ParallelPairCounter,
-    SharedDeviceBuffer,
     measure_executor_scaling,
     resolve_worker_count,
 )
@@ -25,12 +22,9 @@ from repro.parallel.scaling import relative_speedups
 from tests.conftest import random_sets
 
 
-def shm_residue() -> list[str]:
-    """Executor-owned segments currently visible in /dev/shm."""
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith(SHM_PREFIX)]
-    except FileNotFoundError:  # non-Linux platform without /dev/shm
-        return []
+def tile_threads() -> list[threading.Thread]:
+    """Worker threads of live tile pools."""
+    return [t for t in threading.enumerate() if t.name.startswith("repro-tile")]
 
 
 @pytest.fixture(scope="module")
@@ -88,46 +82,41 @@ class TestBitIdentity:
 
 
 class TestLifecycle:
-    """Context-manager semantics and shared-memory hygiene."""
+    """Context-manager semantics: the worker threads never outlive the counter."""
 
-    def test_segment_removed_on_clean_exit(self, coll):
-        with ParallelPairCounter(coll, workers=2) as counter:
-            name = counter._shared.name
-            assert name.startswith(SHM_PREFIX)
-            assert name in shm_residue()
-        assert name not in shm_residue()
+    def test_threads_joined_on_clean_exit(self, coll):
+        with ParallelPairCounter(coll, workers=2, tile_size=4) as counter:
+            counter.counts_sorted()
+            assert tile_threads()
+        assert tile_threads() == []
 
     def test_close_is_idempotent(self, coll):
         counter = ParallelPairCounter(coll, workers=2).start()
+        counter.counts_sorted()
         counter.close()
         counter.close()
-        assert shm_residue() == []
+        assert counter._pool is None
+        assert tile_threads() == []
 
-    def test_error_inside_body_unlinks(self, coll):
-        """An exception raised while the pool is live must not leak /dev/shm."""
+    def test_error_inside_body_closes_pool(self, coll):
+        """An exception raised while the pool is live still joins its threads."""
         with pytest.raises(IndexError):
             with ParallelPairCounter(coll, workers=2) as counter:
-                counter.count_pairs([[0, 10**9]])
-        assert shm_residue() == []
-
-    def test_failed_worker_unlinks(self, coll):
-        """Regression: killed workers must not leave shared-memory residue."""
-        with pytest.raises(BrokenProcessPool):
-            with ParallelPairCounter(coll, workers=2, tile_size=4) as counter:
-                counter.count_pair(0, 1)  # force the pool to actually spawn
-                processes = list(counter._pool._processes.values())
-                assert processes
-                for process in processes:
-                    process.kill()
                 counter.counts_sorted()
-        assert shm_residue() == []
+                counter.count_pairs([[0, 10**9]])
+        assert counter._pool is None
+        assert tile_threads() == []
 
-    def test_shared_buffer_unlink_idempotent(self):
-        buffer = SharedDeviceBuffer(np.arange(64, dtype=np.uint32))
-        assert buffer.name.startswith(SHM_PREFIX)
-        buffer.unlink()
-        buffer.unlink()
-        assert shm_residue() == []
+    def test_error_inside_a_tile_propagates(self, coll, monkeypatch):
+        """A tile that raises on a worker thread surfaces in the caller."""
+        def broken(large, small, **kwargs):
+            raise RuntimeError("tile failed")
+
+        monkeypatch.setattr("repro.core.batch.fold_counts", broken)
+        with pytest.raises(RuntimeError, match="tile failed"):
+            with ParallelPairCounter(coll, workers=2, tile_size=4) as counter:
+                counter.counts_sorted()
+        assert tile_threads() == []
 
     def test_start_twice_reuses_pool(self, coll):
         with ParallelPairCounter(coll, workers=2) as counter:
