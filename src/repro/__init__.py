@@ -16,26 +16,36 @@ Quickstart::
     assert coll.count_pair(0, 1) == 2
 """
 
-from repro._version import __version__
-from repro.core import (
-    Batmap,
-    BatmapCollection,
-    BatmapConfig,
-    DEFAULT_CONFIG,
-    HashFamily,
-    build_batmap,
-    count_common,
-    exact_intersection_size,
-)
+import sys
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "Batmap",
-    "BatmapCollection",
-    "BatmapConfig",
-    "DEFAULT_CONFIG",
-    "HashFamily",
-    "build_batmap",
-    "count_common",
-    "exact_intersection_size",
-]
+from repro._version import __version__
+
+
+def _lazy(package: str, modules: dict):
+    """PEP 562 exports for ``package``: ``(__all__, __getattr__, __dir__)``.
+
+    ``modules`` maps each submodule to the space-separated names it exports;
+    a name imports its submodule on first access.
+    """
+    home = {name: module for module, names in modules.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(import_module(f"{package}.{home[name]}"), name)
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return list(home), __getattr__, __dir__
+
+
+_names, __getattr__, __dir__ = _lazy(__name__, {
+    "core.batmap": "Batmap build_batmap",
+    "core.collection": "BatmapCollection",
+    "core.config": "BatmapConfig DEFAULT_CONFIG",
+    "core.hashing": "HashFamily",
+    "core.intersection": "count_common exact_intersection_size",
+})
+__all__ = ["__version__", *_names]

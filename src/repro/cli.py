@@ -98,6 +98,8 @@ the GPU simulator or the kernel driver).
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 import time
 from pathlib import Path
@@ -106,7 +108,7 @@ import numpy as np
 
 from repro.core.errors import DataFormatError, DatasetError
 
-__all__ = ["main", "build_parser", "subcommand_parsers"]
+__all__ = ["main", "run", "build_parser", "subcommand_parsers"]
 
 
 # --------------------------------------------------------------------------- #
@@ -763,10 +765,21 @@ def _build_index_sets_file(args: argparse.Namespace, budget: int, out) -> int:
         build_compute=args.build_compute,
         build_workers=args.build_workers,
     )
-    np.save(Path(args.spill_dir) / "item_map.npy",
-            np.arange(len(sets), dtype=np.int64))
+    _save_item_map(args.spill_dir, np.arange(len(sets), dtype=np.int64))
     _report_index(args, collection, time.perf_counter() - start, out)
     return 0
+
+
+def _save_item_map(spill_dir, item_map: np.ndarray) -> None:
+    """Write ``item_map.npy`` next to the committed manifest, fsynced like the spill."""
+    path = Path(spill_dir) / "item_map.npy"
+    np.save(path, item_map)
+    for target in (path, spill_dir):  # the bytes, then the directory entry
+        fd = os.open(target, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def _report_index(args: argparse.Namespace, collection, elapsed: float, out) -> None:
@@ -816,13 +829,14 @@ def _cmd_build_index(args: argparse.Namespace, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    np.save(Path(args.spill_dir) / "item_map.npy", pre.item_map)
+    _save_item_map(args.spill_dir, pre.item_map)
     _report_index(args, pre.collection, time.perf_counter() - start, out)
     return 0
 
 
 def _cmd_ingest(args: argparse.Namespace, out) -> int:
     """Append new sets to an existing spill artifact as delta shards."""
+    from repro.core.integrity import writer_lock
     from repro.core.sharded import ShardedCollection
     from repro.utils.memory import parse_memory_size
 
@@ -830,12 +844,13 @@ def _cmd_ingest(args: argparse.Namespace, out) -> int:
         budget = (parse_memory_size(args.memory_budget)
                   if args.memory_budget is not None else None)
         sets = _read_sets_file(args.input)
-        collection = ShardedCollection.from_spill(args.spill_dir)
-        before = collection.n_sets
-        start = time.perf_counter()
-        collection.append(sets, universe_size=args.universe,
-                          memory_budget=budget)
-        elapsed = time.perf_counter() - start
+        with writer_lock(args.spill_dir):
+            collection = ShardedCollection.from_spill(args.spill_dir)
+            before = collection.n_sets
+            start = time.perf_counter()
+            collection.append(sets, universe_size=args.universe,
+                              memory_budget=budget)
+            elapsed = time.perf_counter() - start
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
@@ -853,12 +868,14 @@ def _cmd_ingest(args: argparse.Namespace, out) -> int:
 
 def _cmd_delete(args: argparse.Namespace, out) -> int:
     """Tombstone live sets of a spill artifact."""
+    from repro.core.integrity import writer_lock
     from repro.core.sharded import ShardedCollection
 
     try:
-        collection = ShardedCollection.from_spill(args.spill_dir)
-        before = collection.n_sets
-        collection.delete(args.sets)
+        with writer_lock(args.spill_dir):
+            collection = ShardedCollection.from_spill(args.spill_dir)
+            before = collection.n_sets
+            collection.delete(args.sets)
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
@@ -872,19 +889,21 @@ def _cmd_delete(args: argparse.Namespace, out) -> int:
 
 def _cmd_compact(args: argparse.Namespace, out) -> int:
     """Merge shards and purge tombstones under an optional budget."""
+    from repro.core.integrity import writer_lock
     from repro.core.sharded import ShardedCollection
     from repro.utils.memory import parse_memory_size
 
     try:
         budget = (parse_memory_size(args.memory_budget)
                   if args.memory_budget is not None else None)
-        collection = ShardedCollection.from_spill(args.spill_dir)
-        before_shards = collection.n_shards
-        before_tombstones = int(collection.tombstones.size)
-        before_generation = collection.generation
-        start = time.perf_counter()
-        collection.compact(memory_budget=budget, full=args.full)
-        elapsed = time.perf_counter() - start
+        with writer_lock(args.spill_dir):
+            collection = ShardedCollection.from_spill(args.spill_dir)
+            before_shards = collection.n_shards
+            before_tombstones = int(collection.tombstones.size)
+            before_generation = collection.generation
+            start = time.perf_counter()
+            collection.compact(memory_budget=budget, full=args.full)
+            elapsed = time.perf_counter() - start
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
@@ -1052,5 +1071,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def run() -> int:
+    """Process entry point (the ``repro`` script and ``python -m repro.cli``).
+
+    :func:`main`, then a frozen heap, so interpreter exit skips its full
+    collection: every command has closed (spills: fsynced) what it wrote.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -16,91 +16,23 @@ Public entry points:
   build shard by shard, spill packed buffers to disk, re-attach memory-mapped.
 """
 
-from repro.core.batch import BatchPairCounter, WidthClass, WidthClassIndex
-from repro.core.batmap import Batmap, build_batmap
-from repro.core.builder import EMPTY, Placement, PlacementStats, place_set
-from repro.core.collection import BatmapCollection, DeviceBuffer
-from repro.core.config import DEFAULT_CONFIG, BatmapConfig
-from repro.core.errors import (
-    BatmapError,
-    CapacityError,
-    DataFormatError,
-    DatasetError,
-    DeviceError,
-    InsertionFailure,
-    KernelLaunchError,
-    LayoutError,
-    ReproError,
-    SharedMemoryError,
-    SpillFormatError,
-)
-from repro.core.sharded import ShardedCollection, ShardedCollectionBuilder
-from repro.core.hashing import (
-    ArrayPermutation,
-    FeistelPermutation,
-    HashFamily,
-    make_permutations,
-)
-from repro.core.intersection import (
-    count_common,
-    count_common_bytes,
-    count_common_packed,
-    exact_intersection_size,
-)
-from repro.core.plan import (
-    CountPlan,
-    PlanFeatures,
-    plan_counts,
-    plan_levelwise,
-)
-from repro.core.swar import (
-    count_matches,
-    count_matches_folded,
-    count_matches_per_word,
-    match_bits,
-)
+from repro import _lazy
 
-__all__ = [
-    "Batmap",
-    "BatchPairCounter",
-    "WidthClass",
-    "WidthClassIndex",
-    "build_batmap",
-    "EMPTY",
-    "Placement",
-    "PlacementStats",
-    "place_set",
-    "BatmapCollection",
-    "DeviceBuffer",
-    "BatmapConfig",
-    "DEFAULT_CONFIG",
-    "HashFamily",
-    "ArrayPermutation",
-    "FeistelPermutation",
-    "make_permutations",
-    "count_common",
-    "count_common_bytes",
-    "count_common_packed",
-    "exact_intersection_size",
-    "CountPlan",
-    "PlanFeatures",
-    "plan_counts",
-    "plan_levelwise",
-    "count_matches",
-    "count_matches_folded",
-    "count_matches_per_word",
-    "match_bits",
-    "ReproError",
-    "BatmapError",
-    "InsertionFailure",
-    "CapacityError",
-    "LayoutError",
-    "DeviceError",
-    "KernelLaunchError",
-    "SharedMemoryError",
-    "DatasetError",
-    "DataFormatError",
-    "SpillFormatError",
-    "ShardedCollection",
-    "ShardedCollectionBuilder",
-]
+#: submodule -> the names it exports; each loads on first access (PEP 562),
+#: so a command imports only the modules it runs.
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "batmap": "Batmap build_batmap",
+    "batch": "BatchPairCounter WidthClassIndex",
+    "builder": "EMPTY Placement PlacementStats place_set",
+    "collection": "BatmapCollection DeviceBuffer",
+    "config": "BatmapConfig DEFAULT_CONFIG",
+    "hashing": "HashFamily ArrayPermutation FeistelPermutation make_permutations",
+    "intersection": "count_common count_common_bytes count_common_packed "
+                    "exact_intersection_size",
+    "plan": "CountPlan PlanFeatures plan_counts plan_levelwise",
+    "swar": "count_matches count_matches_folded count_matches_per_word match_bits",
+    "errors": "ReproError BatmapError InsertionFailure CapacityError LayoutError "
+              "DeviceError KernelLaunchError SharedMemoryError DatasetError "
+              "DataFormatError SpillFormatError",
+    "sharded": "ShardedCollection ShardedCollectionBuilder",
+})

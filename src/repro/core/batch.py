@@ -39,29 +39,37 @@ The module is split into two layers:
   compatibility once, owns the original-index <-> slot mapping and the
   cached all-pairs matrix.
 
-Every tiled query takes an optional :class:`TilePool`: the compiled fold
-releases the GIL for the whole call, so a pool of threads counts tiles in
-parallel over the same (possibly memory-mapped) rows, and each thread
-reduces its block straight into the dense matrix (tiles own disjoint
-regions) or the thread-safe result accumulator.  Without a pool the same
-tiles run inline.
+Every tiled query is one call of :func:`walk_tiles`: a walk over a
+sequence of :class:`Shard` (a width-class index plus where its slots land in
+the output) that covers an upper triangle or a rows x columns rectangle in
+class-pair tiles, skips tiles whose count bound cannot reach the sink's
+floor, and feeds one sink — a dense scatter, a
+:class:`~repro.core.results.SparseAccumulator`, a top-k heap or per-row
+top-k heaps.  An in-memory collection is one shard; a spill is one shard
+per spilled file set, attached only when the walk reaches it.  With a
+:class:`TilePool` the tiles run on threads: the compiled fold releases the
+GIL for the whole call, and each thread reduces its block straight into
+the sink (dense tiles own disjoint regions, the accumulators are
+thread-safe).
 
 The engine is the shared hot path for :meth:`BatmapCollection.count_all_pairs`,
 the boolean-matrix workloads (:mod:`repro.matrix.multiply`), the mining
-pipeline (:mod:`repro.mining.pair_mining`) and the parallel counters of
-:mod:`repro.parallel`.
+pipeline (:mod:`repro.mining.pair_mining`), the parallel and sharded
+counters of :mod:`repro.parallel` and the query server
+(:mod:`repro.serve.engine`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.errors import LayoutError
 from repro.core.intersection import require_compression_floor, require_same_family
 from repro.core.results import (
+    CountResult,
     DenseCountResult,
     SparseAccumulator,
     TopKAccumulator,
@@ -71,43 +79,38 @@ from repro.utils.arrays import sorted_unique
 from repro.utils.validation import require, require_positive
 
 __all__ = [
-    "WidthClass",
     "WidthClassIndex",
     "BatchPairCounter",
     "TilePool",
     "map_tiles",
+    "Shard",
+    "DenseSink",
+    "TopKSink",
+    "RowTopKSink",
+    "walk_tiles",
+    "count_shards",
     "DEFAULT_BLOCK_WORDS",
     "SPARSE_TILE_ENTRIES",
-    "sparse_all_pairs",
-    "sparse_cross",
-    "width_slot_bounds",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class WidthClass:
-    """All batmaps of one packed width, gathered into a dense word matrix.
-
-    ``eq=False``: the ndarray fields make the generated ``__eq__`` raise on
-    ambiguous truth values; identity comparison is the meaningful one here.
-    """
-
-    width: int                  #: packed width in 32-bit words (3 * r / 4)
-    sorted_indices: np.ndarray  #: sorted-order slots of the members, ascending
-    words: np.ndarray           #: uint32 matrix of shape (n_members, width)
-
-    def __len__(self) -> int:
-        return int(self.sorted_indices.size)
-
-
-#: Rows per band of :meth:`WidthClassIndex.all_pairs` within one width
-#: class: only the diagonal ``band x band`` blocks are counted twice.
+#: Rows per tile of a dense walk (sparse walks size tiles by
+#: :data:`SPARSE_TILE_ENTRIES`): within one width class only the diagonal
+#: ``band x band`` blocks of a triangle are counted twice.
 SYMMETRIC_BAND_ROWS = 128
+
+#: Upper bound on the entries of one sparse-mode count tile (the dense
+#: ``(rows, cols)`` int64 block that exists only transiently between the
+#: SWAR fold and the nonzero extraction).  2**20 entries keep each
+#: temporary at 8 MB — small enough that the sparse path's peak is governed
+#: by the stored nonzeros, not by tile scratch.
+SPARSE_TILE_ENTRIES = 1 << 20
 
 
 def _span(slots: np.ndarray):
-    """``slots`` as a slice when they are consecutive (width-sorted classes are)."""
-    if slots.size and int(slots[-1]) - int(slots[0]) == slots.size - 1:
+    """``slots`` as a slice when they run consecutively upward (width-sorted classes do)."""
+    if (slots.size and int(slots[-1]) - int(slots[0]) == slots.size - 1
+            and (slots.size < 3 or bool((np.diff(slots) == 1).all()))):
         return slice(int(slots[0]), int(slots[-1]) + 1)
     return slots
 
@@ -249,13 +252,6 @@ class WidthClassIndex:
             self._class_words[class_index] = self._gather(self.members[class_index])
         return self._class_words[class_index]
 
-    def width_class(self, class_index: int) -> WidthClass:
-        return WidthClass(
-            width=int(self.class_widths[class_index]),
-            sorted_indices=self.members[class_index],
-            words=self.class_words(class_index),
-        )
-
     def _gather(self, slots: np.ndarray) -> np.ndarray:
         """Word matrix for slots that all share one width (direct buffer gather)."""
         width = int(self.widths[slots[0]]) if slots.size else 0
@@ -263,10 +259,10 @@ class WidthClassIndex:
         return self.words[gather]
 
     def _rows(self, slots: np.ndarray, class_index: int) -> np.ndarray:
-        """Rows for same-class slots; reuses the class cache when it exists."""
+        """Rows for same-class slots; a view of the class cache when it exists."""
         cached = self._class_words[class_index]
         if cached is not None:
-            return cached[self.row_of[slots]]
+            return cached[_span(self.row_of[slots])]
         return self._gather(slots)
 
     def _fold(self, large: np.ndarray, small: np.ndarray) -> np.ndarray:
@@ -280,39 +276,16 @@ class WidthClassIndex:
                   band_rows: int | None = None) -> np.ndarray:
         """Dense ``n x n`` count matrix in width-sorted (slot) order.
 
-        Counted in bands of ``band_rows`` rows (default
-        :data:`SYMMETRIC_BAND_ROWS`): within a class a band meets
-        the columns from its own first row on (the rest is its mirror), and
-        a band of a wider class meets every row of each narrower one.
-        The diagonal needs no special-casing: comparing a batmap with itself
-        matches exactly the slots whose indicator bit is set, one per stored
-        element, i.e. :attr:`Batmap.stored_count`.
+        A triangle walk (:func:`walk_tiles`) in bands of ``band_rows`` rows
+        (default :data:`SYMMETRIC_BAND_ROWS`), each band scattered with its
+        mirror.  The diagonal needs no special-casing: comparing a batmap
+        with itself matches exactly the slots whose indicator bit is set,
+        one per stored element, i.e. :attr:`Batmap.stored_count`.
         """
-        band_rows = band_rows or SYMMETRIC_BAND_ROWS
-        out = np.empty((self.n_slots, self.n_slots), dtype=np.int64)
-
-        def bands():
-            for narrow in range(self.n_classes):
-                self.class_words(narrow)
-                for wide in range(narrow, self.n_classes):
-                    self.class_words(wide)
-                    for start in range(0, self.members[wide].size, band_rows):
-                        yield wide, narrow, start
-
-        def count(band) -> None:
-            # bands own disjoint regions of ``out`` (a band and its mirror)
-            wide, narrow, start = band
-            first = start if wide == narrow else 0
-            block = self._fold(self._class_words[wide][start:start + band_rows],
-                               self._class_words[narrow][first:])
-            rows = self.members[wide][start:start + band_rows]
-            cols = self.members[narrow][first:]
-            _scatter(out, rows, cols, block)
-            _scatter(out, cols, rows, block.T)
-
-        for _ in map_tiles(count, bands(), pool):
-            pass
-        return out
+        slots = np.arange(self.n_slots)
+        return count_shards([Shard(self, slots, slots)],
+                            shape=(self.n_slots, self.n_slots),
+                            pool=pool, band_rows=band_rows).matrix()
 
     def cross_slots(self, row_slots, col_slots, *, pool: TilePool | None = None,
                     band_rows: int | None = None) -> np.ndarray:
@@ -334,25 +307,18 @@ class WidthClassIndex:
         ``r0`` for exactly this reason) and every pair of widths to nest;
         the nesting is checked here, the shared ``r0`` is the caller's
         contract.  With ``other is self`` this is :meth:`cross_slots`.
-        Each class pair is cut into tiles of ``band_rows`` rows (default:
-        one tile), run on ``pool`` when one is given.
+        A rectangle walk (:func:`walk_tiles`) in tiles of ``band_rows``
+        rows, run on ``pool`` when one is given.
         """
         row_slots = (np.arange(self.n_slots) if row_slots is None
                      else np.asarray(row_slots, dtype=np.int64).ravel())
         col_slots = (np.arange(other.n_slots) if col_slots is None
                      else np.asarray(col_slots, dtype=np.int64).ravel())
-        out = np.zeros((row_slots.size, col_slots.size), dtype=np.int64)
-        if row_slots.size == 0 or col_slots.size == 0:
-            return out
-        def count(tile) -> None:
-            _scatter(out, tile[1], tile[3],
-                     _fold_tile(self, other, row_slots, col_slots, tile))
-
-        tiles = _cross_tiles(self, other, row_slots, col_slots,
-                             lambda n_cols: band_rows or row_slots.size)
-        for _ in map_tiles(count, tiles, pool):
-            pass
-        return out
+        return count_shards(
+            [Shard(self, row_slots, np.arange(row_slots.size))],
+            [Shard(other, col_slots, np.arange(col_slots.size))],
+            shape=(row_slots.size, col_slots.size),
+            pool=pool, band_rows=band_rows).matrix()
 
     def pairwise_slots(self, a_slots, b_slots) -> np.ndarray:
         """Aligned counts: slot ``a_slots[k]`` intersected with ``b_slots[k]``."""
@@ -390,199 +356,215 @@ class WidthClassIndex:
         return out
 
 
-def _cross_tiles(index, other, row_slots, col_slots, rows_per_tile):
-    """Class-pair tiles of a rectangle: ``(ci, row positions, cj, col positions)``.
+class Shard(NamedTuple):
+    """One width-class index in a walk, and where its slots land in the output.
 
-    Positions index ``row_slots`` / ``col_slots``; each class pair is cut
-    into tiles of at most ``rows_per_tile(n_cols)`` rows.
+    ``index`` is a :class:`WidthClassIndex` or a zero-argument callable
+    attaching one when the walk reaches it.  Slot ``slots[k]`` (ascending in
+    a triangle; a rectangle's may repeat) is output row/column ``ids[k]``
+    and has counts of at most ``bounds[k]`` (optional, for pruning).
     """
-    if other is not index:
-        _require_nested(index.class_widths, other.class_widths)
-    row_class = index.class_of[row_slots]
-    col_class = other.class_of[col_slots]
-    for cj in sorted_unique(col_class).tolist():
-        col_pos = np.flatnonzero(col_class == cj)
-        chunk = rows_per_tile(col_pos.size)
-        for ci in sorted_unique(row_class).tolist():
-            row_pos = np.flatnonzero(row_class == ci)
-            for start in range(0, row_pos.size, chunk):
-                yield ci, row_pos[start:start + chunk], cj, col_pos
+
+    index: object
+    slots: np.ndarray
+    ids: np.ndarray
+    bounds: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, index, slot_ids, bounds=None) -> "Shard":
+        """A shard from a slot -> output id map; slots mapped to -1 are not counted."""
+        slot_ids = np.asarray(slot_ids, dtype=np.int64)
+        slots = np.flatnonzero(slot_ids >= 0)
+        if bounds is not None:
+            bounds = np.asarray(bounds, dtype=np.int64)[slots]
+        return cls(index, slots, slot_ids[slots], bounds)
+
+    def attached(self) -> "Shard":
+        if isinstance(self.index, WidthClassIndex):
+            return self
+        return self._replace(index=self.index())
 
 
-def _fold_tile(index, other, row_slots, col_slots, tile) -> np.ndarray:
-    """Counts of one :func:`_cross_tiles` tile, the wider side folded onto the narrower."""
-    ci, row_pos, cj, col_pos = tile
-    a = index._rows(row_slots[row_pos], ci)
-    b = other._rows(col_slots[col_pos], cj)
-    if a.shape[1] >= b.shape[1]:
-        return index._fold(a, b)
-    return index._fold(b, a).T
+class DenseSink:
+    """Scatter tiles into a dense matrix; ``mirror`` also writes each transpose.
+
+    Tiles own disjoint regions (a tile and its mirror): threads need no lock.
+    """
+
+    def __init__(self, out: np.ndarray, *, mirror: bool = False) -> None:
+        self.out = out
+        self.mirror = mirror
+
+    def floor(self, rows) -> int:
+        return 0
+
+    def add_block(self, rows, cols, block) -> None:
+        _scatter(self.out, rows, cols, block)
+        if self.mirror:
+            _scatter(self.out, cols, rows, block.T)
 
 
-#: Upper bound on the entries of one sparse-mode count tile (the dense
-#: ``(rows, cols)`` int64 block that exists only transiently between the
-#: SWAR fold and the nonzero extraction).  2**20 entries keep each
-#: temporary at 8 MB — small enough that the sparse path's peak is governed
-#: by the stored nonzeros, not by tile scratch.
-SPARSE_TILE_ENTRIES = 1 << 20
+class TopKSink:
+    """The ``k`` best off-diagonal pairs at or above ``min_support`` (one heap)."""
+
+    mirror = False
+
+    def __init__(self, k: int, min_support: int) -> None:
+        self.heap = TopKAccumulator(k)
+        self.min_support = min_support
+
+    def floor(self, rows) -> int:
+        return max(self.min_support, self.heap.floor)
+
+    def add_block(self, rows, cols, block) -> None:
+        r, c = np.nonzero(block >= max(1, self.floor(rows)))
+        keep = rows[r] != cols[c]
+        oi, oj = rows[r][keep], cols[c][keep]
+        if oi.size:
+            self.heap.push(np.minimum(oi, oj), np.maximum(oi, oj),
+                           block[r, c][keep])
 
 
-def _tile_rows(tile_entries: int, n_cols: int, band_rows: int | None) -> int:
-    """Rows per sparse tile: ``tile_entries`` worth, capped at ``band_rows``."""
+class RowTopKSink:
+    """A top-``limits[i]`` heap per output row ``i``, column ``exclude[i]`` left out.
+
+    Candidates rank as ``(j, j)`` pairs, so ties break by ascending column.
+    Rows with a zero limit get no heap and must not be walked.
+    """
+
+    mirror = False
+
+    def __init__(self, limits, exclude) -> None:
+        self.heaps = [TopKAccumulator(limit) if limit > 0 else None
+                      for limit in limits]
+        self.exclude = np.asarray(exclude, dtype=np.int64)
+
+    def floor(self, rows) -> int:
+        return min(self.heaps[i].floor for i in rows.tolist())
+
+    def add_block(self, rows, cols, block) -> None:
+        for k, i in enumerate(rows.tolist()):
+            keep = cols != self.exclude[i]
+            self.heaps[i].push(cols[keep], cols[keep], block[k][keep])
+
+
+def _tile_rows(tile_entries: int | None, n_cols: int, band_rows: int | None) -> int:
+    """Rows per tile: ``tile_entries`` worth (capped at ``band_rows``), or a dense band."""
+    if tile_entries is None:
+        return band_rows or SYMMETRIC_BAND_ROWS
     rows = max(1, tile_entries // max(1, n_cols))
     return rows if band_rows is None else min(rows, band_rows)
 
 
-def width_slot_bounds(widths, failed_per_slot=None) -> np.ndarray:
-    """Per-slot count upper bounds derived from packed row widths alone.
+def walk_tiles(rows, cols=None, *, sink, pool: TilePool | None = None,
+               band_rows: int | None = None, tile_entries: int | None = None) -> dict:
+    """Count every pair of a triangle or a rectangle of shards into ``sink``.
 
-    A row of ``w`` words holds ``4 * w = 3r`` byte entries, and every stored
-    element occupies two cuckoo copies, so at most ``2 * w`` elements are
-    stored; adding the per-set failed-insertion count bounds the *repaired*
-    set size as well.  Exact set sizes (when the caller knows them — the
-    miner's item supports, a live collection's ``Batmap.set_size``) give a
-    tighter bound; this is the fallback for mmap'd spilled shards where
-    only the layout is resident.
+    Without ``cols`` the walk covers each unordered pair of the ``rows``
+    shards' slots once: every shard with itself, then with each later one;
+    with ``cols`` it covers ``rows x cols``.  Shards are attached as the walk
+    reaches them, one row and one column shard at a time.  Each shard pair
+    is cut into class-pair tiles of ``tile_entries`` worth of rows (capped
+    at ``band_rows``), or of ``band_rows`` rows (default
+    :data:`SYMMETRIC_BAND_ROWS`) without ``tile_entries``.  A triangle's
+    same-class tile meets the columns from its first row on, masked to the
+    slot-order upper triangle unless the sink mirrors.
+
+    ``sink`` has ``mirror``, ``floor(row_ids)`` and ``add_block(row_ids,
+    col_ids, block)``; a tile whose bound ``min(max(row bounds), max(column
+    bounds))`` is below the floor is skipped before any SWAR work.  Tiles
+    are pulled and pruned in the calling thread and counted on ``pool``
+    (``add_block`` then runs on its threads).  Returns ``{"tiles_total":
+    ..., "tiles_skipped": ...}``.
     """
-    bounds = 2 * np.asarray(widths, dtype=np.int64)
-    if failed_per_slot is not None:
-        bounds = bounds + np.asarray(failed_per_slot, dtype=np.int64)
-    return bounds
-
-
-def sparse_all_pairs(
-    index: WidthClassIndex,
-    *,
-    consume,
-    bounds=None,
-    threshold=None,
-    tile_entries: int = SPARSE_TILE_ENTRIES,
-    pool: TilePool | None = None,
-    band_rows: int | None = None,
-) -> dict:
-    """All-pairs counting as a stream of pruned tiles instead of one matrix.
-
-    Walks the same class-pair structure as :meth:`WidthClassIndex.all_pairs`
-    but chunks each class pair into row tiles of at most ``tile_entries``
-    entries (and ``band_rows`` rows, when given) and hands every *computed*
-    tile to ``consume(rows, cols, block)`` (slot-space axes) instead of
-    scattering into a preallocated ``n x n`` result.  Before any SWAR work,
-    each tile's count upper bound — ``min(max(bounds[rows]),
-    max(bounds[cols]))`` — is tested against the caller's running
-    ``threshold()``; tiles strictly below it are skipped entirely.
-    Same-class tiles are pre-masked to the slot-space upper triangle so each
-    unordered pair reaches ``consume`` exactly once (diagonal self-counts
-    included).  With a ``pool`` the tiles are counted on its threads, and
-    ``consume`` runs on them too: it must be thread-safe (the result
-    accumulators are).
-
-    Returns pruning telemetry: ``{"tiles_total": ..., "tiles_skipped": ...}``.
-    """
-    require_positive(tile_entries, "tile_entries")
-    thr = threshold if threshold is not None else (lambda: 0)
-    if bounds is not None:
-        bounds = np.asarray(bounds, dtype=np.int64)
     stats = {"tiles_total": 0, "tiles_skipped": 0}
 
+    def shard_pairs():
+        for p, row in enumerate(rows):
+            if row.slots.size == 0:
+                continue
+            row = row.attached()
+            if cols is None:
+                yield row, row, True
+            for col in (rows[p + 1:] if cols is None else cols):
+                if col.slots.size:
+                    yield row, col.attached(), False
+
     def tiles():
-        for ci in range(index.n_classes):
-            cols = index.members[ci]
-            index.class_words(ci)
-            col_bound = int(bounds[cols].max()) if bounds is not None else None
-            chunk = _tile_rows(tile_entries, cols.size, band_rows)
-            for cj in range(ci, index.n_classes):
-                rows_all = index.members[cj]
-                for start in range(0, rows_all.size, chunk):
-                    rows = rows_all[start:start + chunk]
-                    stats["tiles_total"] += 1
-                    floor = thr()
-                    if floor > 0 and bounds is not None:
-                        if min(int(bounds[rows].max()), col_bound) < floor:
-                            stats["tiles_skipped"] += 1
-                            continue
-                    yield ci, cj, rows
+        for row, col, triangle in shard_pairs():
+            if not triangle and col.index is not row.index:
+                _require_nested(row.index.class_widths, col.index.class_widths)
+            prunable = row.bounds is not None and col.bounds is not None
+            row_class = row.index.class_of[row.slots]
+            col_class = col.index.class_of[col.slots]
+            for c in sorted_unique(row_class).tolist() if triangle else ():
+                row.index.class_words(c)  # a triangle reads every class whole
+            for cj in sorted_unique(col_class).tolist():
+                col_pos = np.flatnonzero(col_class == cj)
+                chunk = _tile_rows(tile_entries, col_pos.size, band_rows)
+                col_bound = int(col.bounds[col_pos].max()) if prunable else 0
+                for ci in sorted_unique(row_class).tolist():
+                    if triangle and ci < cj:
+                        continue
+                    row_pos = np.flatnonzero(row_class == ci)
+                    for start in range(0, row_pos.size, chunk):
+                        rp = row_pos[start:start + chunk]
+                        diagonal = triangle and ci == cj
+                        stats["tiles_total"] += 1
+                        if prunable:
+                            floor = sink.floor(row.ids[rp])
+                            if floor > 0 and min(int(row.bounds[rp].max()),
+                                                 col_bound) < floor:
+                                stats["tiles_skipped"] += 1
+                                continue
+                        yield (row, ci, rp, col, cj,
+                               col_pos[start:] if diagonal else col_pos, diagonal)
 
     def count(tile) -> None:
-        ci, cj, rows = tile
-        cols = index.members[ci]
-        a = index._rows(rows, cj)
-        b = index.class_words(ci)
-        if ci != cj:
-            consume(rows, cols, index._fold(a, b))
-            return
-        # columns left of the first row lie wholly below the diagonal:
-        # masked to zero, so never counted
-        first = int(np.searchsorted(cols, rows[0]))
-        block = np.zeros((rows.size, cols.size), dtype=np.int64)
-        block[:, first:] = index._fold(a, b[first:])
-        consume(rows, cols, np.where(rows[:, None] <= cols[None, :], block, 0))
+        row, ci, rp, col, cj, cp, diagonal = tile
+        a = row.index._rows(row.slots[rp], ci)
+        b = col.index._rows(col.slots[cp], cj)
+        block = (row.index._fold(a, b) if a.shape[1] >= b.shape[1]
+                 else row.index._fold(b, a).T)
+        if diagonal and not sink.mirror:
+            block = np.where(row.slots[rp][:, None] <= col.slots[cp][None, :],
+                             block, 0)
+        sink.add_block(row.ids[rp], col.ids[cp], block)
 
     for _ in map_tiles(count, tiles(), pool):
         pass
     return stats
 
 
-def sparse_cross(
-    index: WidthClassIndex,
-    other: WidthClassIndex,
-    *,
-    consume,
-    row_slots=None,
-    col_slots=None,
-    row_bounds=None,
-    col_bounds=None,
-    threshold=None,
-    tile_entries: int = SPARSE_TILE_ENTRIES,
-    pool: TilePool | None = None,
-    band_rows: int | None = None,
-) -> dict:
-    """Rectangular counting as a stream of pruned tiles (cross-buffer safe).
+def count_shards(rows, cols=None, *, shape, result_format: str = "dense",
+                 min_support: int = 0, top_k: int | None = None, repairable=None,
+                 pool: TilePool | None = None, band_rows: int | None = None,
+                 tile_entries: int = SPARSE_TILE_ENTRIES) -> CountResult:
+    """One :func:`walk_tiles` walk as a :class:`~repro.core.results.CountResult` of ``shape``.
 
-    The sparse counterpart of :meth:`WidthClassIndex.cross_index`: rows are
-    gathered from ``index``, columns from ``other`` (which may be ``index``
-    itself), grouped by width-class pair, chunked to ``tile_entries``
-    (and ``band_rows``) and pruned against ``threshold()`` exactly as
-    :func:`sparse_all_pairs` does, on ``pool`` when one is given (where
-    ``consume`` must be thread-safe).
-    ``consume(rows, cols, block)`` receives *slot ids* on each side — every
-    ordered (row, col) pair exactly once, no triangle masking — so the
-    caller owns the slot-to-global mapping and any symmetry canonicalisation.
+    A triangle (no ``cols``) is symmetric.  ``"sparse"`` keeps COO triplets
+    pruned at ``min_support`` (``repairable``: see
+    :class:`~repro.core.results.SparseAccumulator`); ``top_k`` keeps the
+    ``k`` best off-diagonal pairs, the heap floor tightening the pruning.
     """
-    require_positive(tile_entries, "tile_entries")
-    thr = threshold if threshold is not None else (lambda: 0)
-    row_slots = (np.arange(index.n_slots) if row_slots is None
-                 else np.asarray(row_slots, dtype=np.int64).ravel())
-    col_slots = (np.arange(other.n_slots) if col_slots is None
-                 else np.asarray(col_slots, dtype=np.int64).ravel())
-    stats = {"tiles_total": 0, "tiles_skipped": 0}
-    if row_slots.size == 0 or col_slots.size == 0:
-        return stats
-    prunable = row_bounds is not None and col_bounds is not None
-    if prunable:
-        row_bounds = np.asarray(row_bounds, dtype=np.int64)
-        col_bounds = np.asarray(col_bounds, dtype=np.int64)
-
-    def tiles():
-        for tile in _cross_tiles(
-                index, other, row_slots, col_slots,
-                lambda n_cols: _tile_rows(tile_entries, n_cols, band_rows)):
-            stats["tiles_total"] += 1
-            floor = thr()
-            if floor > 0 and prunable:
-                _, row_pos, _, col_pos = tile
-                if min(int(row_bounds[row_slots[row_pos]].max()),
-                       int(col_bounds[col_slots[col_pos]].max())) < floor:
-                    stats["tiles_skipped"] += 1
-                    continue
-            yield tile
-
-    def count(tile) -> None:
-        consume(row_slots[tile[1]], col_slots[tile[3]],
-                _fold_tile(index, other, row_slots, col_slots, tile))
-
-    for _ in map_tiles(count, tiles(), pool):
-        pass
-    return stats
+    if top_k is not None:
+        sink = TopKSink(top_k, min_support)
+        stats = walk_tiles(rows, cols, sink=sink, pool=pool, band_rows=band_rows,
+                           tile_entries=tile_entries)
+        return sink.heap.result(shape[0], min_support=min_support, stats=stats,
+                                fill_zeros=min_support <= 1)
+    symmetric = cols is None
+    if result_format == "dense":
+        out = np.zeros(shape, dtype=np.int64)
+        stats = walk_tiles(rows, cols, sink=DenseSink(out, mirror=symmetric),
+                           pool=pool, band_rows=band_rows)
+        return DenseCountResult(out, symmetric=symmetric, stats=stats)
+    acc = SparseAccumulator(*shape, symmetric=symmetric, min_support=min_support,
+                            repairable=repairable)
+    stats = walk_tiles(rows, cols, sink=acc, pool=pool, band_rows=band_rows,
+                       tile_entries=tile_entries)
+    acc.tiles_total, acc.tiles_skipped = stats["tiles_total"], stats["tiles_skipped"]
+    return acc.finalize()
 
 
 class BatchPairCounter:
@@ -612,11 +594,6 @@ class BatchPairCounter:
             buffer.words, buffer.offsets, buffer.widths, block_words=block_words
         )
         self._counts_sorted = None
-
-    @property
-    def classes(self) -> list[WidthClass]:
-        """The width classes as dense matrices (materialised on access)."""
-        return [self.index.width_class(i) for i in range(self.index.n_classes)]
 
     # ------------------------------------------------------------------ #
     # Validation (once per engine, replacing the per-pair _check_compatible)
@@ -693,23 +670,7 @@ class BatchPairCounter:
         ranking convention as :meth:`repro.mining.support.PairSupports.top_k`).
         """
         require_positive(k, "k")
-        counts = self.count_all_pairs()
-        n = counts.shape[0]
-        iu, ju = np.triu_indices(n, 1)
-        values = counts[iu, ju]
-        k = min(k, values.size)
-        if k == 0:
-            return []
-        # partial-select, then widen to every pair tied at the selection
-        # boundary so rank ties resolve by the index convention (argpartition
-        # alone picks an arbitrary subset of boundary ties), then exact-sort
-        # only that candidate pool
-        candidate = np.argpartition(values, -k)[-k:]
-        boundary = int(values[candidate].min())
-        pool = np.nonzero(values >= boundary)[0]
-        order = np.lexsort((ju[pool], iu[pool], -values[pool]))
-        ranked = pool[order][:k]
-        return [((int(iu[idx]), int(ju[idx])), int(values[idx])) for idx in ranked]
+        return self.count_result(top_k=k).ranked()
 
     # ------------------------------------------------------------------ #
     # CountResult-producing queries (sparse / pruned / top-k)
@@ -749,8 +710,8 @@ class BatchPairCounter:
         """All-pairs counts as a :class:`~repro.core.results.CountResult`.
 
         ``result_format="dense"`` wraps the cached dense matrix (the oracle
-        path, unchanged).  ``"sparse"`` streams pruned tiles through
-        :func:`sparse_all_pairs`: tiles whose count upper bound (from
+        path, unchanged).  ``"sparse"`` is a pruned triangle walk
+        (:func:`count_shards`): tiles whose count upper bound (from
         ``bounds``, default :meth:`slot_bounds`) falls below ``min_support``
         are skipped before any SWAR work, and surviving nonzeros accumulate
         as COO triplets in original index order.  ``top_k=k`` instead keeps
@@ -760,51 +721,19 @@ class BatchPairCounter:
         require(result_format in ("dense", "sparse"),
                 f"result_format must be 'dense' or 'sparse', got {result_format!r}")
         require(min_support >= 0, f"min_support must be >= 0, got {min_support}")
-        order = self.collection.order
-        n = len(order)
-        if bounds is None:
-            bounds = self.slot_bounds()
-        if top_k is not None:
-            acc = TopKAccumulator(top_k)
-
-            def consume_topk(rows, cols, block):
-                floor = max(1, min_support, acc.floor)
-                r_local, c_local = np.nonzero(block >= floor)
-                if r_local.size == 0:
-                    return
-                oi = order[rows[r_local]]
-                oj = order[cols[c_local]]
-                keep = oi != oj
-                if not keep.any():
-                    return
-                values = block[r_local, c_local][keep]
-                oi, oj = oi[keep], oj[keep]
-                acc.push(np.minimum(oi, oj), np.maximum(oi, oj), values)
-
-            stats = sparse_all_pairs(
-                self.index, consume=consume_topk, bounds=bounds,
-                threshold=lambda: max(min_support, acc.floor),
-                tile_entries=tile_entries, pool=self._pool,
-                band_rows=self._band_rows)
-            return acc.result(n, min_support=min_support, stats=stats,
-                              fill_zeros=min_support <= 1)
-        if result_format == "dense":
+        if top_k is None and result_format == "dense":
             # the dense path computes every count — nothing is pruned, so
             # the result carries no filtering floor
             return DenseCountResult(self.count_all_pairs())
-        sparse = SparseAccumulator(n, min_support=min_support,
-                                   repairable=self.repairable())
-
-        def consume(rows, cols, block):
-            sparse.add_block(order[rows], order[cols], block)
-
-        stats = sparse_all_pairs(
-            self.index, consume=consume, bounds=bounds,
-            threshold=lambda: min_support, tile_entries=tile_entries,
-            pool=self._pool, band_rows=self._band_rows)
-        sparse.tiles_total = stats["tiles_total"]
-        sparse.tiles_skipped = stats["tiles_skipped"]
-        return sparse.finalize()
+        n = len(self.collection)
+        shard = Shard(self.index, np.arange(n), self.collection.order,
+                      self.slot_bounds() if bounds is None
+                      else np.asarray(bounds, dtype=np.int64))
+        return count_shards(
+            [shard], shape=(n, n), result_format=result_format,
+            min_support=min_support, top_k=top_k,
+            repairable=self.repairable() if top_k is None else None,
+            pool=self._pool, band_rows=self._band_rows, tile_entries=tile_entries)
 
     def count_cross_result(
         self,
@@ -817,8 +746,7 @@ class BatchPairCounter:
     ):
         """Rectangular counts (:meth:`count_cross` shape) as a sparse result.
 
-        ``rows`` / ``cols`` are *original* set indices (each side free of
-        duplicates); the returned non-symmetric
+        ``rows`` / ``cols`` are *original* set indices; the returned non-symmetric
         :class:`~repro.core.results.SparseCountResult` is indexed by
         position within those lists — entry ``(p, q)`` is the count of
         ``rows[p]`` x ``cols[q]``.  With ``min_support > 0``, tiles whose
@@ -828,31 +756,13 @@ class BatchPairCounter:
         require(min_support >= 0, f"min_support must be >= 0, got {min_support}")
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
-        require(sorted_unique(rows).size == rows.size
-                and sorted_unique(cols).size == cols.size,
-                "count_cross_result requires duplicate-free index lists")
-        rank = self.collection.rank
-        row_slots = rank[rows]
-        col_slots = rank[cols]
-        n = len(self.collection)
-        row_of = np.full(n, -1, dtype=np.int64)
-        row_of[row_slots] = np.arange(rows.size)
-        col_of = np.full(n, -1, dtype=np.int64)
-        col_of[col_slots] = np.arange(cols.size)
-        if bounds is None:
-            bounds = self.slot_bounds()
-        acc = SparseAccumulator(rows.size, cols.size, symmetric=False,
-                                min_support=min_support)
-
-        def consume(r_slots, c_slots, block):
-            acc.add_block(row_of[r_slots], col_of[c_slots], block)
-
-        stats = sparse_cross(
-            self.index, self.index, consume=consume,
-            row_slots=row_slots, col_slots=col_slots,
-            row_bounds=bounds, col_bounds=bounds,
-            threshold=(lambda: min_support) if min_support > 0 else None,
-            tile_entries=tile_entries, pool=self._pool, band_rows=self._band_rows)
-        acc.tiles_total = stats["tiles_total"]
-        acc.tiles_skipped = stats["tiles_skipped"]
-        return acc.finalize()
+        bounds = (self.slot_bounds() if bounds is None
+                  else np.asarray(bounds, dtype=np.int64))
+        row_slots = self.collection.rank[rows]
+        col_slots = self.collection.rank[cols]
+        return count_shards(
+            [Shard(self.index, row_slots, np.arange(rows.size), bounds[row_slots])],
+            [Shard(self.index, col_slots, np.arange(cols.size), bounds[col_slots])],
+            shape=(rows.size, cols.size), result_format="sparse",
+            min_support=min_support, pool=self._pool, band_rows=self._band_rows,
+            tile_entries=tile_entries)

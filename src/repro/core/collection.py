@@ -414,11 +414,7 @@ class BatmapCollection:
         running-heap result.  Every backend produces bit-identical surviving
         counts; the dense format remains the oracle.
         """
-        from repro.core.plan import (  # parallel sits above core
-            PlanFeatures,
-            plan_counts,
-            resolve_result_format,
-        )
+        from repro.core.plan import PlanFeatures, plan_counts, resolve_result_format
 
         require(compute in (None, "auto", "host", "batch", "parallel"),
                 f"compute must be 'auto', 'host', 'batch' or 'parallel', got {compute!r}")
@@ -438,35 +434,23 @@ class BatmapCollection:
             result_format=fmt, min_support=min_support, top_k=top_k)
 
     def _loop_count_result(self, fmt: str, min_support: int, top_k):
-        """Reference-loop counts converted to the requested result shape.
+        """Reference-loop counts fed, as one tile, to the requested result's sink.
 
         The per-pair loop computes everything (no tiles exist to prune), so
-        the conversion is pure reshaping and the result carries no pruning
-        floor.
+        the result carries no pruning floor.
         """
-        from repro.core.results import (
-            DenseCountResult,
-            SparseCountResult,
-            TopKAccumulator,
-        )
+        from repro.core.batch import TopKSink
+        from repro.core.results import DenseCountResult, SparseAccumulator
 
         dense = self._count_all_pairs_loop()
-        n = dense.shape[0]
-        if top_k is not None:
-            acc = TopKAccumulator(top_k)
-            iu, ju = np.triu_indices(n, k=1)
-            values = dense[iu, ju]
-            keep = values >= max(1, min_support)
-            acc.push(iu[keep], ju[keep], values[keep])
-            return acc.result(n, min_support=min_support,
-                              fill_zeros=min_support <= 1)
-        if fmt == "dense":
+        if top_k is None and fmt == "dense":
             return DenseCountResult(dense)
-        iu, ju = np.triu_indices(n, k=0)
-        values = dense[iu, ju]
-        keep = values != 0
-        return SparseCountResult(n, rows=iu[keep], cols=ju[keep],
-                                 values=values[keep])
+        n, ids = len(self), np.arange(len(self))
+        sink = SparseAccumulator(n) if top_k is None else TopKSink(top_k, min_support)
+        sink.add_block(ids, ids, np.triu(dense))
+        if top_k is None:
+            return sink.finalize()
+        return sink.heap.result(n, min_support=min_support, fill_zeros=min_support <= 1)
 
     def _count_all_pairs_loop(self) -> np.ndarray:
         """Per-pair reference loop, kept for sub-word ranges and verification."""

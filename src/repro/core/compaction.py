@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.integrity import AtomicCommit, file_digest
+from repro.core.integrity import AtomicCommit, file_digest, writer_lock
 from repro.core.sharded import (
     SHARD_BUDGET_DIVISOR,
     ShardInfo,
@@ -274,90 +274,91 @@ def compact(
         return sharded
 
     generation = sharded.generation + 1
-    commit = AtomicCommit(sharded.spill_dir)
-    try:
-        new_shards: list[ShardInfo] = []
-        running_lo = 0
-        merged_count = 0
-        k = 0
-        while k < len(sharded.shards):
-            task = by_start.get(k)
-            if task is None or _is_noop(task):
-                shard = sharded.shards[k]
-                n = shard.n_sets
-                new_shards.append(ShardInfo(
-                    index=len(new_shards), lo=running_lo, hi=running_lo + n,
-                    directory=shard.directory, nbytes=shard.nbytes,
-                    build_backend=shard.build_backend, order=shard.order,
-                    failed=shard.failed, kind=shard.kind,
-                    file_digests=shard.file_digests,
-                ))
-                running_lo += n
-                k += 1
-                continue
-            members = sharded.shards[task.start:task.stop]
-            name = f"compact_{generation:04d}_{merged_count:04d}"
-            merged_count += 1
-            faultpoint("compact.merge")
-            info, _ = _merge_group(sharded, members, commit.stage(name),
-                                   tombstoned)
-            if info.hi > 0:  # skip fully-purged (empty) groups entirely
-                new_shards.append(ShardInfo(
-                    index=len(new_shards), lo=running_lo,
-                    hi=running_lo + info.hi,
-                    directory=sharded.spill_dir / name, nbytes=info.nbytes,
-                    build_backend=info.build_backend, order=info.order,
-                    failed=info.failed, kind=info.kind,
-                    file_digests=info.file_digests,
-                ))
-                running_lo += info.hi
-            else:
-                # The staged (empty) directory still gets renamed in at
-                # commit; unreferenced, it is swept as garbage right after.
-                commit.add_garbage(sharded.spill_dir / name)
-            for shard in members:
-                commit.add_garbage(shard.directory)
-            k = task.stop
+    with writer_lock(sharded.spill_dir, sharded.generation):
+        commit = AtomicCommit(sharded.spill_dir)
+        try:
+            new_shards: list[ShardInfo] = []
+            running_lo = 0
+            merged_count = 0
+            k = 0
+            while k < len(sharded.shards):
+                task = by_start.get(k)
+                if task is None or _is_noop(task):
+                    shard = sharded.shards[k]
+                    n = shard.n_sets
+                    new_shards.append(ShardInfo(
+                        index=len(new_shards), lo=running_lo, hi=running_lo + n,
+                        directory=shard.directory, nbytes=shard.nbytes,
+                        build_backend=shard.build_backend, order=shard.order,
+                        failed=shard.failed, kind=shard.kind,
+                        file_digests=shard.file_digests,
+                    ))
+                    running_lo += n
+                    k += 1
+                    continue
+                members = sharded.shards[task.start:task.stop]
+                name = f"compact_{generation:04d}_{merged_count:04d}"
+                merged_count += 1
+                faultpoint("compact.merge")
+                info, _ = _merge_group(sharded, members, commit.stage(name),
+                                       tombstoned)
+                if info.hi > 0:  # skip fully-purged (empty) groups entirely
+                    new_shards.append(ShardInfo(
+                        index=len(new_shards), lo=running_lo,
+                        hi=running_lo + info.hi,
+                        directory=sharded.spill_dir / name, nbytes=info.nbytes,
+                        build_backend=info.build_backend, order=info.order,
+                        failed=info.failed, kind=info.kind,
+                        file_digests=info.file_digests,
+                    ))
+                    running_lo += info.hi
+                else:
+                    # The staged (empty) directory still gets renamed in at
+                    # commit; unreferenced, it is swept as garbage right after.
+                    commit.add_garbage(sharded.spill_dir / name)
+                for shard in members:
+                    commit.add_garbage(shard.directory)
+                k = task.stop
 
-        # Remap tombstones: rows in rewritten groups were purged (dropped
-        # from the set); rows in kept shards shift down by the purges
-        # before them.
-        keep_mask = np.ones(sharded.n_physical_sets, dtype=bool)
-        for task in effective:
-            lo = sharded.shards[task.start].lo
-            hi = sharded.shards[task.stop - 1].hi
-            keep_mask[lo:hi] &= ~tombstoned[lo:hi]
-        new_ids = np.cumsum(keep_mask) - 1
-        old_tombstones = sharded.tombstones
-        surviving = old_tombstones[keep_mask[old_tombstones]]
-        new_tombstones = new_ids[surviving].astype(np.int64)
+            # Remap tombstones: rows in rewritten groups were purged (dropped
+            # from the set); rows in kept shards shift down by the purges
+            # before them.
+            keep_mask = np.ones(sharded.n_physical_sets, dtype=bool)
+            for task in effective:
+                lo = sharded.shards[task.start].lo
+                hi = sharded.shards[task.stop - 1].hi
+                keep_mask[lo:hi] &= ~tombstoned[lo:hi]
+            new_ids = np.cumsum(keep_mask) - 1
+            old_tombstones = sharded.tombstones
+            surviving = old_tombstones[keep_mask[old_tombstones]]
+            new_tombstones = new_ids[surviving].astype(np.int64)
 
-        tombstones_entry = None
-        tombstones_file = tombstones_digest = None
-        if new_tombstones.size:
-            tombstones_file = f"tombstones_{generation:04d}.npy"
-            staged = commit.stage(tombstones_file)
-            np.save(staged, new_tombstones)
-            tombstones_digest = file_digest(staged)
-            tombstones_entry = {"file": tombstones_file,
-                                "digest": tombstones_digest,
-                                "n": int(new_tombstones.size)}
-        if sharded.tombstones_file is not None:
-            commit.add_garbage(sharded.spill_dir / sharded.tombstones_file)
-        manifest = build_spill_manifest(
-            universe_size=sharded.universe_size, r0=sharded.r0,
-            payload_bits=sharded.payload_bits, shards=new_shards,
-            generation=generation, family_kind=sharded.family_kind,
-            tombstones=tombstones_entry, family=sharded._family_entry(),
+            tombstones_entry = None
+            tombstones_file = tombstones_digest = None
+            if new_tombstones.size:
+                tombstones_file = f"tombstones_{generation:04d}.npy"
+                staged = commit.stage(tombstones_file)
+                np.save(staged, new_tombstones)
+                tombstones_digest = file_digest(staged)
+                tombstones_entry = {"file": tombstones_file,
+                                    "digest": tombstones_digest,
+                                    "n": int(new_tombstones.size)}
+            if sharded.tombstones_file is not None:
+                commit.add_garbage(sharded.spill_dir / sharded.tombstones_file)
+            manifest = build_spill_manifest(
+                universe_size=sharded.universe_size, r0=sharded.r0,
+                payload_bits=sharded.payload_bits, shards=new_shards,
+                generation=generation, family_kind=sharded.family_kind,
+                tombstones=tombstones_entry, family=sharded._family_entry(),
+            )
+            commit.commit(manifest)
+        except BaseException:
+            commit.abort()
+            raise
+        return ShardedCollection(
+            sharded.spill_dir, sharded.universe_size, sharded.r0, new_shards,
+            family=sharded._family, payload_bits=sharded.payload_bits,
+            generation=generation, tombstones=new_tombstones,
+            tombstones_file=tombstones_file, tombstones_digest=tombstones_digest,
+            family_file=sharded.family_file, family_digest=sharded.family_digest,
         )
-        commit.commit(manifest)
-    except BaseException:
-        commit.abort()
-        raise
-    return ShardedCollection(
-        sharded.spill_dir, sharded.universe_size, sharded.r0, new_shards,
-        family=sharded._family, payload_bits=sharded.payload_bits,
-        generation=generation, tombstones=new_tombstones,
-        tombstones_file=tombstones_file, tombstones_digest=tombstones_digest,
-        family_file=sharded.family_file, family_digest=sharded.family_digest,
-    )

@@ -62,6 +62,14 @@ class SpillFormatError(DatasetError):
     """Raised when an on-disk shard spill directory is missing files or inconsistent."""
 
 
+class SpillConflictError(DatasetError):
+    """Raised when another writer committed to a spill after it was attached.
+
+    Publishing on top of the newer generation would silently drop that
+    update (:func:`repro.core.integrity.writer_lock`); re-attach and retry.
+    """
+
+
 class IntegrityError(DatasetError):
     """Raised when an artifact's durability invariants cannot be restored.
 

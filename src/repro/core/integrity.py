@@ -44,21 +44,25 @@ import os
 import re
 import secrets
 import shutil
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.errors import IntegrityError
+from repro.core.errors import IntegrityError, SpillConflictError, SpillFormatError
 from repro.utils.faultpoints import faultpoint
 
 __all__ = [
     "MANIFEST_NAME",
+    "LOCK_NAME",
     "STAGING_PREFIX",
     "SHARD_ARRAY_NAMES",
     "DIGEST_ALGORITHM",
     "file_digest",
     "AtomicCommit",
+    "writer_lock",
     "sweep_stale_staging",
     "Finding",
     "IntegrityReport",
@@ -68,6 +72,8 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+#: The spill's writer lock file (``fcntl.flock``, the LevelDB convention).
+LOCK_NAME = "LOCK"
 #: Prefix of per-mutation staging directories: ``.staging-<pid>-<token>``.
 STAGING_PREFIX = ".staging-"
 #: The five arrays every shard directory holds, in manifest order.
@@ -204,6 +210,57 @@ class AtomicCommit:
         _remove_any(self.staging)
 
 
+#: per thread: lock file path -> [open descriptor, depth]
+_held = threading.local()
+
+
+@contextmanager
+def writer_lock(spill_dir, generation: int | None = None):
+    """Hold the spill's exclusive writer lock, ``<spill>/LOCK``, for the block.
+
+    Append, delete, compact and repair run under it, so a second writer
+    blocks until the first has committed.  The lock is re-entrant within a
+    thread (the CLI holds it from attach to commit, the mutation takes it
+    again); other threads open their own descriptor and wait.  With
+    ``generation``, the committed manifest is re-read under the lock and
+    :class:`~repro.core.errors.SpillConflictError` is raised if another
+    writer has published since that generation was attached — committing
+    on top of it would silently drop the other writer's update.
+    """
+    import fcntl
+
+    path = os.path.realpath(Path(spill_dir) / LOCK_NAME)
+    held = vars(_held).setdefault("locks", {})
+    if path not in held:
+        try:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        except FileNotFoundError:
+            raise SpillFormatError(f"no {MANIFEST_NAME} in {spill_dir}") from None
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        held[path] = [fd, 0]
+    held[path][1] += 1
+    try:
+        if generation is not None:
+            _require_generation(Path(spill_dir), generation)
+        yield
+    finally:
+        held[path][1] -= 1
+        if held[path][1] == 0:
+            os.close(held.pop(path)[0])  # releases the flock
+
+
+def _require_generation(spill_dir: Path, generation: int) -> None:
+    try:
+        committed = json.loads((spill_dir / MANIFEST_NAME).read_text())
+        committed = committed.get("generation", 0)  # version 1 implies 0
+    except (OSError, ValueError, AttributeError):
+        committed = None
+    if committed != generation:
+        raise SpillConflictError(
+            f"{spill_dir}: another writer committed generation {committed} "
+            f"after generation {generation} was attached; re-attach and retry")
+
+
 def _remove_any(path: Path) -> None:
     try:
         if path.is_dir():
@@ -214,10 +271,10 @@ def _remove_any(path: Path) -> None:
         pass
 
 
-def _staging_pid(name: str) -> int | None:
-    rest = name[len(STAGING_PREFIX):]
-    pid_text = rest.split("-", 1)[0]
-    return int(pid_text) if pid_text.isdigit() else None
+def _owner_alive(staging: Path) -> bool:
+    """Whether the process that owns a staging directory is still running."""
+    pid_text = staging.name[len(STAGING_PREFIX):].split("-", 1)[0]
+    return pid_text.isdigit() and _pid_alive(int(pid_text))
 
 
 def sweep_stale_staging(spill_dir) -> list:
@@ -236,8 +293,7 @@ def sweep_stale_staging(spill_dir) -> list:
     for child in children:
         if not (child.is_dir() and child.name.startswith(STAGING_PREFIX)):
             continue
-        pid = _staging_pid(child.name)
-        if pid is not None and _pid_alive(pid):
+        if _owner_alive(child):
             continue
         _remove_any(child)
         removed.append(child)
@@ -593,6 +649,9 @@ def verify_spill(spill_dir) -> IntegrityReport:
 def repair_spill(spill_dir) -> RepairResult:
     """Roll back to the last committed generation and sweep every orphan.
 
+    Runs under the writer lock, and leaves alone the staging directory of
+    any process still running (a fresh build stages without the lock).
+
     The commit protocol makes this safe: the manifest on disk *is* the last
     committed generation, every file it references was published whole
     before the manifest was, and garbage never shares a name with live
@@ -602,16 +661,18 @@ def repair_spill(spill_dir) -> RepairResult:
     it is reported by the returned post-repair verify report instead.
     """
     spill_dir = Path(spill_dir)
-    probe = IntegrityReport(spill_dir=str(spill_dir))
-    manifest = _load_manifest(spill_dir, probe)
-    if manifest is None:
-        raise IntegrityError(
-            f"{spill_dir}: no committed manifest to roll back to "
-            f"({probe.errors[0].message}); the artifact must be rebuilt")
-    actions = []
-    staging, orphans = _scan_garbage(spill_dir, manifest)
-    for child in staging + orphans:
-        _remove_any(child)
-        kind = "staging" if child.name.startswith(STAGING_PREFIX) else "orphan"
-        actions.append(f"removed {kind} {child.name}")
-    return RepairResult(actions=actions, report=verify_spill(spill_dir))
+    with writer_lock(spill_dir) if spill_dir.is_dir() else nullcontext():
+        probe = IntegrityReport(spill_dir=str(spill_dir))
+        manifest = _load_manifest(spill_dir, probe)
+        if manifest is None:
+            raise IntegrityError(
+                f"{spill_dir}: no committed manifest to roll back to "
+                f"({probe.errors[0].message}); the artifact must be rebuilt")
+        actions = []
+        staging, orphans = _scan_garbage(spill_dir, manifest)
+        staging = [child for child in staging if not _owner_alive(child)]
+        for child in staging + orphans:
+            _remove_any(child)
+            kind = "staging" if child in staging else "orphan"
+            actions.append(f"removed {kind} {child.name}")
+        return RepairResult(actions=actions, report=verify_spill(spill_dir))

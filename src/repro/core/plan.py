@@ -150,7 +150,7 @@ class PlanFeatures:
     r0: int                #: smallest hash range present
     byte_entries: bool     #: True when entries occupy one byte (SWAR-packable)
     cached_engine: bool = False  #: a BatchPairCounter already exists
-    n_shards: int = 1      #: spilled shards backing the collection (1 = in-memory)
+    n_shards: int = 0      #: spilled shards backing the source (0 = in memory)
     result_format: str = "auto"  #: requested result format (one of RESULT_FORMATS)
     min_support: int = 0   #: pruning floor known at plan time (0 = no pruning)
 
@@ -211,11 +211,12 @@ def plan_counts(
         A :class:`PlanFeatures` or a :class:`~repro.core.collection.BatmapCollection`.
     requested:
         ``"auto"`` applies the full policy.  An explicit backend name is
-        honoured, with two demotions: ``"batch"`` and ``"parallel"`` drop
-        to ``"host"`` on layouts the packed engines cannot represent, and
-        ``"parallel"`` drops to ``"batch"`` when threads cannot pay off
-        (single worker, below the executor's set floor, or no compiled
-        kernel).
+        honoured, with three demotions: ``"batch"`` and ``"parallel"`` drop
+        to ``"host"`` on layouts the packed engines cannot represent,
+        ``"host"`` drops to ``"batch"`` on a spilled source (it has no
+        per-pair engine), and ``"parallel"`` drops to ``"batch"`` when
+        threads cannot pay off (single worker, below the executor's set
+        floor, or no compiled kernel).
     workers:
         Worker count for the parallel backend; ``None`` auto-selects from
         the core count (capped by the executor policy).
@@ -250,6 +251,9 @@ def plan_counts(
 
     packable = features.byte_entries and features.r0 >= 4
     if requested == "host":
+        if features.n_shards:
+            return plan("batch", 1, "host requested but a spilled source has "
+                        "no per-pair engine; counting on the serial batch engine")
         return plan("host", 1, "per-pair host reference requested")
     if requested in ("batch", "parallel") and not packable:
         return plan(

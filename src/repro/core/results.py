@@ -456,7 +456,12 @@ class SparseAccumulator:
     are dropped at the sink unless they lie on the diagonal or in a
     repairable row or column: repair can raise no other count, so no
     dropped entry could reach the floor (the module's pruning contract).
+
+    As a :func:`~repro.core.batch.walk_tiles` sink it prunes tiles below
+    ``min_support`` and takes a triangle's diagonal tiles masked.
     """
+
+    mirror = False
 
     def __init__(self, n_rows: int, n_cols: int | None = None, *,
                  symmetric: bool = True, min_support: int = 0,
@@ -472,6 +477,10 @@ class SparseAccumulator:
         self._parts: list = []   # (rows, cols, values) per tile
         self.tiles_total = 0
         self.tiles_skipped = 0
+
+    def floor(self, rows) -> int:
+        """The count a tile must be able to reach to matter: ``min_support``."""
+        return self.min_support
 
     def add_block(self, rows, cols, block) -> None:
         """Extract and store the nonzero entries of one count tile.
@@ -575,17 +584,6 @@ class TopKAccumulator:
                 heapq.heappush(heap, entry)
             elif entry > heap[0]:
                 heapq.heapreplace(heap, entry)
-
-    def push_block(self, rows, cols, block) -> None:
-        """Offer one dense count tile (final-index axes, like ``add_block``)."""
-        block = np.asarray(block)
-        floor = max(1, self.floor)
-        r_local, c_local = np.nonzero(block >= floor)
-        if r_local.size == 0:
-            return
-        self.push(np.asarray(rows, dtype=np.int64)[r_local],
-                  np.asarray(cols, dtype=np.int64)[c_local],
-                  block[r_local, c_local])
 
     def result(self, n_rows: int, *, min_support: int = 0,
                stats: dict | None = None, fill_zeros: bool = True,

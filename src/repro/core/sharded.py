@@ -31,12 +31,10 @@ import json
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.batch import WidthClassIndex
-from repro.core.bulk_build import device_word_layout, pack_group_words
-from repro.core.collection import BatmapCollection, _dedup_sorted
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import LayoutError, SpillFormatError
 from repro.core.hashing import (
@@ -52,11 +50,17 @@ from repro.core.integrity import (
     AtomicCommit,
     file_digest,
     sweep_stale_staging,
+    writer_lock,
 )
+from repro.utils.arrays import sorted_unique
 from repro.utils.bits import pack_bytes_to_words, unpack_words_to_bytes
 from repro.utils.faultpoints import faultpoint
 from repro.utils.rng import RngLike
 from repro.utils.validation import require, require_positive
+
+if TYPE_CHECKING:  # the build and count modules load only where they run
+    from repro.core.batch import WidthClassIndex
+    from repro.core.collection import BatmapCollection
 
 __all__ = [
     "SHARD_BUDGET_DIVISOR",
@@ -236,6 +240,18 @@ class ShardInfo:
         """Sorted slot -> *global* set index."""
         return self.order + self.lo
 
+    def slot_bounds(self, widths) -> np.ndarray:
+        """Per-slot count upper bounds from the packed row ``widths`` alone.
+
+        ``w`` words hold ``3r = 4w`` entries, two copies per stored element,
+        so at most ``2w`` are stored; the failed insertions bound the
+        *repaired* size too.
+        """
+        failed = np.bincount(
+            np.asarray(self.failed, dtype=np.int64).reshape(-1, 2)[:, 1],
+            minlength=self.n_sets)
+        return 2 * np.asarray(widths, dtype=np.int64) + failed[self.order]
+
 
 def _load_shard_array(shard_index: int, path: Path, *,
                       mmap_mode: str | None = None) -> np.ndarray:
@@ -363,6 +379,8 @@ def _spill_buffer_words(
     buffer would hold for these rows, which is what makes cross-shard folds
     exact.
     """
+    from repro.core.bulk_build import device_word_layout, pack_group_words
+
     own_r0 = collection.r0
     if own_r0 == r0:
         buffer = collection.device_buffer()
@@ -532,6 +550,8 @@ class ShardedCollectionBuilder:
         mid-build (or mid-append) leaves any previously committed
         generation intact.
         """
+        from repro.core.collection import BatmapCollection
+
         require(not self._finalized, "builder is already finalized")
         require(len(sets) > 0, "cannot add an empty shard")
         faultpoint("append.shard")
@@ -690,6 +710,8 @@ class ShardedCollectionBuilder:
 
     def _append_staged(self, commit: AtomicCommit, sets,
                        universe_size: int | None) -> "ShardedCollection":
+        from repro.core.collection import _dedup_sorted
+
         dedup = [_dedup_sorted(s) for s in sets]
         needed = max((int(d[-1]) + 1 for d in dedup if d.size), default=0)
         target = max(self.universe_size, needed, universe_size or 0)
@@ -840,6 +862,8 @@ class ShardedCollection:
         ``BatmapCollection.build(sets, ...)`` with the same ``rng`` on every
         counting path.
         """
+        from repro.core.collection import _dedup_sorted
+
         require(len(sets) > 0, "cannot build an empty collection")
         if family is None:
             if family_kind == "lazy":
@@ -1097,11 +1121,15 @@ class ShardedCollection:
 
         Mutates this object in place (shard table, r0, generation, family)
         and also returns it, so both fluent and statement styles work.
+        Runs under the spill's writer lock and raises
+        :class:`~repro.core.errors.SpillConflictError` if another writer
+        committed since this object was attached.
         """
-        builder = ShardedCollectionBuilder.for_append(
-            self, config=config, build_compute=build_compute,
-            build_workers=build_workers, memory_budget=memory_budget)
-        updated = builder.append(sets, universe_size=universe_size)
+        with writer_lock(self.spill_dir, self.generation):
+            builder = ShardedCollectionBuilder.for_append(
+                self, config=config, build_compute=build_compute,
+                build_workers=build_workers, memory_budget=memory_budget)
+            updated = builder.append(sets, universe_size=universe_size)
         self.shards = updated.shards
         self.universe_size = updated.universe_size
         self.r0 = updated.r0
@@ -1123,38 +1151,39 @@ class ShardedCollection:
         published with the manifest in one atomic commit — the live
         tombstone file is never overwritten, so a crash at any point leaves
         either the pre- or the post-delete generation intact.  In-memory
-        state mutates only after the commit point.  Returns the new
-        generation.
+        state mutates only after the commit point.  Runs under the writer
+        lock, like :meth:`append`.  Returns the new generation.
         """
-        ids = np.unique(np.asarray(set_ids, dtype=np.int64))
+        ids = sorted_unique(np.asarray(set_ids, dtype=np.int64).ravel())
         require(ids.size > 0, "delete requires at least one set id")
         require(int(ids[0]) >= 0 and int(ids[-1]) < self.n_sets,
                 f"set ids must be in [0, {self.n_sets}), got "
                 f"[{int(ids[0])}, {int(ids[-1])}]")
         physical = self.live_ids[ids]
-        new_tombstones = np.union1d(self.tombstones, physical)
+        new_tombstones = sorted_unique(np.concatenate([self.tombstones, physical]))
         generation = self.generation + 1
-        commit = AtomicCommit(self.spill_dir)
-        try:
-            faultpoint("delete.tombstones")
-            name = f"tombstones_{generation:04d}.npy"
-            staged = commit.stage(name)
-            np.save(staged, new_tombstones)
-            digest = file_digest(staged)
-            if self.tombstones_file is not None:
-                commit.add_garbage(self.spill_dir / self.tombstones_file)
-            manifest = build_spill_manifest(
-                universe_size=self.universe_size, r0=self.r0,
-                payload_bits=self.payload_bits, shards=self.shards,
-                generation=generation, family_kind=self.family_kind,
-                tombstones={"file": name, "digest": digest,
-                            "n": int(new_tombstones.size)},
-                family=self._family_entry(),
-            )
-            commit.commit(manifest)
-        except BaseException:
-            commit.abort()
-            raise
+        with writer_lock(self.spill_dir, self.generation):
+            commit = AtomicCommit(self.spill_dir)
+            try:
+                faultpoint("delete.tombstones")
+                name = f"tombstones_{generation:04d}.npy"
+                staged = commit.stage(name)
+                np.save(staged, new_tombstones)
+                digest = file_digest(staged)
+                if self.tombstones_file is not None:
+                    commit.add_garbage(self.spill_dir / self.tombstones_file)
+                manifest = build_spill_manifest(
+                    universe_size=self.universe_size, r0=self.r0,
+                    payload_bits=self.payload_bits, shards=self.shards,
+                    generation=generation, family_kind=self.family_kind,
+                    tombstones={"file": name, "digest": digest,
+                                "n": int(new_tombstones.size)},
+                    family=self._family_entry(),
+                )
+                commit.commit(manifest)
+            except BaseException:
+                commit.abort()
+                raise
         self.tombstones = new_tombstones
         self.tombstones_file = name
         self.tombstones_digest = digest
@@ -1246,6 +1275,8 @@ class ShardedCollection:
         per-class cache once whole-class queries run).  Callers own the
         lifetime: dropping the index releases the mapping.
         """
+        from repro.core.batch import WidthClassIndex
+
         shard = self.shards[shard_index]
         words = _load_shard_array(shard_index, shard.directory / "words.npy",
                                   mmap_mode="r")

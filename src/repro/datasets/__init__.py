@@ -13,35 +13,16 @@
   out-of-core pipeline.
 """
 
-from repro.datasets.fimi_io import parse_fimi_line, parse_fimi_lines, read_fimi, write_fimi
-from repro.datasets.streaming import (
-    FimiChunk,
-    FimiStats,
-    collect_transactions,
-    iter_fimi_chunks,
-    scan_fimi_stats,
-)
-from repro.datasets.ibm_quest import QuestParameters, generate_quest_dataset, generate_t40i10
-from repro.datasets.synthetic import generate_density_instance, generate_fixed_transactions
-from repro.datasets.transactions import TransactionDatabase
-from repro.datasets.webdocs import generate_webdocs_like, vocabulary_growth
+from repro import _lazy
 
-__all__ = [
-    "TransactionDatabase",
-    "generate_density_instance",
-    "generate_fixed_transactions",
-    "QuestParameters",
-    "generate_quest_dataset",
-    "generate_t40i10",
-    "generate_webdocs_like",
-    "vocabulary_growth",
-    "read_fimi",
-    "write_fimi",
-    "parse_fimi_line",
-    "parse_fimi_lines",
-    "FimiChunk",
-    "FimiStats",
-    "iter_fimi_chunks",
-    "scan_fimi_stats",
-    "collect_transactions",
-]
+#: submodule -> the names it exports; each loads on first access (PEP 562),
+#: so a command imports only the modules it runs.
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "transactions": "TransactionDatabase",
+    "synthetic": "generate_density_instance generate_fixed_transactions",
+    "ibm_quest": "QuestParameters generate_quest_dataset generate_t40i10",
+    "webdocs": "generate_webdocs_like vocabulary_growth",
+    "fimi_io": "read_fimi write_fimi parse_fimi_line parse_fimi_lines",
+    "streaming": "FimiChunk FimiStats iter_fimi_chunks scan_fimi_stats "
+                 "collect_transactions",
+})

@@ -19,6 +19,8 @@ Three implementations are provided:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro.baselines.merge import intersection_size_numpy
@@ -26,6 +28,7 @@ from repro.core.collection import BatmapCollection
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.intersection import count_common
 from repro.core.plan import plan_counts
+from repro.core.results import SparseAccumulator
 from repro.gpu.device import DeviceSpec, GTX_285
 from repro.matrix.boolean import SparseBooleanMatrix
 from repro.utils.rng import RngLike
@@ -150,17 +153,20 @@ def _repair_cross_result(
     b: SparseBooleanMatrix,
 ):
     """Fold the failed-insertion repair into a sparse cross result as COO entries."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
     for increment in _iter_repair_increments(collection, a, b):
         r, c = np.nonzero(increment)
-        rows.append(r)
-        cols.append(c)
-    if not rows:
-        return result
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    return result.add_entries(r, c, np.ones(r.size, dtype=np.int64))
+        result = result.add_entries(r, c, np.ones(r.size, dtype=np.int64))
+    return result
+
+
+def _host_cross(collection: BatmapCollection, rows, cols) -> np.ndarray:
+    """Per-pair reference counts of ``rows x cols`` (original indices)."""
+    product = np.empty((rows.size, cols.size), dtype=np.int64)
+    for i, row in enumerate(rows.tolist()):
+        bm_i = collection.batmap(row)
+        for j, col in enumerate(cols.tolist()):
+            product[i, j] = count_common(bm_i, collection.batmap(col))
+    return product
 
 
 def multiply_batmap(
@@ -179,14 +185,13 @@ def multiply_batmap(
     """Witness-count product using host-side batmap comparisons.
 
     All row-sets of ``a`` and column-sets of ``b`` live over the same inner
-    dimension, so one shared hash family serves both sides.  Backend
-    selection goes through the workload planner
-    (:func:`~repro.core.plan.plan_counts`): the cross block
-    (``a``-rows x ``b``-columns) runs on the vectorised batch engine, fans
-    out to the threaded executor for large multi-core instances, or
-    falls back to the per-pair reference for layouts the packed engines
-    cannot represent (``payload_bits > 7``, sub-word ranges).  Failed
-    insertions (rare) are repaired exactly in every case.
+    dimension, so one shared hash family serves both sides.  The workload
+    planner (:func:`~repro.core.plan.plan_counts`) picks the backend once
+    for either result format: the cross block (``a``-rows x ``b``-columns)
+    is one rectangle tile walk on the batch engine, on threads for large
+    multi-core instances, or the per-pair reference for layouts the packed
+    engines cannot represent (``payload_bits > 7``, sub-word ranges).
+    Failed insertions (rare) are repaired exactly in every case.
 
     ``build_compute`` independently selects the *construction* engine for
     the row/column batmaps (:func:`~repro.core.plan.plan_build`): the bulk
@@ -216,44 +221,29 @@ def multiply_batmap(
                                         build_workers=build_workers)
     rows_idx = np.arange(a.n_rows)
     cols_idx = a.n_rows + np.arange(b.n_cols)
-    if result_format == "sparse":
-        if collection.r0 >= 4 and config.entry_storage_bits == 8:
-            # The pruned streaming path (serial batch engine: the executor
-            # has no rectangular sparse shape, and the point of sparse here
-            # is the result footprint, not the counting wall clock).
-            result = collection.batch_counter().count_cross_result(
-                rows_idx, cols_idx, min_support=min_support)
-        else:
-            from repro.core.results import SparseAccumulator
-
-            acc = SparseAccumulator(a.n_rows, b.n_cols, symmetric=False,
-                                    min_support=min_support)
-            block = np.empty((1, b.n_cols), dtype=np.int64)
-            for i in range(a.n_rows):
-                bm_i = collection.batmap(int(rows_idx[i]))
-                for j in range(b.n_cols):
-                    block[0, j] = count_common(
-                        bm_i, collection.batmap(int(cols_idx[j])))
-                acc.add_block(rows_idx[i:i + 1], np.arange(b.n_cols), block)
-            acc.tiles_total = a.n_rows
-            result = acc.finalize()
-        return _repair_cross_result(result, collection, a, b)
     plan = plan_counts(collection, requested=compute, workers=workers,
                        n_pairs=a.n_rows * b.n_cols)
+    if plan.backend == "host":
+        product = _host_cross(collection, rows_idx, cols_idx)
+        if result_format == "dense":
+            return _repair_cross_product(product, collection, a, b)
+        acc = SparseAccumulator(a.n_rows, b.n_cols, symmetric=False,
+                                min_support=min_support)
+        acc.add_block(np.arange(a.n_rows), np.arange(b.n_cols), product)
+        return _repair_cross_result(acc.finalize(), collection, a, b)
     if plan.backend == "parallel":
         from repro.parallel.executor import ParallelPairCounter
 
-        with ParallelPairCounter(collection, workers=workers) as counter:
-            product = counter.count_cross(rows_idx, cols_idx)
-    elif plan.backend == "host":
-        product = np.empty((a.n_rows, b.n_cols), dtype=np.int64)
-        for i in range(a.n_rows):
-            bm_i = collection.batmap(int(rows_idx[i]))
-            for j in range(b.n_cols):
-                product[i, j] = count_common(bm_i, collection.batmap(int(cols_idx[j])))
+        engine = ParallelPairCounter(collection, workers=workers)
     else:
-        product = collection.batch_counter().count_cross(rows_idx, cols_idx)
-    return _repair_cross_product(product, collection, a, b)
+        engine = nullcontext(collection.batch_counter())
+    with engine as counter:
+        if result_format == "dense":
+            product = counter.count_cross(rows_idx, cols_idx)
+            return _repair_cross_product(product, collection, a, b)
+        result = counter.count_cross_result(rows_idx, cols_idx,
+                                            min_support=min_support)
+    return _repair_cross_result(result, collection, a, b)
 
 
 def multiply_batmap_device(

@@ -11,38 +11,17 @@
 * :mod:`~repro.mining.support` — result containers with phase timing.
 """
 
-from importlib import import_module
+from repro import _lazy
 
-#: exported name -> submodule defining it.  Names load on first access
-#: (PEP 562), so the pair pipeline never imports the levelwise modules.
-_EXPORTS = {
-    "BatmapPairMiner": "pair_mining",
-    "BatmapItemsetMiner": "itemsets",
-    "ItemsetMiningResult": "itemsets",
-    "TransactionBitmap": "levelwise",
-    "count_candidate_supports": "levelwise",
-    "scan_supports": "levelwise",
-    "PreprocessedData": "preprocess",
-    "preprocess": "preprocess",
-    "StreamedPreprocessedData": "preprocess",
-    "preprocess_streaming": "preprocess",
-    "reorder_counts": "postprocess",
-    "repair_pair_counts": "postprocess",
-    "repair_pair_counts_from_failures": "postprocess",
-    "upper_triangle_pairs": "postprocess",
-    "MiningReport": "support",
-    "PairSupports": "support",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+#: submodule -> the names it exports; each loads on first access (PEP 562),
+#: so a command imports only the modules it runs.
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "pair_mining": "BatmapPairMiner",
+    "itemsets": "BatmapItemsetMiner ItemsetMiningResult",
+    "levelwise": "TransactionBitmap count_candidate_supports scan_supports",
+    "preprocess": "PreprocessedData preprocess StreamedPreprocessedData "
+                  "preprocess_streaming",
+    "postprocess": "reorder_counts repair_pair_counts "
+                   "repair_pair_counts_from_failures upper_triangle_pairs",
+    "support": "MiningReport PairSupports",
+})

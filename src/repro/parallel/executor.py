@@ -27,7 +27,6 @@ import os
 import time
 
 from repro.core.batch import DEFAULT_BLOCK_WORDS, BatchPairCounter, TilePool
-from repro.parallel.scaling import ScalingPoint
 from repro.utils.validation import require, require_positive
 
 __all__ = [
@@ -182,6 +181,8 @@ def measure_executor_scaling(
     with ``repeats > 1`` the repeats are the outer loop, so background-load
     drift hits every worker count alike (the E5 timing discipline).
     """
+    from repro.parallel.scaling import ScalingPoint
+
     require_positive(repeats, "repeats")
     require(len(worker_counts) > 0, "worker_counts must not be empty")
     if tile_size is None:

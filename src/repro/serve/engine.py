@@ -11,8 +11,8 @@ answers each query family with the narrowest existing vectorised primitive:
 * **pair counts** — :meth:`~repro.core.batch.WidthClassIndex.pairwise_slots`
   within a shard, :meth:`~repro.core.batch.WidthClassIndex.pairwise_index`
   across shards, grouped so one SWAR fold serves many coalesced pairs;
-* **top-k** — one :meth:`~repro.core.batch.WidthClassIndex.cross_index`
-  rectangle per (query shard, target shard) pair, shared by every coalesced
+* **top-k** — one rectangle tile walk (:func:`~repro.core.batch.walk_tiles`)
+  of the queried rows against every live set, shared by every coalesced
   top-k request;
 * **multiway** — :func:`repro.extensions.multiway.multiway_intersection`
   with the engine itself as the batmap provider: batmaps are *rehydrated*
@@ -37,6 +37,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.core.batch import RowTopKSink, Shard, count_shards, walk_tiles
 from repro.core.batmap import Batmap
 from repro.core.config import DEFAULT_CONFIG
 from repro.extensions.multiway import MultiwayResult, multiway_intersection
@@ -75,7 +76,6 @@ class SpillQueryEngine:
         require(result_format in ("dense", "sparse"),
                 f"result_format must be 'dense' or 'sparse', got {result_format!r}")
         self.result_format = result_format
-        self._shard_bounds: list | None = None
         self.sharded = sharded
         self.family = sharded.family          # raises on pre-family spills
         self.config = DEFAULT_CONFIG.with_(payload_bits=sharded.payload_bits)
@@ -84,7 +84,6 @@ class SpillQueryEngine:
         self.universe_size = sharded.universe_size
         #: live index -> physical (storage) index; identity when no tombstones
         self._live_ids = sharded.live_ids
-        self._has_tombstones = sharded.tombstones.size > 0
         self._shard_los = np.array([s.lo for s in sharded.shards], dtype=np.int64)
         self._indexes = [
             sharded.attach(s, block_words=block_words)
@@ -98,6 +97,11 @@ class SpillQueryEngine:
             self._ranks.append(rank)
         #: per shard: element -> sorted list of local sets that failed it
         self._failed_by_shard = [shard.failed for shard in sharded.shards]
+        #: per shard: slot -> count upper bound, for the sparse top-k pruning
+        self._bounds = None
+        if result_format == "sparse":
+            self._bounds = [shard.slot_bounds(index.widths) for shard, index
+                            in zip(sharded.shards, self._indexes)]
         self._batmaps: OrderedDict = OrderedDict()
         self._batmap_cache_sets = int(batmap_cache_sets)
         self._batmap_lock = threading.Lock()
@@ -271,139 +275,83 @@ class SpillQueryEngine:
                     self._indexes[q], a_slots, b_slots)
         return out
 
+    def _row_shards(self, set_ids: np.ndarray, rows: np.ndarray) -> list:
+        """Tile-walk shards of the queried live sets: output row ``rows[k]`` is ``set_ids[k]``."""
+        physical = self._physical(set_ids)
+        row_shards = self.shard_of(physical)
+        shards = []
+        for p in sorted_unique(row_shards).tolist():
+            mask = row_shards == p
+            slots = self._slot_of(p, physical[mask])
+            bounds = None if self._bounds is None else self._bounds[p][slots]
+            shards.append(Shard(self._indexes[p], slots, rows[mask], bounds))
+        return shards
+
+    def _column_shards(self) -> list:
+        """Tile-walk shards of every live set, in live index order."""
+        live_pos = self.sharded.live_positions
+        return [Shard.of(index, live_pos[shard.global_order],
+                         None if self._bounds is None else self._bounds[q])
+                for q, (shard, index) in enumerate(zip(self.sharded.shards,
+                                                       self._indexes))]
+
     def count_rows(self, set_ids) -> np.ndarray:
         """Dense count rows: ``out[k, j] = |set_ids[k] ∩ set_j|`` for all ``j``.
 
-        One ``cross_index`` rectangle per (query shard, target shard) pair,
-        shared across every queried row — the primitive behind coalesced
-        top-k serving.  Row ``k`` equals row ``set_ids[k]`` of
-        ``count_all_pairs()`` bit-for-bit.  Rectangles are computed in
-        physical (storage) space, then tombstoned columns are dropped so
-        every returned column is a live set in live index order.
+        One rectangle walk (:func:`~repro.core.batch.count_shards`) of the
+        queried rows against every live set, shared across every queried
+        row — the primitive behind coalesced top-k serving.  Row ``k``
+        equals row ``set_ids[k]`` of the all-pairs matrix bit-for-bit;
+        tombstoned sets are never counted, and every returned column is a
+        live set in live index order.
         """
         set_ids = self.check_set_ids(set_ids)
-        if set_ids.size == 0:
-            return np.zeros((0, self.n_sets), dtype=np.int64)
-        physical = self._physical(set_ids)
-        out = np.zeros((set_ids.size, self.sharded.n_physical_sets),
-                       dtype=np.int64)
-        row_shards = self.shard_of(physical)
-        for p in sorted_unique(row_shards).tolist():
-            row_mask = row_shards == p
-            row_slots = self._slot_of(p, physical[row_mask])
-            row_positions = np.nonzero(row_mask)[0]
-            for q in range(self.sharded.n_shards):
-                block = self._indexes[p].cross_index(self._indexes[q], row_slots, None)
-                cols_global = self.sharded.shards[q].global_order
-                out[np.ix_(row_positions, cols_global)] = block
-        if self._has_tombstones:
-            out = out[:, self._live_ids]
-        return out
+        return count_shards(
+            self._row_shards(set_ids, np.arange(set_ids.size)),
+            self._column_shards(), shape=(set_ids.size, self.n_sets)).matrix()
 
     def top_k_batch(self, requests) -> list:
         """Answer many ``(set_id, k)`` top-k-similar-set queries at once.
 
-        With ``result_format="dense"``, all query rows are gathered with one
-        :meth:`count_rows` call; each result ranks the other sets by
-        descending intersection count with ties broken by ascending set
-        index (the :meth:`~repro.core.batch.BatchPairCounter.top_k`
-        convention), the queried set itself excluded.  The ``"sparse"``
-        engine answers the same queries through per-query heap accumulators
-        without ever holding a full count row (identical rankings — the
-        bit-identity tests pin it).
+        Each result ranks the other sets by descending intersection count
+        with ties broken by ascending set index (the
+        :meth:`~repro.core.batch.BatchPairCounter.top_k` convention), the
+        queried set itself excluded.  With ``result_format="dense"`` all
+        query rows are gathered with one :meth:`count_rows` call; the
+        ``"sparse"`` engine walks the same rectangle into one heap per
+        query, skipping tiles whose count bound is below every heap floor
+        in them, and never holds a full count row (identical rankings —
+        the bit-identity tests pin it).
         """
         if not requests:
             return []
-        if self.result_format == "sparse":
-            return self._top_k_batch_sparse(requests)
-        set_ids = [int(set_id) for set_id, _ in requests]
-        rows = self.count_rows(set_ids)
-        results = []
-        for k_row, (set_id, k) in enumerate(requests):
-            row = rows[k_row].copy()
-            row[int(set_id)] = -1           # exclude self from the ranking
-            limit = min(int(k), self.n_sets - 1)
-            ranked = np.lexsort((np.arange(self.n_sets), -row))[:limit]
-            results.append([(int(j), int(rows[k_row, j])) for j in ranked])
-        return results
-
-    def _shard_bound(self, q: int) -> int:
-        """Count upper bound over shard ``q``'s live slots (cached).
-
-        ``2 * width + failed`` per slot (:func:`~repro.core.batch.width_slot_bounds`
-        — the layout is the only thing resident for an mmap'd shard), with
-        tombstoned slots zeroed so fully-deleted shards prune outright.
-        """
-        if self._shard_bounds is None:
-            self._shard_bounds = [None] * self.sharded.n_shards
-        if self._shard_bounds[q] is None:
-            from repro.core.batch import width_slot_bounds
-
-            shard = self.sharded.shards[q]
-            failed = None
-            if shard.failed.size:
-                failed = np.bincount(
-                    shard.failed[:, 1].astype(np.int64),
-                    minlength=shard.n_sets)[shard.order]
-            bounds = width_slot_bounds(self._indexes[q].widths, failed)
-            if self._has_tombstones:
-                live = self.sharded.live_positions[shard.global_order]
-                bounds = bounds.copy()
-                bounds[live < 0] = 0
-            self._shard_bounds[q] = int(bounds.max()) if bounds.size else 0
-        return self._shard_bounds[q]
-
-    def _top_k_batch_sparse(self, requests) -> list:
-        """Heap-threshold top-k: stream shard rectangles, prune below floors."""
-        from repro.core.results import TopKAccumulator
-
         set_ids = self.check_set_ids([int(set_id) for set_id, _ in requests])
-        physical = self._physical(set_ids)
-        row_shards = self.shard_of(physical)
-        live_pos = (self.sharded.live_positions if self._has_tombstones
-                    else None)
         limits = [min(int(k), self.n_sets - 1) for _, k in requests]
-        accs = [TopKAccumulator(limit) if limit > 0 else None
-                for limit in limits]
-        for p in sorted_unique(row_shards).tolist():
-            in_shard = [i for i in np.nonzero(row_shards == p)[0].tolist()
-                        if accs[i] is not None]
-            for q in range(self.sharded.n_shards):
-                bound = self._shard_bound(q)
-                # Strict-floor skip, per query: a rectangle whose best
-                # possible count is below a full heap's weakest kept count
-                # cannot change that query's result (ties still examined).
-                needed = [i for i in in_shard if bound >= accs[i].floor]
-                if not needed:
-                    continue
-                slots = self._slot_of(p, physical[needed])
-                block = self._indexes[p].cross_index(self._indexes[q], slots, None)
-                cols_global = self.sharded.shards[q].global_order
-                cols_live = (live_pos[cols_global] if live_pos is not None
-                             else cols_global)
-                alive = cols_live >= 0
-                for bi, i in enumerate(needed):
-                    keep = alive & (cols_live != set_ids[i])
-                    cand = cols_live[keep]
-                    accs[i].push(cand, cand, block[bi][keep])
+        if self.result_format == "dense":
+            rows = self.count_rows(set_ids)
+            results = []
+            for k_row, limit in enumerate(limits):
+                row = rows[k_row].copy()
+                row[set_ids[k_row]] = -1           # exclude self from the ranking
+                ranked = np.lexsort((np.arange(self.n_sets), -row))[:limit]
+                results.append([(int(j), int(rows[k_row, j])) for j in ranked])
+            return results
+        sink = RowTopKSink(limits, set_ids)
+        wanted = np.flatnonzero(np.array(limits) > 0)
+        walk_tiles(self._row_shards(set_ids[wanted], wanted), self._column_shards(),
+                   sink=sink)
         results = []
         for i, limit in enumerate(limits):
-            if accs[i] is None:
+            if limit <= 0:
                 results.append([])
                 continue
-            ranked = accs[i].result(self.n_sets, fill_zeros=False).ranked()
+            ranked = sink.heaps[i].result(self.n_sets, fill_zeros=False).ranked()
             out = [(int(j), int(v)) for (j, _), v in ranked]
-            if len(out) < limit:
-                # Pad with zero-count sets in ascending live index order —
-                # the same tail a dense sort returns.
-                kept = {j for j, _ in out}
-                kept.add(int(set_ids[i]))
-                for j in range(self.n_sets):
-                    if j in kept:
-                        continue
-                    out.append((j, 0))
-                    if len(out) == limit:
-                        break
+            # pad with zero-count sets in ascending live index order, the
+            # same tail a dense sort returns
+            taken = np.zeros(self.n_sets, dtype=bool)
+            taken[[j for j, _ in out] + [set_ids[i]]] = True
+            out += [(int(j), 0) for j in np.flatnonzero(~taken)[:limit - len(out)]]
             results.append(out)
         return results
 

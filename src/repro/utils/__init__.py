@@ -1,40 +1,14 @@
 """Small shared utilities: bit tricks, timers, RNG handling, validation."""
 
-from repro.utils.bits import (
-    next_power_of_two,
-    is_power_of_two,
-    ilog2,
-    popcount32,
-    popcount_array,
-    pack_bytes_to_words,
-    unpack_words_to_bytes,
-)
-from repro.utils.timer import Timer, PhaseTimer
-from repro.utils.rng import make_rng, derive_seed
-from repro.utils.memory import sizeof_array, human_bytes
-from repro.utils.validation import (
-    require,
-    require_positive,
-    require_in_range,
-    require_power_of_two,
-)
+from repro import _lazy
 
-__all__ = [
-    "next_power_of_two",
-    "is_power_of_two",
-    "ilog2",
-    "popcount32",
-    "popcount_array",
-    "pack_bytes_to_words",
-    "unpack_words_to_bytes",
-    "Timer",
-    "PhaseTimer",
-    "make_rng",
-    "derive_seed",
-    "sizeof_array",
-    "human_bytes",
-    "require",
-    "require_positive",
-    "require_in_range",
-    "require_power_of_two",
-]
+#: submodule -> the names it exports; each loads on first access (PEP 562),
+#: so a command imports only the modules it runs.
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "bits": "next_power_of_two is_power_of_two ilog2 popcount32 popcount_array "
+            "pack_bytes_to_words unpack_words_to_bytes",
+    "timer": "Timer PhaseTimer",
+    "rng": "make_rng derive_seed",
+    "memory": "sizeof_array human_bytes",
+    "validation": "require require_positive require_in_range require_power_of_two",
+})

@@ -7,9 +7,13 @@ derive independent child streams, so experiments are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+from typing import Union
+
 import numpy as np
 
-RngLike = int | np.random.Generator | None
+#: A seed, a generator or ``None``.  The generator is a forward reference,
+#: so importing this module does not import ``numpy.random``.
+RngLike = Union[int, "np.random.Generator", None]
 
 
 def make_rng(seed: RngLike = None) -> np.random.Generator:

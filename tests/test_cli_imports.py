@@ -64,11 +64,10 @@ repro.core.builder repro.core.bulk_build repro.core.collection repro.core.config
 repro.core.errors repro.core.hashing repro.core.integrity repro.core.intersection
 repro.core.plan repro.core.results repro.core.sharded repro.core.swar
 repro.core.swar_kernel repro.datasets repro.datasets.fimi_io
-repro.datasets.ibm_quest repro.datasets.streaming repro.datasets.synthetic
-repro.datasets.transactions repro.datasets.webdocs repro.gpu repro.gpu.device
+repro.datasets.streaming repro.datasets.transactions repro.gpu repro.gpu.device
 repro.mining repro.mining.pair_mining repro.mining.postprocess
 repro.mining.preprocess repro.mining.support repro.parallel
-repro.parallel.executor repro.parallel.scaling repro.utils repro.utils.arrays
+repro.parallel.executor repro.utils repro.utils.arrays
 repro.utils.bits repro.utils.faultpoints repro.utils.memory repro.utils.rng
 repro.utils.timer repro.utils.validation
 """.split())
@@ -93,3 +92,53 @@ def test_mine_import_snapshot(tmp_path):
     assert forbidden == []
     assert in_memory == MINE_MODULES
     assert streamed == sorted(MINE_MODULES + ["repro.parallel.sharded"])
+
+
+#: Every ``repro`` module ``repro delete`` loads: attach, tombstone, commit.
+DELETE_MODULES = sorted("""
+repro repro._version repro.cli repro.core repro.core.config repro.core.errors
+repro.core.hashing repro.core.integrity repro.core.sharded repro.utils
+repro.utils.arrays repro.utils.bits repro.utils.faultpoints repro.utils.rng
+repro.utils.validation
+""".split())
+
+#: ``repro delete`` builds and counts nothing: none of these may load.
+NEVER_DELETED = ["numpy.ma", "numpy.random", "repro.core.batch",
+                 "repro.core.bulk_build"]
+
+#: ``repro ingest --append`` adds the build path (and the planner it asks).
+INGEST_MODULES = sorted(DELETE_MODULES + """
+repro.core.batch repro.core.batmap repro.core.builder repro.core.bulk_build
+repro.core.collection repro.core.intersection repro.core.plan repro.core.results
+repro.core.swar repro.core.swar_kernel repro.datasets repro.datasets.fimi_io
+repro.datasets.streaming repro.datasets.transactions repro.parallel
+repro.parallel.executor repro.utils.memory
+""".split())
+
+
+def test_mutation_import_snapshots(tmp_path):
+    """Pin what ``repro delete`` and ``repro ingest --append`` load."""
+    sets = tmp_path / "base.sets"
+    sets.write_text("".join(f"{i} {i + 3} {2 * i + 7}\n" for i in range(40)))
+    extra = tmp_path / "extra.sets"
+    extra.write_text("1 4 9\n2 8\n")
+    spill = tmp_path / "spill"
+    build = ["build-index", str(sets), str(spill), "--sets-file"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "repro.cli", *build], env=env, check=True,
+                   capture_output=True, timeout=120)
+    snapshot = (
+        "import io, json, sys, repro.cli\n"
+        "assert repro.cli.main(ARGV, out=io.StringIO()) == 0\n"
+        "print(json.dumps([sorted(m for m in sys.modules\n"
+        "                         if m == 'repro' or m.startswith('repro.')),\n"
+        f"                  sorted(m for m in {NEVER_DELETED!r} if m in sys.modules)]))"
+    )
+    deleted, forbidden = _run_fresh(snapshot.replace(
+        "ARGV", repr(["delete", str(spill), "--sets", "3"])))
+    assert forbidden == []
+    assert deleted == DELETE_MODULES
+    ingested, _ = _run_fresh(snapshot.replace(
+        "ARGV", repr(["ingest", str(spill), str(extra), "--append"])))
+    assert ingested == INGEST_MODULES

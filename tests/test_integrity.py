@@ -199,7 +199,10 @@ class TestVerify:
 
 class TestRepair:
     def test_repair_sweeps_all_garbage(self, spill):
-        (spill / f"{STAGING_PREFIX}{os.getpid()}-feed0000").mkdir()
+        # a finished process's staging: repair leaves a live writer's alone
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        (spill / f"{STAGING_PREFIX}{dead.pid}-feed0000").mkdir()
         (spill / "family_0099.npz").write_bytes(b"orphan")
         result = repair_spill(spill)
         assert len(result.actions) == 2
