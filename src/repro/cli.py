@@ -92,7 +92,8 @@ All subcommands are also exposed through ``python -m repro.cli <subcommand> ...`
 Each subcommand imports the modules only it needs inside its ``_cmd_*``
 function, so no command pays for another's imports (``repro mine`` with
 the batmap engine never loads the server, asyncio, the baseline miners,
-the GPU simulator or the kernel driver).
+the GPU simulator or the kernel driver).  This module itself imports no
+NumPy, so :func:`run` can cap NumPy's thread pools before it loads.
 """
 
 from __future__ import annotations
@@ -103,26 +104,20 @@ import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.errors import DataFormatError, DatasetError
 
-__all__ = ["main", "run", "build_parser", "subcommand_parsers"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["main", "run", "cap_native_pools", "build_parser", "subcommand_parsers"]
 
 
 # --------------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------------- #
-def build_parser() -> argparse.ArgumentParser:
-    """Build the top-level ``repro`` argument parser with every subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="BATMAP set intersection / frequent pair mining toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    mine = sub.add_parser("mine", help="mine frequent pairs from a FIMI file")
+def _mine_arguments(mine: argparse.ArgumentParser) -> None:
     mine.add_argument("input", type=Path, help="FIMI-format transaction file")
     mine.add_argument("--min-support", type=int, default=2)
     mine.add_argument("--engine", choices=["batmap", "apriori", "fpgrowth", "eclat"],
@@ -177,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "lines (sorted; engine-independent format for "
                            "output comparisons)")
 
-    gen = sub.add_parser("generate", help="generate a synthetic dataset in FIMI format")
+
+def _generate_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("output", type=Path)
     gen.add_argument("--kind", choices=["density", "quest", "webdocs"], default="density")
     gen.add_argument("--items", type=int, default=1000)
@@ -186,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--transactions", type=int, default=1000)
     gen.add_argument("--seed", type=int, default=0)
 
-    inter = sub.add_parser("intersect", help="intersect two or more integer-set files")
+
+def _intersect_arguments(inter: argparse.ArgumentParser) -> None:
     inter.add_argument("sets", type=Path, nargs="+",
                        help="two or more whitespace-separated integer-set files")
     inter.add_argument("--universe", type=int, default=None,
@@ -208,9 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force the multi-way batmap probe path "
                             "(implied when more than two sets are given)")
 
-    build = sub.add_parser(
-        "build-index",
-        help="build a servable spill artifact from a FIMI file (no mining)")
+
+def _build_index_arguments(build: argparse.ArgumentParser) -> None:
     build.add_argument("input", type=Path, help="FIMI-format transaction file")
     build.add_argument("spill_dir", type=Path,
                        help="output directory for the spill artifact")
@@ -246,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="universe size for --sets-file "
                             "(default: max id + 1)")
 
-    ingest = sub.add_parser(
-        "ingest", help="append new sets to an existing spill artifact")
+
+def _ingest_arguments(ingest: argparse.ArgumentParser) -> None:
     ingest.add_argument("spill_dir", type=Path,
                         help="existing spill artifact directory")
     ingest.add_argument("input", type=Path,
@@ -265,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resident-set ceiling while building the delta "
                              "shards, e.g. 64M or 2G (default: one shard)")
 
-    delete = sub.add_parser(
-        "delete", help="tombstone sets of a spill artifact by live index")
+
+def _delete_arguments(delete: argparse.ArgumentParser) -> None:
     delete.add_argument("spill_dir", type=Path,
                         help="existing spill artifact directory")
     delete.add_argument("--sets", type=int, nargs="+", required=True,
@@ -274,9 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="live set indices to tombstone (the dense index "
                              "space queries see; compaction purges the rows)")
 
-    compact = sub.add_parser(
-        "compact",
-        help="merge shards and purge tombstones (LSM-style compaction)")
+
+def _compact_arguments(compact: argparse.ArgumentParser) -> None:
     compact.add_argument("spill_dir", type=Path,
                          help="existing spill artifact directory")
     compact.add_argument("--full", action="store_true",
@@ -287,25 +282,23 @@ def build_parser() -> argparse.ArgumentParser:
                          help="resident-set ceiling for merged shards, e.g. "
                               "64M or 2G (bounds each merged shard's size)")
 
-    verify = sub.add_parser(
-        "verify",
-        help="check a spill artifact (checksums, cross-checks, garbage)")
+
+def _verify_arguments(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("spill_dir", type=Path,
                         help="spill artifact directory to check")
     verify.add_argument("--json", action="store_true",
                         help="print the structured report as one JSON object")
 
-    repair = sub.add_parser(
-        "repair",
-        help="roll a spill artifact back to its last committed generation")
+
+def _repair_arguments(repair: argparse.ArgumentParser) -> None:
     repair.add_argument("spill_dir", type=Path,
                         help="spill artifact directory to repair")
     repair.add_argument("--json", action="store_true",
                         help="print the repair actions and post-repair "
                              "report as one JSON object")
 
-    serve = sub.add_parser(
-        "serve", help="serve queries over a spill artifact (JSON over TCP)")
+
+def _serve_arguments(serve: argparse.ArgumentParser) -> None:
     serve.add_argument("spill_dir", type=Path,
                        help="spill artifact directory (from `repro build-index` "
                             "or `repro mine --stream` with a kept spill)")
@@ -335,14 +328,49 @@ def build_parser() -> argparse.ArgumentParser:
                             "rectangles through a pruned heap accumulator "
                             "(identical answers)")
 
-    query = sub.add_parser(
-        "query", help="send one JSON request to a running server")
+
+def _query_arguments(query: argparse.ArgumentParser) -> None:
     query.add_argument("address", help="server address as HOST:PORT")
     query.add_argument("request",
                        help="one request as JSON, e.g. "
                             "'{\"op\": \"count\", \"pairs\": [[0, 1]]}'")
     query.add_argument("--timeout", type=float, default=60.0,
                        help="socket timeout in seconds")
+
+#: Every subcommand: its ``--help`` line and the function adding its arguments.
+_SUBCOMMANDS = {
+    "mine": ("mine frequent pairs from a FIMI file", _mine_arguments),
+    "generate": ("generate a synthetic dataset in FIMI format", _generate_arguments),
+    "intersect": ("intersect two or more integer-set files", _intersect_arguments),
+    "build-index": ("build a servable spill artifact from a FIMI file (no mining)",
+                    _build_index_arguments),
+    "ingest": ("append new sets to an existing spill artifact", _ingest_arguments),
+    "delete": ("tombstone sets of a spill artifact by live index", _delete_arguments),
+    "compact": ("merge shards and purge tombstones (LSM-style compaction)", _compact_arguments),
+    "verify": ("check a spill artifact (checksums, cross-checks, garbage)", _verify_arguments),
+    "repair": ("roll a spill artifact back to its last committed generation", _repair_arguments),
+    "serve": ("serve queries over a spill artifact (JSON over TCP)", _serve_arguments),
+    "query": ("send one JSON request to a running server", _query_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Build the top-level ``repro`` argument parser with every subcommand.
+
+    With ``command``, only that subcommand's parser is built: :func:`main`
+    parses one command line, and the other ten would be built for nothing.
+    Its usage line still names every subcommand, so the messages that
+    parser can print (its own errors and ``command``'s) are unchanged.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="BATMAP set intersection / frequent pair mining toolkit",
+    )
+    names = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        if command is None or command == name:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -436,6 +464,8 @@ def _pair_arrays(pairs, min_support: int) -> tuple:
     """
     if not isinstance(pairs, dict):
         return pairs.pair_arrays(min_support)
+    import numpy as np
+
     items = sorted(pairs.items())
     keys = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 2)
     values = np.array([value for _, value in items], dtype=np.int64)
@@ -452,9 +482,24 @@ def _report_pairs(pairs, args: argparse.Namespace, out, elapsed: float,
     i, j, support = _pair_arrays(pairs, args.min_support)
     print(f"{i.size} frequent pairs (support >= {args.min_support}) "
           f"in {elapsed:.3f}s wall clock [{engine_tag}]", file=out)
-    for r in np.lexsort((j, i, -support))[:args.top].tolist():
+    for r in _top_rows(i, j, support, args.top).tolist():
         print(f"  ({i[r]}, {j[r]})  support={support[r]}", file=out)
     _maybe_write_pairs(i, j, support, args.pairs_out, out)
+
+
+def _top_rows(i, j, support, top: int):
+    """Rows of the ``top`` pairs by support descending, ties by ``(i, j)``.
+
+    Only the pairs at or above the ``top``-th largest support are sorted;
+    any other ``top`` (0, negative, at least every pair) slices the full order.
+    """
+    import numpy as np
+
+    rows = np.arange(support.size)
+    if 0 < top < support.size:
+        nth = np.partition(support, support.size - top)[support.size - top]
+        rows = np.flatnonzero(support >= nth)
+    return rows[np.lexsort((j[rows], i[rows], -support[rows]))][:top]
 
 
 def _maybe_print_result_format(report, out) -> None:
@@ -473,6 +518,8 @@ def _maybe_write_pairs(i, j, support, path, out) -> None:
     """Write every frequent pair as ``i j support`` lines, in array order (optional)."""
     if path is None:
         return
+    import numpy as np
+
     columns = np.column_stack((i, j, support)).ravel().tolist()
     Path(path).write_text(("%d %d %d\n" * i.size) % tuple(columns))
     print(f"wrote {i.size} pairs to {path}", file=out)
@@ -641,6 +688,8 @@ def _cmd_generate(args: argparse.Namespace, out) -> int:
 
 def _read_id_file(path: Path) -> np.ndarray:
     """Read one set: every id in the file, on any line (FIMI grammar)."""
+    import numpy as np
+
     from repro.datasets.fimi_io import read_fimi_arrays
 
     return np.unique(read_fimi_arrays(path, name=str(path))[1])
@@ -648,6 +697,8 @@ def _read_id_file(path: Path) -> np.ndarray:
 
 def _cmd_intersect_multiway(args: argparse.Namespace, sets, universe, out) -> int:
     """Intersect three or more sets through the batched multi-way probe path."""
+    import numpy as np
+
     from repro.core.collection import BatmapCollection
     from repro.core.config import BatmapConfig
     from repro.core.hashing import HashFamily
@@ -751,6 +802,8 @@ def _read_sets_file(path: Path) -> list:
 
 def _build_index_sets_file(args: argparse.Namespace, budget: int, out) -> int:
     """The ``build-index --sets-file`` arm: raw sets, no FIMI preprocessing."""
+    import numpy as np
+
     from repro.core.sharded import ShardedCollection
 
     sets = _read_sets_file(args.input)
@@ -772,6 +825,8 @@ def _build_index_sets_file(args: argparse.Namespace, budget: int, out) -> int:
 
 def _save_item_map(spill_dir, item_map: np.ndarray) -> None:
     """Write ``item_map.npy`` next to the committed manifest, fsynced like the spill."""
+    import numpy as np
+
     path = Path(spill_dir) / "item_map.npy"
     np.save(path, item_map)
     for target in (path, spill_dir):  # the bytes, then the directory entry
@@ -796,6 +851,7 @@ def _report_index(args: argparse.Namespace, collection, elapsed: float, out) -> 
 
 def _cmd_build_index(args: argparse.Namespace, out) -> int:
     """Build a servable spill artifact from a FIMI file, without mining."""
+    from repro.core.integrity import writer_lock
     from repro.mining.preprocess import preprocess_streaming
     from repro.utils.memory import parse_memory_size
 
@@ -811,25 +867,29 @@ def _cmd_build_index(args: argparse.Namespace, out) -> int:
         print("error: --universe requires --sets-file", file=out)
         return 2
     try:
-        if args.sets_file:
-            return _build_index_sets_file(args, budget, out)
-        start = time.perf_counter()
-        pre = preprocess_streaming(
-            args.input,
-            args.spill_dir,
-            memory_budget=budget,
-            min_support=args.min_support,
-            rng=args.seed,
-            build_compute=args.build_compute,
-            build_workers=args.build_workers,
-            family_kind=args.family,
-            family_capacity=args.capacity,
-            max_transactions=args.max_transactions,
-        )
+        # One writer from the first staged file to the item map: a concurrent
+        # build-index or ingest into the directory waits.
+        args.spill_dir.mkdir(parents=True, exist_ok=True)
+        with writer_lock(args.spill_dir):
+            if args.sets_file:
+                return _build_index_sets_file(args, budget, out)
+            start = time.perf_counter()
+            pre = preprocess_streaming(
+                args.input,
+                args.spill_dir,
+                memory_budget=budget,
+                min_support=args.min_support,
+                rng=args.seed,
+                build_compute=args.build_compute,
+                build_workers=args.build_workers,
+                family_kind=args.family,
+                family_capacity=args.capacity,
+                max_transactions=args.max_transactions,
+            )
+            _save_item_map(args.spill_dir, pre.item_map)
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    _save_item_map(args.spill_dir, pre.item_map)
     _report_index(args, pre.collection, time.perf_counter() - start, out)
     return 0
 
@@ -1041,7 +1101,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     source and line, never a bare ``ValueError`` traceback.
     """
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         if args.command == "mine":
             return _cmd_mine(args, out)
@@ -1071,12 +1133,33 @@ def main(argv: list[str] | None = None, out=None) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+#: Native thread pools NumPy may start on import; ``repro`` uses none of them
+#: (its threads are Python threads over the compiled kernel, and its only
+#: matrix product is int64, which NumPy computes without BLAS).
+NATIVE_POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def cap_native_pools() -> None:
+    """Ask BLAS and OpenMP for one thread each, unless the user chose a size.
+
+    OpenBLAS reads its variable once, when NumPy loads it; its worker pool
+    otherwise busy-waits on an idle core while the process imports.  Only
+    :func:`run` calls this, before anything imports NumPy (``repro.cli``
+    itself does not), so a library or test importing ``repro`` keeps
+    ``os.environ`` as it found it.
+    """
+    for name in NATIVE_POOL_VARIABLES:
+        os.environ.setdefault(name, "1")
+
+
 def run() -> int:
     """Process entry point (the ``repro`` script and ``python -m repro.cli``).
 
-    :func:`main`, then a frozen heap, so interpreter exit skips its full
+    Caps the native thread pools (:func:`cap_native_pools`), runs
+    :func:`main`, then freezes the heap, so interpreter exit skips its full
     collection: every command has closed (spills: fsynced) what it wrote.
     """
+    cap_native_pools()
     code = main()
     gc.freeze()
     return code

@@ -24,7 +24,6 @@ Elements in this implementation are 0-based: ``x in {0, ..., m-1}``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
@@ -82,6 +81,8 @@ class ArrayPermutation:
 
     @cached_property
     def _fingerprint(self) -> bytes:
+        import hashlib
+
         return hashlib.sha256(self.table.tobytes()).digest()
 
     def __eq__(self, other: object) -> bool:

@@ -26,9 +26,9 @@ Identity guarantees (pinned by ``tests/test_sharded.py``):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import shutil
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -48,6 +48,7 @@ from repro.core.integrity import (
     MANIFEST_NAME,
     SHARD_ARRAY_NAMES,
     AtomicCommit,
+    blake2b,
     file_digest,
     sweep_stale_staging,
     writer_lock,
@@ -456,6 +457,7 @@ class ShardedCollectionBuilder:
         self._next_lo = 0
         self._finalized = False
         self._commit: AtomicCommit | None = None
+        self._lock = ExitStack()  # holds the writer lock while a commit is pending
 
     @classmethod
     def for_append(
@@ -518,10 +520,31 @@ class ShardedCollectionBuilder:
         return self.build_compute
 
     def _ensure_commit(self) -> AtomicCommit:
-        """The pending :class:`AtomicCommit` this builder stages files into."""
+        """The pending :class:`AtomicCommit` this builder stages files into.
+
+        Opening it takes the spill's writer lock, held until the commit (or
+        :meth:`_abort`): no other writer publishes while this one stages.
+        """
         if self._commit is None:
+            self._lock.enter_context(writer_lock(self.spill_dir))
             self._commit = AtomicCommit(self.spill_dir)
         return self._commit
+
+    def _publish(self, manifest: dict) -> None:
+        """Commit the staged files under ``manifest``; release the lock."""
+        self._commit.commit(manifest)
+        self._commit = None
+        self._lock.close()
+
+    def _abort(self) -> None:
+        """Drop the staged files and release the lock; the builder is spent."""
+        self._finalized = True
+        commit, self._commit = self._commit, None
+        try:
+            if commit is not None:
+                commit.abort()
+        finally:
+            self._lock.close()
 
     def _fresh_shard_name(self) -> str:
         """Next unused ``shard_NNNN`` name (skips live *and* staged names)."""
@@ -548,12 +571,20 @@ class ShardedCollectionBuilder:
         :class:`AtomicCommit` staging directory — nothing touches the live
         spill until :meth:`finalize` / :meth:`append` commits, so a crash
         mid-build (or mid-append) leaves any previously committed
-        generation intact.
+        generation intact.  A failure drops the staged files and spends
+        the builder.
         """
-        from repro.core.collection import BatmapCollection
-
         require(not self._finalized, "builder is already finalized")
         require(len(sets) > 0, "cannot add an empty shard")
+        try:
+            return self._stage_shard(sets, kind)
+        except BaseException:
+            self._abort()
+            raise
+
+    def _stage_shard(self, sets, kind: str) -> ShardInfo:
+        from repro.core.collection import BatmapCollection
+
         faultpoint("append.shard")
         collection = BatmapCollection.build(
             sets,
@@ -704,8 +735,7 @@ class ShardedCollectionBuilder:
         try:
             return self._append_staged(commit, sets, universe_size)
         except BaseException:
-            self._commit = None
-            commit.abort()
+            self._abort()
             raise
 
     def _append_staged(self, commit: AtomicCommit, sets,
@@ -753,8 +783,7 @@ class ShardedCollectionBuilder:
             tombstones=self._tombstones_entry(tombstones),
             family=self._stage_family(commit),
         )
-        commit.commit(manifest)
-        self._commit = None
+        self._publish(manifest)
         return ShardedCollection(self.spill_dir, self.universe_size, self.r0,
                                  self.shards, family=self.family,
                                  payload_bits=self.config.payload_bits,
@@ -766,11 +795,16 @@ class ShardedCollectionBuilder:
                                  family_digest=self.family_digest)
 
     def finalize(self) -> "ShardedCollection":
-        """Atomically commit the staged shards + manifest; return the collection."""
+        """Atomically commit the staged shards + manifest; return the collection.
+
+        A spill already committed in the directory is replaced: its files
+        are swept after the commit and the generation moves past it.
+        """
         require(self.shards, "cannot finalize a sharded collection with no shards")
         self._finalized = True
         commit = self._ensure_commit()
         try:
+            self.generation = commit.replace_committed()
             manifest = build_spill_manifest(
                 universe_size=self.universe_size, r0=self.r0,
                 payload_bits=self.config.payload_bits, shards=self.shards,
@@ -778,12 +812,10 @@ class ShardedCollectionBuilder:
                 tombstones=None,
                 family=self._stage_family(commit),
             )
-            commit.commit(manifest)
+            self._publish(manifest)
         except BaseException:
-            self._commit = None
-            commit.abort()
+            self._abort()
             raise
-        self._commit = None
         return ShardedCollection(self.spill_dir, self.universe_size, self.r0,
                                  self.shards, family=self.family,
                                  payload_bits=self.config.payload_bits,
@@ -811,7 +843,8 @@ class ShardedCollection:
                  tombstones_file: str | None = None,
                  tombstones_digest: str | None = None,
                  family_file: str | None = None,
-                 family_digest: str | None = None) -> None:
+                 family_digest: str | None = None,
+                 family_kind: str | None = None) -> None:
         """Wrap already-spilled shards; use :meth:`build` or :meth:`from_spill`."""
         self.spill_dir = Path(spill_dir)
         self.universe_size = universe_size
@@ -829,6 +862,9 @@ class ShardedCollection:
         self.family_file = family_file
         self.family_digest = family_digest
         self._family = family
+        #: the manifest's record of the family kind, so naming it in the next
+        #: manifest does not load the family
+        self._family_kind = family_kind
         self._live_ids: np.ndarray | None = None
         self._live_positions: np.ndarray | None = None
         self._content_token: str | None = None
@@ -1032,7 +1068,8 @@ class ShardedCollection:
                    tombstones_file=tombstones_file,
                    tombstones_digest=tombstones_digest,
                    family_file=family_file,
-                   family_digest=family_digest)
+                   family_digest=family_digest,
+                   family_kind=manifest.get("family_kind"))
 
     # ------------------------------------------------------------------ #
     # Access
@@ -1091,7 +1128,7 @@ class ShardedCollection:
         the manifest).
         """
         if self._content_token is None:
-            digest = hashlib.blake2b(digest_size=8)
+            digest = blake2b(digest_size=8)
             manifest_path = self.spill_dir / MANIFEST_NAME
             if manifest_path.exists():
                 digest.update(manifest_path.read_bytes())
@@ -1224,6 +1261,8 @@ class ShardedCollection:
     @property
     def family_kind(self) -> str:
         """``"lazy"`` for an extensible family, ``"eager"`` otherwise."""
+        if self._family is None and self._family_kind in ("eager", "lazy"):
+            return self._family_kind
         if self._family is None and self.family_file is None:
             return "eager"
         return ("lazy" if isinstance(self.family, ExtensibleHashFamily)

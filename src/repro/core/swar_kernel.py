@@ -295,7 +295,7 @@ def _load_native():
 
     Returns ``(None, reason)`` whenever the compiled kernel cannot be used.
     """
-    import hashlib
+    from repro.core.integrity import blake2b  # hashlib would load OpenSSL
 
     if os.name != "posix":
         return None, "compiled kernel needs a POSIX host"
@@ -304,7 +304,7 @@ def _load_native():
         return None, "no C compiler found"
     try:
         st = os.stat(cc[0])
-        key = hashlib.sha256(b"\0".join([
+        key = blake2b(b"\0".join([
             SOURCE.read_bytes(), " ".join(CFLAGS).encode(), " ".join(cc).encode(),
             f"{st.st_size}:{st.st_mtime_ns}".encode(), _cpu_id().encode(),
         ])).hexdigest()[:20]

@@ -6,17 +6,9 @@
   2-of-3 batmaps via per-item membership probes.
 """
 
-from repro.extensions.dofd1 import (
-    GeneralizedBatmap,
-    GeneralizedBatmapFamily,
-    multiway_intersection_size,
-)
-from repro.extensions.multiway import MultiwayResult, multiway_intersection
+from repro import _lazy
 
-__all__ = [
-    "GeneralizedBatmap",
-    "GeneralizedBatmapFamily",
-    "multiway_intersection_size",
-    "MultiwayResult",
-    "multiway_intersection",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "dofd1": "GeneralizedBatmap GeneralizedBatmapFamily multiway_intersection_size",
+    "multiway": "MultiwayResult multiway_intersection",
+})

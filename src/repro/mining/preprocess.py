@@ -26,6 +26,7 @@ from repro.core.collection import BatmapCollection
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import DataFormatError
 from repro.core.hashing import ExtensibleHashFamily, HashFamily
+from repro.core.integrity import writer_lock
 from repro.core.sharded import (
     ShardedCollection,
     ShardedCollectionBuilder,
@@ -307,61 +308,66 @@ def preprocess_streaming(
     ))
 
     spill_dir = Path(spill_dir)
-    parts_dir = spill_dir / "tidlists"
-    parts_dir.mkdir(parents=True, exist_ok=True)
-    handles = {}
-    try:
-        for chunk in iter_fimi_chunks(source, chunk_transactions=chunk_transactions,
-                                      chunk_items=chunk_items,
-                                      max_transactions=max_transactions):
-            mapped = remap[chunk.indices]
-            kept_items = mapped >= 0
-            if not kept_items.any():
-                continue
-            pairs = np.empty((int(np.count_nonzero(kept_items)), 2), dtype=np.int64)
-            pairs[:, 0] = mapped[kept_items]
-            pairs[:, 1] = chunk.occurrence_tids()[kept_items]
-            del mapped, kept_items
-            shard_of = np.searchsorted(bounds, pairs[:, 0], side="right")
-            for s in sorted_unique(shard_of).tolist():
-                handle = handles.get(s)
-                if handle is None:
-                    handle = handles[s] = (parts_dir / f"part_{s:04d}.bin").open("ab")
-                handle.write(np.ascontiguousarray(pairs[shard_of == s]).tobytes())
-    finally:
-        for handle in handles.values():
-            handle.close()
+    spill_dir.mkdir(parents=True, exist_ok=True)
+    # One writer from the first tidlist part to the commit: a concurrent
+    # build into the same directory would append to these parts.
+    with writer_lock(spill_dir):
+        parts_dir = spill_dir / "tidlists"
+        parts_dir.mkdir(parents=True, exist_ok=True)
+        handles = {}
+        try:
+            for chunk in iter_fimi_chunks(source, chunk_transactions=chunk_transactions,
+                                          chunk_items=chunk_items,
+                                          max_transactions=max_transactions):
+                mapped = remap[chunk.indices]
+                kept_items = mapped >= 0
+                if not kept_items.any():
+                    continue
+                pairs = np.empty((int(np.count_nonzero(kept_items)), 2), dtype=np.int64)
+                pairs[:, 0] = mapped[kept_items]
+                pairs[:, 1] = chunk.occurrence_tids()[kept_items]
+                del mapped, kept_items
+                shard_of = np.searchsorted(bounds, pairs[:, 0], side="right")
+                for s in sorted_unique(shard_of).tolist():
+                    handle = handles.get(s)
+                    if handle is None:
+                        handle = handles[s] = (parts_dir / f"part_{s:04d}.bin").open("ab")
+                    handle.write(np.ascontiguousarray(pairs[shard_of == s]).tobytes())
+        finally:
+            for handle in handles.values():
+                handle.close()
 
-    builder = ShardedCollectionBuilder(
-        spill_dir, universe, r0, family=family, config=config,
-        build_compute=build_compute, build_workers=build_workers,
-        memory_budget=available,
-    )
-    for s, (lo, hi) in enumerate(ranges):
-        part = parts_dir / f"part_{s:04d}.bin"
-        if part.exists():
-            data = np.fromfile(part, dtype=np.int64).reshape(-1, 2)
-        else:
-            data = np.zeros((0, 2), dtype=np.int64)
-        local = data[:, 0] - lo
-        order = np.argsort(local, kind="stable")  # appends keep tids ascending
-        tids_sorted = data[:, 1][order]
-        local_sorted = local[order]
-        # Free the sort intermediates before any batmap is built — together
-        # they are ~5x the tidlist data and would otherwise sit under the
-        # build's working set.
-        del data, local, order
-        cuts = np.searchsorted(local_sorted, np.arange(hi - lo + 1))
-        del local_sorted
-        tidlists = [tids_sorted[cuts[i]:cuts[i + 1]] for i in range(hi - lo)]
-        builder.add_shard(tidlists)
-        del tidlists, tids_sorted
-        if part.exists():
-            part.unlink()
-    shutil.rmtree(parts_dir, ignore_errors=True)
+        builder = ShardedCollectionBuilder(
+            spill_dir, universe, r0, family=family, config=config,
+            build_compute=build_compute, build_workers=build_workers,
+            memory_budget=available,
+        )
+        for s, (lo, hi) in enumerate(ranges):
+            part = parts_dir / f"part_{s:04d}.bin"
+            if part.exists():
+                data = np.fromfile(part, dtype=np.int64).reshape(-1, 2)
+            else:
+                data = np.zeros((0, 2), dtype=np.int64)
+            local = data[:, 0] - lo
+            order = np.argsort(local, kind="stable")  # appends keep tids ascending
+            tids_sorted = data[:, 1][order]
+            local_sorted = local[order]
+            # Free the sort intermediates before any batmap is built — together
+            # they are ~5x the tidlist data and would otherwise sit under the
+            # build's working set.
+            del data, local, order
+            cuts = np.searchsorted(local_sorted, np.arange(hi - lo + 1))
+            del local_sorted
+            tidlists = [tids_sorted[cuts[i]:cuts[i + 1]] for i in range(hi - lo)]
+            builder.add_shard(tidlists)
+            del tidlists, tids_sorted
+            if part.exists():
+                part.unlink()
+        shutil.rmtree(parts_dir, ignore_errors=True)
+        collection = builder.finalize()
 
     return StreamedPreprocessedData(
-        collection=builder.finalize(),
+        collection=collection,
         source=source,
         stats=stats,
         item_map=kept,

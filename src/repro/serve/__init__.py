@@ -12,14 +12,11 @@ equivalent direct :class:`~repro.core.collection.BatmapCollection` /
 See ``docs/serving.md`` for the protocol reference and operational guide.
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.engine import SpillQueryEngine
-from repro.serve.server import BackgroundServer, BatmapServer
+from repro import _lazy
 
-__all__ = [
-    "BackgroundServer",
-    "BatmapServer",
-    "ServeClient",
-    "ServeError",
-    "SpillQueryEngine",
-]
+#: Loaded on first access: ``repro query`` needs the client, not the server.
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "client": "ServeClient ServeError",
+    "engine": "SpillQueryEngine",
+    "server": "BackgroundServer BatmapServer",
+})

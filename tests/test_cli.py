@@ -30,6 +30,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mine", str(fimi_file), "--engine", "magic"])
 
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["delete"], ["mine", "x", "--top", "y"],
+                                      ["delete", "x", "--sets", "3", "--bogus"]])
+    def test_main_errors_match_the_full_parser(self, argv, capsys):
+        """``main`` builds only the invoked subcommand; its errors are unchanged."""
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr().err
+        with pytest.raises(SystemExit) as one:
+            main(argv)
+        assert capsys.readouterr().err == expected
+        assert one.value.code == full.value.code == 2
+
 
 class TestMine:
     @pytest.mark.parametrize("engine", ["batmap", "apriori", "fpgrowth", "eclat"])
@@ -48,6 +60,35 @@ class TestMine:
         main(["mine", str(fimi_file), "--min-support", "1", "--top", "2"], out=out)
         pair_lines = [line for line in out.getvalue().splitlines() if "support=" in line]
         assert len(pair_lines) == 2
+
+    @pytest.mark.parametrize("top", [0, 1, 4, 9, 10, 11, 45, 1000, -3])
+    def test_top_pairs_break_ties_by_pair(self, tmp_path, top):
+        """Many equal supports: the top lines are the (-support, i, j) order."""
+        rng = np.random.default_rng(7)
+        rows = [" ".join(map(str, np.flatnonzero(rng.random(10) < 0.5))) for _ in range(12)]
+        path = tmp_path / "ties.fimi"
+        path.write_text("\n".join(row for row in rows if row) + "\n")
+        pairs_out = tmp_path / "pairs.txt"
+        out = io.StringIO()
+        assert main(["mine", str(path), "--min-support", "1", "--top", str(top),
+                     "--pairs-out", str(pairs_out)], out=out) == 0
+        pairs = [tuple(map(int, line.split())) for line in pairs_out.read_text().splitlines()]
+        assert len({support for _, _, support in pairs}) < len(pairs) // 4  # tie-heavy
+        ranked = sorted(pairs, key=lambda p: (-p[2], p[0], p[1]))[:top]
+        lines = [line for line in out.getvalue().splitlines() if "support=" in line]
+        assert lines == [f"  ({i}, {j})  support={support}" for i, j, support in ranked]
+
+    def test_top_rows_match_the_full_sort(self):
+        from repro.cli import _top_rows
+
+        rng = np.random.default_rng(11)
+        for n, high in ((1, 2), (50, 2), (5000, 4), (5000, 1000)):
+            keys = np.unique(rng.integers(0, 200, size=(n, 2)), axis=0)
+            i, j = keys[:, 0], keys[:, 1]
+            support = rng.integers(1, high, size=i.size)
+            full = np.lexsort((j, i, -support))
+            for top in (0, 1, 2, 10, 37, i.size - 1, i.size, i.size + 5, -1):
+                assert np.array_equal(_top_rows(i, j, support, top), full[:top]), (n, top)
 
     def test_max_transactions(self, fimi_file):
         out = io.StringIO()

@@ -54,3 +54,19 @@ def test_every_subcommand_is_snapshotted():
     from repro.cli import subcommand_parsers
 
     assert set(subcommand_parsers()) | {snapshots.TOP_LEVEL} == set(SOURCES)
+
+
+@pytest.mark.parametrize("name", sorted(set(SOURCES) - {snapshots.TOP_LEVEL}))
+def test_single_command_parser_matches_snapshots(name):
+    """``main`` builds only the invoked subcommand; what it can print is unchanged."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = build_parser(name)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [name]
+    expected = (snapshots.SNAPSHOT_DIR / f"{name}.txt").read_text()
+    assert snapshots.render_help(sub.choices[name]) == expected
+    # the top-level usage (printed with an unrecognised argument) names them all
+    assert parser.format_usage() == SOURCES[snapshots.TOP_LEVEL].format_usage()

@@ -102,8 +102,9 @@ repro.utils.arrays repro.utils.bits repro.utils.faultpoints repro.utils.rng
 repro.utils.validation
 """.split())
 
-#: ``repro delete`` builds and counts nothing: none of these may load.
-NEVER_DELETED = ["numpy.ma", "numpy.random", "repro.core.batch",
+#: ``repro delete`` builds and counts nothing: none of these may load (nor
+#: OpenSSL's ``_hashlib``: the spill digests use the built-in blake2b).
+NEVER_DELETED = ["_hashlib", "numpy.ma", "numpy.random", "repro.core.batch",
                  "repro.core.bulk_build"]
 
 #: ``repro ingest --append`` adds the build path (and the planner it asks).
@@ -116,18 +117,28 @@ repro.parallel.executor repro.utils.memory
 """.split())
 
 
-def test_mutation_import_snapshots(tmp_path):
-    """Pin what ``repro delete`` and ``repro ingest --append`` load."""
+#: ``repro compact --full`` adds the merge (and budget parsing) to ``delete``.
+COMPACT_MODULES = sorted(DELETE_MODULES + ["repro.core.compaction", "repro.utils.memory"])
+
+
+def _spill(tmp_path) -> Path:
     sets = tmp_path / "base.sets"
     sets.write_text("".join(f"{i} {i + 3} {2 * i + 7}\n" for i in range(40)))
-    extra = tmp_path / "extra.sets"
-    extra.write_text("1 4 9\n2 8\n")
     spill = tmp_path / "spill"
-    build = ["build-index", str(sets), str(spill), "--sets-file"]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-m", "repro.cli", *build], env=env, check=True,
-                   capture_output=True, timeout=120)
+    for argv in (["build-index", str(sets), str(spill), "--sets-file"],
+                 ["delete", str(spill), "--sets", "5"]):
+        subprocess.run([sys.executable, "-m", "repro.cli", *argv], env=env, check=True,
+                       capture_output=True, timeout=120)
+    return spill
+
+
+def test_mutation_import_snapshots(tmp_path):
+    """Pin what ``repro delete``, ``ingest --append`` and ``compact --full`` load."""
+    spill = _spill(tmp_path)
+    extra = tmp_path / "extra.sets"
+    extra.write_text("1 4 9\n2 8\n")
     snapshot = (
         "import io, json, sys, repro.cli\n"
         "assert repro.cli.main(ARGV, out=io.StringIO()) == 0\n"
@@ -139,6 +150,53 @@ def test_mutation_import_snapshots(tmp_path):
         "ARGV", repr(["delete", str(spill), "--sets", "3"])))
     assert forbidden == []
     assert deleted == DELETE_MODULES
-    ingested, _ = _run_fresh(snapshot.replace(
+    ingested, forbidden = _run_fresh(snapshot.replace(
         "ARGV", repr(["ingest", str(spill), str(extra), "--append"])))
     assert ingested == INGEST_MODULES
+    assert "_hashlib" not in forbidden
+    compacted, forbidden = _run_fresh(snapshot.replace(
+        "ARGV", repr(["compact", str(spill), "--full"])))
+    assert compacted == COMPACT_MODULES
+    assert forbidden == []
+
+
+#: Every ``repro`` module ``repro serve`` has loaded when it prints
+#: ``serving on``: attach, the query engine and the asyncio server.
+SERVE_MODULES = sorted("""
+repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
+repro.core.builder repro.core.config repro.core.errors repro.core.hashing
+repro.core.integrity repro.core.intersection repro.core.results repro.core.sharded
+repro.core.swar repro.core.swar_kernel repro.extensions repro.extensions.multiway
+repro.serve repro.serve.batcher repro.serve.cache repro.serve.engine
+repro.serve.metrics repro.serve.protocol repro.serve.server repro.utils
+repro.utils.arrays repro.utils.bits repro.utils.faultpoints repro.utils.rng
+repro.utils.validation
+""".split())
+
+#: ``repro query`` is a JSON client: no NumPy, no asyncio, no engine.
+NEVER_QUERIED = ["asyncio", "numpy", "repro.core.sharded", "repro.serve.engine"]
+
+
+def test_serve_and_query_import_snapshots(tmp_path):
+    """Pin what ``repro serve`` loads up to ``serving on``, and ``repro query``."""
+    spill = _spill(tmp_path)
+    ready = (
+        "import io, json, os, sys, repro.cli\n"
+        "class Ready(io.StringIO):\n"
+        "    def write(self, text):\n"
+        "        if text.startswith('serving on'):\n"
+        "            print(json.dumps(sorted(m for m in sys.modules\n"
+        "                                    if m == 'repro' or m.startswith('repro.'))),\n"
+        "                  flush=True)\n"
+        "            os._exit(0)\n"
+        "        return super().write(text)\n"
+        f"repro.cli.main(['serve', {str(spill)!r}, '--port', '0'], out=Ready())\n"
+    )
+    assert _run_fresh(ready) == SERVE_MODULES
+    query = (
+        "import io, json, sys, repro.cli\n"
+        "repro.cli.main(['query', '127.0.0.1:1', '{\"op\": \"stats\"}', '--timeout', '1'],\n"
+        "               out=io.StringIO())\n"
+        f"print(json.dumps([m for m in {NEVER_QUERIED!r} if m in sys.modules]))"
+    )
+    assert _run_fresh(query) == []

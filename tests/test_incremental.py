@@ -118,6 +118,32 @@ def test_random_lifecycle_matches_from_scratch(tmp_path, family_kind,
                                   reattached.count_all_pairs())
 
 
+@pytest.mark.parametrize("family_kind", ["eager", "lazy"])
+def test_delete_and_compact_never_load_the_family(tmp_path, family_kind, monkeypatch):
+    """Naming the family's kind in the next manifest reads the current one."""
+    import json
+
+    import repro.core.sharded as sharded_module
+
+    rng = np.random.default_rng(SEED)
+    ShardedCollection.build(random_sets(rng, 30, UNIVERSE), UNIVERSE, tmp_path,
+                            memory_budget=BUDGET, rng=SEED, family_kind=family_kind,
+                            max_sets_per_shard=10)
+
+    def refuse(path):
+        raise AssertionError(f"loaded {path}")
+
+    monkeypatch.setattr(sharded_module, "load_family", refuse)
+    ShardedCollection.from_spill(tmp_path).delete([3, 7])
+    ShardedCollection.from_spill(tmp_path).compact(full=True)
+    monkeypatch.undo()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["generation"] == 2 and manifest["family_kind"] == family_kind
+    reattached = ShardedCollection.from_spill(tmp_path)
+    assert reattached.n_sets == 28 and reattached.family is not None
+    assert reattached.family_kind == family_kind  # the loaded family agrees
+
+
 class TestPayloadNine:
     """payload_bits=9: in-memory placement stability, spill rejection."""
 

@@ -164,3 +164,95 @@ def test_threads_serialise_on_the_lock(tmp_path):
     reloaded = ShardedCollection.from_spill(spill)
     assert reloaded.n_sets == 34 and reloaded.generation == 6
     _assert_clean(spill)
+
+
+# --------------------------------------------------------------------------- #
+# Fresh builds: staging to commit under the same lock
+# --------------------------------------------------------------------------- #
+def _build_argv(sets: Path, spill: Path) -> list:
+    return ["build-index", sets, spill, "--sets-file", "--universe", "400",
+            "--family", "lazy", "--memory-budget", "40K"]
+
+
+def test_two_concurrent_builds_leave_one_clean_spill(tmp_path):
+    spill = tmp_path / "spill"
+    inputs = {n: _write_sets(tmp_path / f"base{n}.sets", n, n) for n in (40, 60)}
+    procs = [_repro(*_build_argv(path, spill)) for path in inputs.values()]
+    outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outputs
+    # the later build replaced the earlier one: its files are swept, the
+    # generation moved past it, and the item map matches the survivor
+    final = ShardedCollection.from_spill(spill)
+    assert final.n_sets in inputs and final.generation == 1
+    assert np.load(spill / "item_map.npy").size == final.n_sets
+    _assert_clean(spill)
+
+
+def test_ingest_racing_a_fresh_build_waits_or_refuses(tmp_path):
+    spill = tmp_path / "spill"
+    build = _repro(*_build_argv(_write_sets(tmp_path / "base.sets", 40, 1), spill))
+    ingest = _repro("ingest", spill, _write_sets(tmp_path / "extra.sets", 30, 2), "--append")
+    outputs = [proc.communicate(timeout=120)[0] for proc in (build, ingest)]
+    assert build.returncode == 0, outputs
+    n_sets = ShardedCollection.from_spill(spill).n_sets
+    if ingest.returncode == 0:  # waited for the build, then appended to it
+        assert n_sets == 70, outputs
+    else:  # ran before the build committed: nothing to append to
+        assert ingest.returncode == 2, outputs
+        lines = outputs[1].strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), outputs
+        assert n_sets == 40
+    _assert_clean(spill)
+
+
+def test_cli_build_waits_for_the_lock(tmp_path):
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    with writer_lock(spill):
+        proc = _repro(*_build_argv(_write_sets(tmp_path / "base.sets", 40, 1), spill))
+        time.sleep(1.0)
+        assert proc.poll() is None, "a fresh build must block on the lock"
+        assert not any(spill.glob(f"{STAGING_PREFIX}*")), "nothing staged before the lock"
+    output = proc.communicate(timeout=60)[0]
+    assert proc.returncode == 0, output
+    assert ShardedCollection.from_spill(spill).n_sets == 40
+    _assert_clean(spill)
+
+
+def test_rebuild_in_place_replaces_the_committed_spill(tmp_path):
+    spill = _spill(tmp_path)
+    stale = ShardedCollection.from_spill(spill)
+    stale.delete([0])  # generation 1, with a tombstone file
+    old_files = {p.name for p in spill.iterdir()}
+    rebuilt = ShardedCollection.build([np.arange(k, k + 5) for k in range(12)], 64, spill,
+                                      memory_budget=1 << 20, rng=3)
+    assert rebuilt.generation == 2 and rebuilt.n_sets == 12
+    assert not any(p.name.startswith("tombstones") for p in spill.iterdir())
+    kept = {"manifest.json", "LOCK", "item_map.npy"}  # the item map is the CLI's
+    assert {p.name for p in spill.iterdir()} & old_files <= kept
+    _assert_clean(spill)
+    with pytest.raises(SpillConflictError, match="another writer"):
+        stale.delete([1])
+
+
+def test_failed_build_releases_the_lock(tmp_path):
+    import fcntl
+
+    from repro.utils import faultpoints
+
+    spill = tmp_path / "spill"
+    sets = [np.arange(k, k + 5) for k in range(40)]
+    faultpoints.arm("append.shard", hit=2)
+    try:
+        with pytest.raises(faultpoints.InjectedFault):
+            ShardedCollection.build(sets, 64, spill, memory_budget=1 << 20,
+                                    max_sets_per_shard=10)
+    finally:
+        faultpoints.disarm()
+    assert not any(spill.glob(f"{STAGING_PREFIX}*")), "the staged shard is dropped"
+    assert not (spill / "manifest.json").exists()
+    fd = os.open(spill / "LOCK", os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # raises if still held
+    finally:
+        os.close(fd)
