@@ -897,6 +897,7 @@ def _cmd_build_index(args: argparse.Namespace, out) -> int:
 def _cmd_ingest(args: argparse.Namespace, out) -> int:
     """Append new sets to an existing spill artifact as delta shards."""
     from repro.core.integrity import writer_lock
+    from repro.core.manifest import require_manifest
     from repro.core.sharded import ShardedCollection
     from repro.utils.memory import parse_memory_size
 
@@ -904,6 +905,7 @@ def _cmd_ingest(args: argparse.Namespace, out) -> int:
         budget = (parse_memory_size(args.memory_budget)
                   if args.memory_budget is not None else None)
         sets = _read_sets_file(args.input)
+        require_manifest(args.spill_dir)
         with writer_lock(args.spill_dir):
             collection = ShardedCollection.from_spill(args.spill_dir)
             before = collection.n_sets
@@ -927,35 +929,33 @@ def _cmd_ingest(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_delete(args: argparse.Namespace, out) -> int:
-    """Tombstone live sets of a spill artifact."""
-    from repro.core.integrity import writer_lock
-    from repro.core.sharded import ShardedCollection
+    """Tombstone live sets of a spill artifact (no NumPy: spill metadata only)."""
+    from repro.core.manifest import delete_sets
 
     try:
-        with writer_lock(args.spill_dir):
-            collection = ShardedCollection.from_spill(args.spill_dir)
-            before = collection.n_sets
-            collection.delete(args.sets)
+        manifest, tombstones = delete_sets(args.spill_dir, args.sets)
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    print(f"tombstoned {before - collection.n_sets} set(s) "
-          f"({before} -> {collection.n_sets} live)", file=out)
-    print(f"generation {collection.generation}: "
-          f"{int(collection.tombstones.size)} tombstone(s) pending "
-          f"compaction", file=out)
+    deleted = len(set(args.sets))
+    live = manifest["n_sets"] - len(tombstones)
+    print(f"tombstoned {deleted} set(s) ({live + deleted} -> {live} live)", file=out)
+    print(f"generation {manifest['generation']}: {len(tombstones)} tombstone(s) "
+          "pending compaction", file=out)
     return 0
 
 
 def _cmd_compact(args: argparse.Namespace, out) -> int:
     """Merge shards and purge tombstones under an optional budget."""
     from repro.core.integrity import writer_lock
+    from repro.core.manifest import require_manifest
     from repro.core.sharded import ShardedCollection
     from repro.utils.memory import parse_memory_size
 
     try:
         budget = (parse_memory_size(args.memory_budget)
                   if args.memory_budget is not None else None)
+        require_manifest(args.spill_dir)
         with writer_lock(args.spill_dir):
             collection = ShardedCollection.from_spill(args.spill_dir)
             before_shards = collection.n_shards
@@ -986,7 +986,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     """Verify a spill artifact; exit 1 on damage, 0 when clean."""
     import json
 
-    from repro.core.integrity import verify_spill
+    from repro.core.verify import verify_spill
 
     report = verify_spill(args.spill_dir)
     if args.json:
@@ -1000,7 +1000,7 @@ def _cmd_repair(args: argparse.Namespace, out) -> int:
     """Sweep crash leftovers; exit 1 if damage remains after the sweep."""
     import json
 
-    from repro.core.integrity import repair_spill
+    from repro.core.verify import repair_spill
 
     result = repair_spill(args.spill_dir)
     if args.json:
@@ -1158,9 +1158,18 @@ def run() -> int:
     Caps the native thread pools (:func:`cap_native_pools`), runs
     :func:`main`, then freezes the heap, so interpreter exit skips its full
     collection: every command has closed (spills: fsynced) what it wrote.
+    A reader that closes the pipe early (``repro mine ... | head``) ends
+    the command with exit code 1 and no traceback.
     """
     cap_native_pools()
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's documented idiom: the reader is gone, so point stdout at
+        # devnull, or the flush at interpreter exit raises the error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     gc.freeze()
     return code
 

@@ -28,13 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.integrity import AtomicCommit, file_digest, writer_lock
-from repro.core.sharded import (
-    SHARD_BUDGET_DIVISOR,
-    ShardInfo,
-    ShardedCollection,
-    build_spill_manifest,
-)
+from repro.core.integrity import AtomicCommit, writer_lock
+from repro.core.manifest import build_spill_manifest, file_digest, write_tombstones
+from repro.core.sharded import SHARD_BUDGET_DIVISOR, ShardInfo, ShardedCollection
 from repro.utils.faultpoints import faultpoint
 from repro.utils.validation import require, require_positive
 
@@ -338,7 +334,7 @@ def compact(
             if new_tombstones.size:
                 tombstones_file = f"tombstones_{generation:04d}.npy"
                 staged = commit.stage(tombstones_file)
-                np.save(staged, new_tombstones)
+                write_tombstones(staged, new_tombstones)
                 tombstones_digest = file_digest(staged)
                 tombstones_entry = {"file": tombstones_file,
                                     "digest": tombstones_digest,
@@ -347,7 +343,8 @@ def compact(
                 commit.add_garbage(sharded.spill_dir / sharded.tombstones_file)
             manifest = build_spill_manifest(
                 universe_size=sharded.universe_size, r0=sharded.r0,
-                payload_bits=sharded.payload_bits, shards=new_shards,
+                payload_bits=sharded.payload_bits,
+                shards=[shard.manifest_entry() for shard in new_shards],
                 generation=generation, family_kind=sharded.family_kind,
                 tombstones=tombstones_entry, family=sharded._family_entry(),
             )

@@ -26,7 +26,6 @@ Identity guarantees (pinned by ``tests/test_sharded.py``):
 
 from __future__ import annotations
 
-import json
 import shutil
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -43,17 +42,20 @@ from repro.core.hashing import (
     load_family,
     save_family,
 )
-from repro.core.integrity import (
-    DIGEST_ALGORITHM,
+from repro.core.integrity import AtomicCommit, sweep_stale_staging, writer_lock
+from repro.core.manifest import (
+    FAMILY_NAME,
     MANIFEST_NAME,
     SHARD_ARRAY_NAMES,
-    AtomicCommit,
+    SUPPORTED_SPILL_VERSIONS,
+    TOMBSTONES_NAME,
     blake2b,
+    build_spill_manifest,
+    delete_sets,
     file_digest,
-    sweep_stale_staging,
-    writer_lock,
+    read_manifest,
+    read_tombstones,
 )
-from repro.utils.arrays import sorted_unique
 from repro.utils.bits import pack_bytes_to_words, unpack_words_to_bytes
 from repro.utils.faultpoints import faultpoint
 from repro.utils.rng import RngLike
@@ -71,6 +73,7 @@ __all__ = [
     "TOMBSTONES_NAME",
     "SUPPORTED_SPILL_VERSIONS",
     "set_packed_bytes",
+    "collection_r0",
     "fixed_resident_bytes",
     "working_budget",
     "plan_shard_ranges",
@@ -90,29 +93,6 @@ SHARD_BUDGET_DIVISOR = 10
 #: Smallest working budget (after fixed residents) the pipeline accepts;
 #: below this not even a singleton shard's build tables fit.
 MIN_WORKING_BUDGET = 4096
-
-#: Serialised hash family (``.npz``), written next to the manifest so a
-#: serving process can answer membership / decode queries without the build
-#: process's in-memory family.  Optional for pure pair counting.  Version-3
-#: mutations that replace the family write generational names
-#: (``family_{gen:04d}.npz``) recorded in the manifest's ``family`` entry;
-#: this canonical name is the fresh-build default and the v1/v2 location.
-FAMILY_NAME = "family.npz"
-#: Sorted physical set ids deleted from the collection (``int64``); absent
-#: or empty means no deletes.  Consulted by every read path before results
-#: surface, and purged physically by compaction.  Version-3 deletes write
-#: generational names (``tombstones_{gen:04d}.npy``) recorded in the
-#: manifest's ``tombstones`` entry — a live tombstone file is never
-#: overwritten in place; this canonical name is the v1/v2 location.
-TOMBSTONES_NAME = "tombstones.npy"
-#: Current write version plus every older version readers still accept.
-#: Version 3 adds the durability metadata: per-file content digests
-#: (``checksums`` / per-shard ``files`` / ``tombstones`` / ``family``
-#: manifest entries) and the atomic-commit discipline of
-#: :mod:`repro.core.integrity`.
-_SPILL_VERSION = 3
-SUPPORTED_SPILL_VERSIONS = (1, 2, 3)
-
 
 def fixed_resident_bytes(universe_size: int, n_sets: int,
                          *, lazy_family: bool = False,
@@ -178,6 +158,17 @@ def set_packed_bytes(sizes, universe_size: int, config: BatmapConfig) -> np.ndar
             nbytes = cache[size] = ((width + 15) // 16) * 16 * 4
         out[k] = nbytes
     return out
+
+
+def collection_r0(sizes, range_universe: int, config: BatmapConfig) -> int:
+    """The collection-global interleave granularity: the smallest set's range.
+
+    :meth:`~repro.core.config.BatmapConfig.range_for_size` is monotone in
+    the size, so the minimum over all sets is the smallest set's range
+    (clamped to the 4-entry word floor) — no per-set evaluation.
+    """
+    smallest = int(np.min(np.asarray(sizes, dtype=np.int64)))
+    return int(max(4, config.range_for_size(smallest, range_universe)))
 
 
 def plan_shard_ranges(
@@ -253,6 +244,18 @@ class ShardInfo:
             minlength=self.n_sets)
         return 2 * np.asarray(widths, dtype=np.int64) + failed[self.order]
 
+    def manifest_entry(self) -> dict:
+        """This shard's entry in a version-3 manifest's shard table."""
+        return {
+            "dir": self.directory.name,
+            "lo": self.lo,
+            "hi": self.hi,
+            "nbytes": self.nbytes,
+            "build_backend": self.build_backend,
+            "kind": self.kind,
+            "files": shard_digests(self),
+        }
+
 
 def _load_shard_array(shard_index: int, path: Path, *,
                       mmap_mode: str | None = None) -> np.ndarray:
@@ -286,52 +289,6 @@ def shard_digests(shard: ShardInfo) -> dict:
             for name in SHARD_ARRAY_NAMES
         }
     return shard.file_digests
-
-
-def build_spill_manifest(
-    *,
-    universe_size: int,
-    r0: int,
-    payload_bits: int,
-    shards: list,
-    generation: int,
-    family_kind: str,
-    tombstones: dict | None = None,
-    family: dict | None = None,
-) -> dict:
-    """The version-:data:`_SPILL_VERSION` manifest document for a spill.
-
-    The single schema shared by finalize / append / delete / compact; every
-    mutation builds its manifest here and publishes it through
-    :class:`~repro.core.integrity.AtomicCommit` (the ``os.replace`` of this
-    document *is* the commit point).  ``tombstones`` / ``family`` are the
-    v3 file entries (``{"file", "digest", ...}``) or ``None``.
-    """
-    return {
-        "version": _SPILL_VERSION,
-        "generation": int(generation),
-        "universe_size": int(universe_size),
-        "n_sets": int(shards[-1].hi) if shards else 0,
-        "n_tombstones": int(tombstones["n"]) if tombstones else 0,
-        "r0": int(r0),
-        "payload_bits": int(payload_bits),
-        "family_kind": family_kind,
-        "checksums": DIGEST_ALGORITHM,
-        "tombstones": tombstones,
-        "family": family,
-        "shards": [
-            {
-                "dir": shard.directory.name,
-                "lo": shard.lo,
-                "hi": shard.hi,
-                "nbytes": shard.nbytes,
-                "build_backend": shard.build_backend,
-                "kind": shard.kind,
-                "files": shard_digests(shard),
-            }
-            for shard in shards
-        ],
-    }
 
 
 def reinterleave_shard_words(
@@ -635,8 +592,8 @@ class ShardedCollectionBuilder:
     def _load_tombstones(self) -> np.ndarray:
         if self.tombstones_file is None:
             return np.zeros(0, dtype=np.int64)
-        return np.asarray(np.load(self.spill_dir / self.tombstones_file),
-                          dtype=np.int64)
+        return np.frombuffer(read_tombstones(self.spill_dir / self.tombstones_file),
+                             dtype=np.int64)
 
     def _tombstones_entry(self, tombstones: np.ndarray) -> dict | None:
         """The carried-forward manifest ``tombstones`` entry (or ``None``)."""
@@ -759,9 +716,7 @@ class ShardedCollectionBuilder:
 
         sizes = np.array([d.size for d in dedup], dtype=np.int64)
         range_universe = self.family.range_universe
-        r_new = int(min(
-            max(4, self.config.range_for_size(int(size), range_universe))
-            for size in sizes.tolist()))
+        r_new = collection_r0(sizes, range_universe, self.config)
         if r_new < self.r0:
             self._reinterleave_shards(commit, r_new)
 
@@ -778,7 +733,8 @@ class ShardedCollectionBuilder:
         tombstones = self._load_tombstones()
         manifest = build_spill_manifest(
             universe_size=self.universe_size, r0=self.r0,
-            payload_bits=self.config.payload_bits, shards=self.shards,
+            payload_bits=self.config.payload_bits,
+            shards=[shard.manifest_entry() for shard in self.shards],
             generation=self.generation, family_kind=self._family_kind,
             tombstones=self._tombstones_entry(tombstones),
             family=self._stage_family(commit),
@@ -807,7 +763,8 @@ class ShardedCollectionBuilder:
             self.generation = commit.replace_committed()
             manifest = build_spill_manifest(
                 universe_size=self.universe_size, r0=self.r0,
-                payload_bits=self.config.payload_bits, shards=self.shards,
+                payload_bits=self.config.payload_bits,
+                shards=[shard.manifest_entry() for shard in self.shards],
                 generation=self.generation, family_kind=self._family_kind,
                 tombstones=None,
                 family=self._stage_family(commit),
@@ -929,10 +886,7 @@ class ShardedCollection:
             result_format=result_format)
         ranges = plan_shard_ranges(packed, available,
                                    max_sets_per_shard=max_sets_per_shard)
-        r0 = int(min(
-            max(4, config.range_for_size(int(size), range_universe))
-            for size in sizes.tolist()
-        ))
+        r0 = collection_r0(sizes, range_universe, config)
         builder = ShardedCollectionBuilder(
             spill_dir, universe_size, r0, family=family, config=config,
             build_compute=build_compute, build_workers=build_workers,
@@ -946,12 +900,13 @@ class ShardedCollection:
     def from_spill(cls, spill_dir: str | Path) -> "ShardedCollection":
         """Re-attach a previously spilled collection from its manifest.
 
-        Negotiates the spill version: the current version 3 (atomic commits
-        + checksums), version 2 (generation, tombstones, shard kinds) and
-        the pre-incremental version 1 (implied generation 0, no tombstones)
-        all attach; anything else — or a manifest that is not valid JSON /
-        is missing required fields — raises
-        :class:`~repro.core.errors.SpillFormatError`.  Reads stay mmap'd
+        The manifest is read and its version negotiated by
+        :func:`~repro.core.manifest.read_manifest`: versions 3 (atomic
+        commits + checksums), 2 (generation, tombstones, shard kinds) and 1
+        (implied generation 0, no tombstones) all attach; anything else — or
+        a manifest that is not valid JSON / is missing required fields —
+        raises :class:`~repro.core.errors.SpillFormatError`, as does an
+        ``order.npy`` whose length disagrees with its shard.  Reads stay mmap'd
         and checksums are *not* verified here (that is ``repro verify``'s
         job), but manifest/file cross-checks that would otherwise cause
         silently wrong results (a missing or wrong-sized tombstone file)
@@ -960,116 +915,33 @@ class ShardedCollection:
         """
         spill_dir = Path(spill_dir)
         sweep_stale_staging(spill_dir)
-        manifest_path = spill_dir / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise SpillFormatError(f"no {MANIFEST_NAME} in {spill_dir}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SpillFormatError(
-                f"{manifest_path} is corrupt: not valid JSON ({exc})") from exc
-        if not isinstance(manifest, dict):
-            raise SpillFormatError(f"{manifest_path} is corrupt: not an object")
-        version = manifest.get("version")
-        if version not in SUPPORTED_SPILL_VERSIONS:
-            raise SpillFormatError(
-                f"unsupported spill version {version!r} in {manifest_path} "
-                f"(supported: {', '.join(map(str, SUPPORTED_SPILL_VERSIONS))})")
-        try:
-            shards = []
-            covered = 0
-            for k, entry in enumerate(manifest["shards"]):
-                directory = spill_dir / entry["dir"]
-                lo, hi = int(entry["lo"]), int(entry["hi"])
-                if lo != covered or hi < lo:
-                    raise SpillFormatError(
-                        f"{manifest_path}: shard {k} covers [{lo}, {hi}) but "
-                        f"the table reaches {covered} — attaching would "
-                        "misnumber sets; run 'repro verify'")
-                covered = hi
-                order = _load_shard_array(k, directory / "order.npy")
-                failed = _load_shard_array(k, directory / "failed.npy")
-                if order.shape != (hi - lo,):
-                    raise SpillFormatError(
-                        f"{directory / 'order.npy'} holds {order.shape} "
-                        f"entries for a shard of {hi - lo} sets — the "
-                        "artifact is damaged; run 'repro verify'")
-                shards.append(ShardInfo(
-                    index=k, lo=lo, hi=hi,
-                    directory=directory, nbytes=int(entry["nbytes"]),
-                    build_backend=entry["build_backend"], order=order,
-                    failed=failed, kind=entry.get("kind", "base"),
-                    file_digests=entry.get("files"),
-                ))
-            declared_sets = manifest.get("n_sets")
-            if declared_sets is not None and int(declared_sets) != covered:
+        spill = read_manifest(spill_dir)
+        shards = []
+        for k, entry in enumerate(spill.shards):
+            directory = spill_dir / entry["dir"]
+            order = _load_shard_array(k, directory / "order.npy")
+            failed = _load_shard_array(k, directory / "failed.npy")
+            if order.shape != (entry["hi"] - entry["lo"],):
                 raise SpillFormatError(
-                    f"{manifest_path}: manifest records {declared_sets} sets "
-                    f"but the shard table covers {covered} — the artifact is "
-                    "damaged; run 'repro verify'")
-            universe_size = int(manifest["universe_size"])
-            r0 = int(manifest["r0"])
-            tombstones_entry = manifest.get("tombstones") if version == 3 else None
-            if version == 3:
-                tombstones_file = (tombstones_entry["file"]
-                                   if tombstones_entry else None)
-                tombstones_digest = (tombstones_entry["digest"]
-                                     if tombstones_entry else None)
-                declared = int(tombstones_entry["n"]) if tombstones_entry else 0
-            else:
-                tombstones_file = (TOMBSTONES_NAME
-                                   if (spill_dir / TOMBSTONES_NAME).exists()
-                                   else None)
-                tombstones_digest = None
-                declared = manifest.get("n_tombstones")
-                if declared is not None:
-                    declared = int(declared)
-            family_entry = manifest.get("family") if version == 3 else None
-            if version == 3:
-                family_file = family_entry["file"] if family_entry else None
-                family_digest = family_entry["digest"] if family_entry else None
-            else:
-                family_file = (FAMILY_NAME
-                               if (spill_dir / FAMILY_NAME).exists() else None)
-                family_digest = None
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SpillFormatError):
-                raise
-            raise SpillFormatError(
-                f"{manifest_path} is corrupt: {exc!r}") from exc
-        if tombstones_file is not None:
-            tombstones_path = spill_dir / tombstones_file
-            if not tombstones_path.exists():
-                raise SpillFormatError(
-                    f"{spill_dir}: manifest references tombstone file "
-                    f"{tombstones_file} which is missing — serving this "
-                    "artifact would resurrect deleted sets; run "
-                    "'repro verify' / rebuild")
-            try:
-                tombstones = np.asarray(
-                    np.load(tombstones_path, allow_pickle=False),
-                    dtype=np.int64)
-            except Exception as exc:
-                raise SpillFormatError(
-                    f"{tombstones_path} is unreadable "
-                    f"({type(exc).__name__}: {exc})") from exc
-        else:
-            tombstones = np.zeros(0, dtype=np.int64)
-        if declared is not None and declared != int(tombstones.size):
-            raise SpillFormatError(
-                f"{spill_dir}: manifest records {declared} tombstone(s) but "
-                f"{tombstones.size} are on disk — the artifact is damaged; "
-                "run 'repro verify'")
-        return cls(spill_dir, universe_size, r0, shards,
-                   payload_bits=int(manifest.get(
-                       "payload_bits", DEFAULT_CONFIG.payload_bits)),
-                   generation=int(manifest.get("generation", 0)),
+                    f"{directory / 'order.npy'} holds {order.shape} "
+                    f"entries for a shard of {entry['hi'] - entry['lo']} sets — "
+                    "the artifact is damaged; run 'repro verify'")
+            shards.append(ShardInfo(
+                index=k, lo=entry["lo"], hi=entry["hi"], directory=directory,
+                nbytes=entry["nbytes"], build_backend=entry["build_backend"],
+                order=order, failed=failed, kind=entry["kind"],
+                file_digests=entry["files"],
+            ))
+        tombstones = np.frombuffer(spill.read_tombstones(), dtype=np.int64)
+        return cls(spill_dir, spill.universe_size, spill.r0, shards,
+                   payload_bits=spill.payload_bits,
+                   generation=spill.generation,
                    tombstones=tombstones,
-                   tombstones_file=tombstones_file,
-                   tombstones_digest=tombstones_digest,
-                   family_file=family_file,
-                   family_digest=family_digest,
-                   family_kind=manifest.get("family_kind"))
+                   tombstones_file=spill.tombstones_file,
+                   tombstones_digest=spill.tombstones_digest,
+                   family_file=spill.family_file,
+                   family_digest=spill.family_digest,
+                   family_kind=spill.family_kind)
 
     # ------------------------------------------------------------------ #
     # Access
@@ -1182,49 +1054,23 @@ class ShardedCollection:
     def delete(self, set_ids) -> int:
         """Tombstone live sets (ids in the *current live* index space).
 
-        Deletes are metadata-only: the rows stay on disk until compaction
-        purges them, but every read path consults the tombstone set first.
-        The new tombstone array is staged under a generational name and
-        published with the manifest in one atomic commit — the live
-        tombstone file is never overwritten, so a crash at any point leaves
-        either the pre- or the post-delete generation intact.  In-memory
-        state mutates only after the commit point.  Runs under the writer
-        lock, like :meth:`append`.  Returns the new generation.
+        Runs :func:`~repro.core.manifest.delete_sets` against this
+        attachment's generation (a newer commit by another writer raises
+        :class:`~repro.core.errors.SpillConflictError`); in-memory state
+        mutates only after the commit point.  Returns the new generation.
         """
-        ids = sorted_unique(np.asarray(set_ids, dtype=np.int64).ravel())
-        require(ids.size > 0, "delete requires at least one set id")
-        require(int(ids[0]) >= 0 and int(ids[-1]) < self.n_sets,
-                f"set ids must be in [0, {self.n_sets}), got "
-                f"[{int(ids[0])}, {int(ids[-1])}]")
-        physical = self.live_ids[ids]
-        new_tombstones = sorted_unique(np.concatenate([self.tombstones, physical]))
-        generation = self.generation + 1
-        with writer_lock(self.spill_dir, self.generation):
-            commit = AtomicCommit(self.spill_dir)
-            try:
-                faultpoint("delete.tombstones")
-                name = f"tombstones_{generation:04d}.npy"
-                staged = commit.stage(name)
-                np.save(staged, new_tombstones)
-                digest = file_digest(staged)
-                if self.tombstones_file is not None:
-                    commit.add_garbage(self.spill_dir / self.tombstones_file)
-                manifest = build_spill_manifest(
-                    universe_size=self.universe_size, r0=self.r0,
-                    payload_bits=self.payload_bits, shards=self.shards,
-                    generation=generation, family_kind=self.family_kind,
-                    tombstones={"file": name, "digest": digest,
-                                "n": int(new_tombstones.size)},
-                    family=self._family_entry(),
-                )
-                commit.commit(manifest)
-            except BaseException:
-                commit.abort()
-                raise
-        self.tombstones = new_tombstones
-        self.tombstones_file = name
-        self.tombstones_digest = digest
-        self.generation = generation
+        ids = np.asarray(set_ids, dtype=np.int64).ravel().tolist()
+        manifest, tombstones = delete_sets(self.spill_dir, ids,
+                                           generation=self.generation)
+        for shard, entry in zip(self.shards, manifest["shards"]):
+            shard.file_digests = entry["files"]
+        self.tombstones = np.frombuffer(tombstones, dtype=np.int64)
+        self.tombstones_file = manifest["tombstones"]["file"]
+        self.tombstones_digest = manifest["tombstones"]["digest"]
+        if manifest["family"] is not None:
+            self.family_digest = manifest["family"]["digest"]
+        self._family_kind = manifest["family_kind"]
+        self.generation = manifest["generation"]
         self._invalidate()
         return self.generation
 

@@ -22,6 +22,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from repro.core.plan import PlanFeatures, plan_counts, resolve_result_format
 from repro.core.results import DenseCountResult
 from repro.datasets.streaming import collect_transactions
 from repro.datasets.transactions import TransactionDatabase
-from repro.gpu.device import DeviceSpec, GTX_285
 from repro.mining.postprocess import reorder_counts, repair_count_result
 from repro.mining.preprocess import preprocess, preprocess_streaming
 from repro.mining.support import MiningReport, PairSupports
@@ -38,6 +38,9 @@ from repro.utils.memory import parse_memory_size
 from repro.utils.rng import RngLike
 from repro.utils.timer import PhaseTimer
 from repro.utils.validation import require
+
+if TYPE_CHECKING:  # the simulator loads only on the compute="device" path
+    from repro.gpu.device import DeviceSpec
 
 __all__ = ["BatmapPairMiner", "DEFAULT_STREAM_BUDGET"]
 
@@ -59,8 +62,8 @@ class BatmapPairMiner:
     Parameters
     ----------
     device:
-        Device specification used by the simulator (defaults to the paper's
-        GTX 285).
+        Device specification used by the simulator; ``None`` (default) is
+        the paper's GTX 285.
     tile_size:
         Side length ``k`` of the device sub-problems (the paper uses 2048;
         smaller values keep individual simulated launches short).
@@ -100,7 +103,7 @@ class BatmapPairMiner:
         dense there).
     """
 
-    device: DeviceSpec = GTX_285
+    device: DeviceSpec | None = None
     tile_size: int = 2048
     config: BatmapConfig = DEFAULT_CONFIG
     work_group: tuple[int, int] = (16, 16)
@@ -159,12 +162,13 @@ class BatmapPairMiner:
         if self.compute == "device":
             # Modelling only: the simulator's analytic device time stands in
             # for the counting phase (see MiningReport.counting_seconds).
+            from repro.gpu.device import GTX_285
             from repro.kernels.driver import run_batmap_pair_counts
 
             backend = "kernel"
             run = run_batmap_pair_counts(
                 pre.collection,
-                device=self.device,
+                device=self.device if self.device is not None else GTX_285,
                 tile_size=self.tile_size,
                 work_group=self.work_group,
                 result_format=fmt,

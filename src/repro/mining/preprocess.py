@@ -30,6 +30,7 @@ from repro.core.integrity import writer_lock
 from repro.core.sharded import (
     ShardedCollection,
     ShardedCollectionBuilder,
+    collection_r0,
     plan_shard_ranges,
     set_packed_bytes,
     working_budget,
@@ -52,6 +53,7 @@ __all__ = [
     "preprocess",
     "StreamedPreprocessedData",
     "preprocess_streaming",
+    "shard_tid_order",
 ]
 
 
@@ -185,6 +187,18 @@ class StreamedPreprocessedData:
         return self.collection.failed_insertions()
 
 
+def shard_tid_order(local: np.ndarray, n_sets: int) -> np.ndarray:
+    """Stable order of one shard's ``(set, tid)`` occurrences by local set id.
+
+    Stable, so each set's tids stay ascending as they were appended.  A
+    shard of at most ``2**16`` sets sorts its ids as a ``uint16`` key, which
+    NumPy's stable sort radix-sorts (about 10x faster than the ``int64``
+    merge sort, same order).
+    """
+    key = local.astype(np.uint16) if n_sets <= 1 << 16 else local
+    return np.argsort(key, kind="stable")
+
+
 def preprocess_streaming(
     source,
     spill_dir: str | Path,
@@ -302,10 +316,7 @@ def preprocess_streaming(
     packed = set_packed_bytes(sizes, range_universe, config)
     ranges = plan_shard_ranges(packed, available)
     bounds = np.array([hi for _, hi in ranges], dtype=np.int64)
-    r0 = int(min(
-        max(4, config.range_for_size(int(size), range_universe))
-        for size in sizes.tolist()
-    ))
+    r0 = collection_r0(sizes, range_universe, config)
 
     spill_dir = Path(spill_dir)
     spill_dir.mkdir(parents=True, exist_ok=True)
@@ -349,7 +360,7 @@ def preprocess_streaming(
             else:
                 data = np.zeros((0, 2), dtype=np.int64)
             local = data[:, 0] - lo
-            order = np.argsort(local, kind="stable")  # appends keep tids ascending
+            order = shard_tid_order(local, hi - lo)
             tids_sorted = data[:, 1][order]
             local_sorted = local[order]
             # Free the sort intermediates before any batmap is built — together

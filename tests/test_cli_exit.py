@@ -69,3 +69,20 @@ def test_spill_written_by_processes_verifies_clean(tmp_path):
     assert verified.returncode == 0, verified.stdout
     assert verified.stdout.strip().splitlines()[-1] == "clean"
     assert "warning" not in verified.stdout
+
+
+def test_reader_closing_the_pipe_ends_without_a_traceback(tmp_path):
+    """``repro mine ... | head -1``: exit 1, nothing on stderr."""
+    data = tmp_path / "dense.fimi"
+    data.write_text(" ".join(map(str, range(100))) + "\n")  # 4950 pairs, ~150 KB
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "mine", str(data), "--min-support", "1",
+         "--top", "5000"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"loaded ")
+    proc.stdout.close()  # the output is larger than a pipe buffer: the next write fails
+    stderr = proc.stderr.read().decode()
+    proc.wait(timeout=120)
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert proc.returncode == 1

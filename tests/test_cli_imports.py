@@ -17,8 +17,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = ["asyncio", "repro.serve", "repro.baselines", "repro.matrix"]
-#: Modules ``repro mine`` must never load (prefix match covers subpackages).
-NOT_MINED = ["repro.kernels.driver", "repro.gpu.executor", "repro.baselines"]
+#: Modules ``repro mine`` must never load (prefix match covers subpackages);
+#: the simulator's default device loads only on ``compute="device"``.
+NOT_MINED = ["repro.kernels.driver", "repro.gpu", "repro.baselines"]
 
 
 def _run_fresh(code: str) -> list:
@@ -62,9 +63,9 @@ MINE_MODULES = sorted("""
 repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
 repro.core.builder repro.core.bulk_build repro.core.collection repro.core.config
 repro.core.errors repro.core.hashing repro.core.integrity repro.core.intersection
-repro.core.plan repro.core.results repro.core.sharded repro.core.swar
-repro.core.swar_kernel repro.datasets repro.datasets.fimi_io
-repro.datasets.streaming repro.datasets.transactions repro.gpu repro.gpu.device
+repro.core.manifest repro.core.plan repro.core.results repro.core.sharded
+repro.core.swar repro.core.swar_kernel repro.datasets repro.datasets.fimi_io
+repro.datasets.streaming repro.datasets.transactions
 repro.mining repro.mining.pair_mining repro.mining.postprocess
 repro.mining.preprocess repro.mining.support repro.parallel
 repro.parallel.executor repro.utils repro.utils.arrays
@@ -94,31 +95,43 @@ def test_mine_import_snapshot(tmp_path):
     assert streamed == sorted(MINE_MODULES + ["repro.parallel.sharded"])
 
 
-#: Every ``repro`` module ``repro delete`` loads: attach, tombstone, commit.
+#: Every ``repro`` module ``repro delete`` loads: read the manifest and the
+#: tombstones, commit.
 DELETE_MODULES = sorted("""
-repro repro._version repro.cli repro.core repro.core.config repro.core.errors
-repro.core.hashing repro.core.integrity repro.core.sharded repro.utils
-repro.utils.arrays repro.utils.bits repro.utils.faultpoints repro.utils.rng
-repro.utils.validation
+repro repro._version repro.cli repro.core repro.core.errors repro.core.integrity
+repro.core.manifest repro.utils repro.utils.faultpoints
 """.split())
 
-#: ``repro delete`` builds and counts nothing: none of these may load (nor
-#: OpenSSL's ``_hashlib``: the spill digests use the built-in blake2b).
+#: ``repro delete`` and ``repro compact`` build and count nothing: none of
+#: these may load (nor OpenSSL's ``_hashlib``: the spill digests use the
+#: built-in blake2b).
 NEVER_DELETED = ["_hashlib", "numpy.ma", "numpy.random", "repro.core.batch",
                  "repro.core.bulk_build"]
 
-#: ``repro ingest --append`` adds the build path (and the planner it asks).
-INGEST_MODULES = sorted(DELETE_MODULES + """
-repro.core.batch repro.core.batmap repro.core.builder repro.core.bulk_build
-repro.core.collection repro.core.intersection repro.core.plan repro.core.results
+#: ``repro delete`` reads no array: no NumPy, no shard attach, and no
+#: ``dataclasses`` (which imports ``inspect``).
+NEVER_DELETED_STDLIB = ["dataclasses", "inspect", "numpy", "repro.core.sharded"]
+
+#: ``repro ingest --append``: attach, the build path (and the planner it
+#: asks), commit.
+INGEST_MODULES = sorted("""
+repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
+repro.core.builder repro.core.bulk_build repro.core.collection repro.core.config
+repro.core.errors repro.core.hashing repro.core.integrity repro.core.intersection
+repro.core.manifest repro.core.plan repro.core.results repro.core.sharded
 repro.core.swar repro.core.swar_kernel repro.datasets repro.datasets.fimi_io
 repro.datasets.streaming repro.datasets.transactions repro.parallel
-repro.parallel.executor repro.utils.memory
+repro.parallel.executor repro.utils repro.utils.arrays repro.utils.bits
+repro.utils.faultpoints repro.utils.memory repro.utils.rng repro.utils.validation
 """.split())
 
-
-#: ``repro compact --full`` adds the merge (and budget parsing) to ``delete``.
-COMPACT_MODULES = sorted(DELETE_MODULES + ["repro.core.compaction", "repro.utils.memory"])
+#: ``repro compact --full``: attach, the merge (and budget parsing), commit.
+COMPACT_MODULES = sorted("""
+repro repro._version repro.cli repro.core repro.core.compaction repro.core.config
+repro.core.errors repro.core.hashing repro.core.integrity repro.core.manifest
+repro.core.sharded repro.utils repro.utils.bits repro.utils.faultpoints
+repro.utils.memory repro.utils.rng repro.utils.validation
+""".split())
 
 
 def _spill(tmp_path) -> Path:
@@ -144,8 +157,8 @@ def test_mutation_import_snapshots(tmp_path):
         "assert repro.cli.main(ARGV, out=io.StringIO()) == 0\n"
         "print(json.dumps([sorted(m for m in sys.modules\n"
         "                         if m == 'repro' or m.startswith('repro.')),\n"
-        f"                  sorted(m for m in {NEVER_DELETED!r} if m in sys.modules)]))"
-    )
+        "                  sorted(m for m in FORBIDDEN if m in sys.modules)]))"
+    ).replace("FORBIDDEN", repr(NEVER_DELETED + NEVER_DELETED_STDLIB))
     deleted, forbidden = _run_fresh(snapshot.replace(
         "ARGV", repr(["delete", str(spill), "--sets", "3"])))
     assert forbidden == []
@@ -157,7 +170,7 @@ def test_mutation_import_snapshots(tmp_path):
     compacted, forbidden = _run_fresh(snapshot.replace(
         "ARGV", repr(["compact", str(spill), "--full"])))
     assert compacted == COMPACT_MODULES
-    assert forbidden == []
+    assert not set(forbidden) & set(NEVER_DELETED)
 
 
 #: Every ``repro`` module ``repro serve`` has loaded when it prints
@@ -165,9 +178,9 @@ def test_mutation_import_snapshots(tmp_path):
 SERVE_MODULES = sorted("""
 repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
 repro.core.builder repro.core.config repro.core.errors repro.core.hashing
-repro.core.integrity repro.core.intersection repro.core.results repro.core.sharded
-repro.core.swar repro.core.swar_kernel repro.extensions repro.extensions.multiway
-repro.serve repro.serve.batcher repro.serve.cache repro.serve.engine
+repro.core.integrity repro.core.intersection repro.core.manifest repro.core.results
+repro.core.sharded repro.core.swar repro.core.swar_kernel repro.extensions
+repro.extensions.multiway repro.serve repro.serve.batcher repro.serve.cache repro.serve.engine
 repro.serve.metrics repro.serve.protocol repro.serve.server repro.utils
 repro.utils.arrays repro.utils.bits repro.utils.faultpoints repro.utils.rng
 repro.utils.validation

@@ -8,11 +8,11 @@ import pytest
 from repro.cli import main
 from repro.core.config import BatmapConfig
 from repro.core.errors import DataFormatError
-from repro.core.sharded import fixed_resident_bytes
+from repro.core.sharded import collection_r0, fixed_resident_bytes
 from repro.datasets.fimi_io import read_fimi, write_fimi
 from repro.datasets.synthetic import generate_density_instance
 from repro.mining.pair_mining import BatmapPairMiner
-from repro.mining.preprocess import preprocess_streaming
+from repro.mining.preprocess import preprocess_streaming, shard_tid_order
 
 
 def write_instance(tmp_path, n_items=36, density=0.2, total=4000, seed=0,
@@ -210,3 +210,30 @@ class TestCliStreaming:
         code, out = self.run_cli(["intersect", str(a), str(b)], capsys)
         assert code == 2
         assert "non-integer token" in out
+
+
+@pytest.mark.parametrize("n_sets", [1, 300, 1 << 16, (1 << 16) + 1, 90_000])
+def test_shard_tid_order_is_the_stable_int64_order(n_sets):
+    """The uint16 radix key (shards of <= 2**16 sets) sorts as int64 would."""
+    rng = np.random.default_rng(n_sets)
+    local = rng.integers(0, n_sets, 50_000).astype(np.int64)
+    local[:2] = [0, n_sets - 1]
+    expected = np.argsort(local, kind="stable")
+    np.testing.assert_array_equal(shard_tid_order(local, n_sets), expected)
+
+
+def test_shard_tid_order_wider_than_a_uint16_key():
+    """Ids 65536 apart would collide in a uint16 key; the wide shard keeps int64."""
+    local = np.array([65_536, 0, 65_537, 1, 0, 65_536], dtype=np.int64)
+    np.testing.assert_array_equal(shard_tid_order(local, 70_000), [1, 4, 3, 0, 5, 2])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_collection_r0_matches_the_per_set_minimum(seed):
+    rng = np.random.default_rng(seed)
+    config = BatmapConfig(range_multiplier=float(rng.choice([1.0, 1.5, 2.0, 3.0])))
+    universe = int(rng.integers(1, 1 << 20))
+    sizes = rng.integers(0, 5000, int(rng.integers(1, 400)))
+    old = int(min(max(4, config.range_for_size(int(size), universe))
+                  for size in sizes.tolist()))
+    assert collection_r0(sizes, universe, config) == old

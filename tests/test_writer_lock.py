@@ -109,16 +109,19 @@ def test_stale_attachment_raises(tmp_path, mutation):
 
 
 def test_cli_reports_a_conflict_as_one_error_line(tmp_path, monkeypatch):
+    from repro.core import manifest
+
     spill = _spill(tmp_path)
-    real = ShardedCollection.from_spill
+    real = manifest.read_manifest
 
     def stale_attach(path):
         # another writer commits between this process's attach and its commit
-        collection = real(path)
-        real(path).delete([5])
-        return collection
+        monkeypatch.setattr(manifest, "read_manifest", real)
+        committed = real(path)
+        ShardedCollection.from_spill(path).delete([5])
+        return committed
 
-    monkeypatch.setattr(ShardedCollection, "from_spill", staticmethod(stale_attach))
+    monkeypatch.setattr(manifest, "read_manifest", stale_attach)
     out = io.StringIO()
     assert cli.main(["delete", str(spill), "--sets", "1"], out=out) == 2
     lines = out.getvalue().strip().splitlines()
