@@ -412,7 +412,8 @@ class BatmapCollection:
         (:func:`~repro.core.plan.resolve_result_format`), ``min_support``
         becomes the engines' tile-pruning bound, and ``top_k`` returns the
         running-heap result.  Every backend produces bit-identical surviving
-        counts; the dense format remains the oracle.
+        counts; the dense format remains the oracle.  The backend the plan
+        chose is recorded in the result's ``stats["count_backend"]``.
         """
         from repro.core.plan import PlanFeatures, plan_counts, resolve_result_format
 
@@ -426,12 +427,15 @@ class BatmapCollection:
             from repro.parallel.executor import ParallelPairCounter
 
             with ParallelPairCounter(self, workers=workers) as counter:
-                return counter.count_result(
+                result = counter.count_result(
                     result_format=fmt, min_support=min_support, top_k=top_k)
-        if plan.backend == "host":
-            return self._loop_count_result(fmt, min_support, top_k)
-        return self.batch_counter().count_result(
-            result_format=fmt, min_support=min_support, top_k=top_k)
+        elif plan.backend == "host":
+            result = self._loop_count_result(fmt, min_support, top_k)
+        else:
+            result = self.batch_counter().count_result(
+                result_format=fmt, min_support=min_support, top_k=top_k)
+        result.stats["count_backend"] = plan.backend
+        return result
 
     def _loop_count_result(self, fmt: str, min_support: int, top_k):
         """Reference-loop counts fed, as one tile, to the requested result's sink.

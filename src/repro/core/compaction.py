@@ -24,13 +24,19 @@ phase never holds more resident bytes than the original build did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.integrity import AtomicCommit, writer_lock
-from repro.core.manifest import build_spill_manifest, file_digest, write_tombstones
-from repro.core.sharded import SHARD_BUDGET_DIVISOR, ShardInfo, ShardedCollection
+from repro.core.manifest import SpillManifest, file_digest, write_tombstones
+from repro.core.sharded import (
+    SHARD_BUDGET_DIVISOR,
+    ShardInfo,
+    ShardedCollection,
+    _failed_array,
+    _write_shard_arrays,
+)
 from repro.utils.faultpoints import faultpoint
 from repro.utils.validation import require, require_positive
 
@@ -144,7 +150,7 @@ def plan_compaction(
     return tasks
 
 
-def _load_shard_rows(sharded: ShardedCollection, shard: ShardInfo):
+def _load_shard_rows(shard: ShardInfo):
     """Per-local-row ``(widths, offsets, words)`` of one spilled shard.
 
     Returns arrays indexed by *local set id* (not slot): the row's true
@@ -160,27 +166,26 @@ def _load_shard_rows(sharded: ShardedCollection, shard: ShardInfo):
 
 
 def _merge_group(
-    sharded: ShardedCollection,
     members: list,
+    staged,
     directory,
     tombstoned: np.ndarray,
-) -> tuple[ShardInfo, int]:
+    lo: int,
+) -> ShardInfo:
     """Write one merged shard from ``members``, dropping tombstoned rows.
 
-    ``tombstoned`` is a boolean mask over physical ids.  Returns the new
-    :class:`ShardInfo` (with ``lo``/``hi`` left at 0 for the caller to
-    renumber) and the number of purged rows.
+    The arrays go to ``staged``; the returned :class:`ShardInfo` names its
+    committed ``directory`` and covers ``[lo, lo + surviving rows)``.
+    ``tombstoned`` is a boolean mask over physical ids.
     """
     row_widths = []     # true width per surviving row, in (member, local) order
     row_sources = []    # (member_idx, local_id) per surviving row
     per_member = []
-    purged = 0
     for m, shard in enumerate(members):
-        widths_by_row, offsets_by_row, words = _load_shard_rows(sharded, shard)
+        widths_by_row, offsets_by_row, words = _load_shard_rows(shard)
         per_member.append((widths_by_row, offsets_by_row, words))
         for local in range(shard.n_sets):
             if tombstoned[shard.lo + local]:
-                purged += 1
                 continue
             row_widths.append(int(widths_by_row[local]))
             row_sources.append((m, local))
@@ -199,9 +204,9 @@ def _merge_group(
     for slot, row in enumerate(order.tolist()):
         m, local = row_sources[row]
         widths_by_row, offsets_by_row, words = per_member[m]
-        lo = int(offsets_by_row[local])
+        start = int(offsets_by_row[local])
         width = int(widths_by_row[local])
-        merged_words[offsets[slot]:offsets[slot] + width] = words[lo:lo + width]
+        merged_words[offsets[slot]:offsets[slot] + width] = words[start:start + width]
 
     # Failed insertions: remap member-local ids to merged-local ids, drop
     # tombstoned rows (their sets no longer exist in any read path).
@@ -212,22 +217,14 @@ def _merge_group(
             key = (m, int(local))
             if key in new_local:
                 failed_pairs.append((int(element), new_local[key]))
-    failed = (np.array(sorted(failed_pairs), dtype=np.int64).reshape(-1, 2)
-              if failed_pairs else np.zeros((0, 2), dtype=np.int64))
-
-    directory.mkdir(exist_ok=True)
-    digests = {}
-    for name, array in (("words.npy", merged_words), ("offsets.npy", offsets),
-                        ("widths.npy", sorted_widths), ("order.npy", order),
-                        ("failed.npy", failed)):
-        np.save(directory / name, array)
-        digests[name] = file_digest(directory / name)
-    info = ShardInfo(
-        index=0, lo=0, hi=n_rows, directory=directory,
+    failed = _failed_array(failed_pairs)
+    digests = _write_shard_arrays(staged, merged_words, offsets, sorted_widths,
+                                  order, failed)
+    return ShardInfo(
+        lo=lo, hi=lo + n_rows, directory=directory,
         nbytes=int(merged_words.nbytes), build_backend="compacted",
         order=order, failed=failed, kind="base", file_digests=digests,
     )
-    return info, purged
 
 
 def compact(
@@ -256,7 +253,6 @@ def compact(
                             full=full)
     tombstoned = np.zeros(sharded.n_physical_sets, dtype=bool)
     tombstoned[sharded.tombstones] = True
-    by_start = {task.start: task for task in tasks}
 
     # Skip pointless rewrites: a singleton task with nothing to purge.
     def _is_noop(task: CompactionTask) -> bool:
@@ -268,50 +264,36 @@ def compact(
     effective = [t for t in tasks if not _is_noop(t)]
     if not effective:
         return sharded
+    by_start = {task.start: task for task in effective}
 
-    generation = sharded.generation + 1
-    with writer_lock(sharded.spill_dir, sharded.generation):
+    record = sharded.manifest
+    generation = record.generation + 1
+    with writer_lock(sharded.spill_dir, record.generation):
         commit = AtomicCommit(sharded.spill_dir)
         try:
             new_shards: list[ShardInfo] = []
-            running_lo = 0
             merged_count = 0
             k = 0
             while k < len(sharded.shards):
                 task = by_start.get(k)
-                if task is None or _is_noop(task):
+                lo = new_shards[-1].hi if new_shards else 0
+                if task is None:
                     shard = sharded.shards[k]
-                    n = shard.n_sets
-                    new_shards.append(ShardInfo(
-                        index=len(new_shards), lo=running_lo, hi=running_lo + n,
-                        directory=shard.directory, nbytes=shard.nbytes,
-                        build_backend=shard.build_backend, order=shard.order,
-                        failed=shard.failed, kind=shard.kind,
-                        file_digests=shard.file_digests,
-                    ))
-                    running_lo += n
+                    new_shards.append(replace(shard, lo=lo, hi=lo + shard.n_sets))
                     k += 1
                     continue
                 members = sharded.shards[task.start:task.stop]
                 name = f"compact_{generation:04d}_{merged_count:04d}"
                 merged_count += 1
                 faultpoint("compact.merge")
-                info, _ = _merge_group(sharded, members, commit.stage(name),
-                                       tombstoned)
-                if info.hi > 0:  # skip fully-purged (empty) groups entirely
-                    new_shards.append(ShardInfo(
-                        index=len(new_shards), lo=running_lo,
-                        hi=running_lo + info.hi,
-                        directory=sharded.spill_dir / name, nbytes=info.nbytes,
-                        build_backend=info.build_backend, order=info.order,
-                        failed=info.failed, kind=info.kind,
-                        file_digests=info.file_digests,
-                    ))
-                    running_lo += info.hi
+                info = _merge_group(members, commit.stage(name),
+                                    sharded.spill_dir / name, tombstoned, lo)
+                if info.n_sets:  # skip fully-purged (empty) groups entirely
+                    new_shards.append(info)
                 else:
                     # The staged (empty) directory still gets renamed in at
                     # commit; unreferenced, it is swept as garbage right after.
-                    commit.add_garbage(sharded.spill_dir / name)
+                    commit.add_garbage(info.directory)
                 for shard in members:
                     commit.add_garbage(shard.directory)
                 k = task.stop
@@ -330,32 +312,21 @@ def compact(
             new_tombstones = new_ids[surviving].astype(np.int64)
 
             tombstones_entry = None
-            tombstones_file = tombstones_digest = None
             if new_tombstones.size:
-                tombstones_file = f"tombstones_{generation:04d}.npy"
-                staged = commit.stage(tombstones_file)
+                name = f"tombstones_{generation:04d}.npy"
+                staged = commit.stage(name)
                 write_tombstones(staged, new_tombstones)
-                tombstones_digest = file_digest(staged)
-                tombstones_entry = {"file": tombstones_file,
-                                    "digest": tombstones_digest,
+                tombstones_entry = {"file": name, "digest": file_digest(staged),
                                     "n": int(new_tombstones.size)}
-            if sharded.tombstones_file is not None:
-                commit.add_garbage(sharded.spill_dir / sharded.tombstones_file)
-            manifest = build_spill_manifest(
-                universe_size=sharded.universe_size, r0=sharded.r0,
-                payload_bits=sharded.payload_bits,
-                shards=[shard.manifest_entry() for shard in new_shards],
-                generation=generation, family_kind=sharded.family_kind,
-                tombstones=tombstones_entry, family=sharded._family_entry(),
-            )
-            commit.commit(manifest)
+            if record.tombstones_file is not None:
+                commit.add_garbage(sharded.spill_dir / record.tombstones_file)
+            document = record.next_document(
+                [shard.manifest_entry() for shard in new_shards],
+                tombstones=tombstones_entry)
+            commit.commit(document)
         except BaseException:
             commit.abort()
             raise
-        return ShardedCollection(
-            sharded.spill_dir, sharded.universe_size, sharded.r0, new_shards,
-            family=sharded._family, payload_bits=sharded.payload_bits,
-            generation=generation, tombstones=new_tombstones,
-            tombstones_file=tombstones_file, tombstones_digest=tombstones_digest,
-            family_file=sharded.family_file, family_digest=sharded.family_digest,
-        )
+    return ShardedCollection(SpillManifest(sharded.spill_dir, document),
+                             new_shards, family=sharded._family,
+                             tombstones=new_tombstones)

@@ -8,8 +8,9 @@ builds or counts nothing — starts as a plain interpreter:
 * the spill's file names and versions (:data:`MANIFEST_NAME`,
   :data:`TOMBSTONES_NAME`, :data:`SUPPORTED_SPILL_VERSIONS`, ...);
 * :func:`read_manifest` — the one manifest parser, negotiating versions 1,
-  2 and 3 into one :class:`SpillManifest`;
-* :func:`build_spill_manifest` — the one version-3 manifest writer;
+  2 and 3 into one :class:`SpillManifest`, the record every writer holds;
+* :meth:`SpillManifest.next_document` — the one builder of the next
+  version-3 document, for finalize, append, delete and compact alike;
 * :func:`read_tombstones` / :func:`write_tombstones` — the tombstone codec:
   sorted physical ids as a little-endian ``int64`` ``.npy`` (format 1.0),
   byte-identical to ``np.save``;
@@ -56,7 +57,6 @@ __all__ = [
     "require_manifest",
     "SpillManifest",
     "read_manifest",
-    "build_spill_manifest",
     "delete_sets",
 ]
 
@@ -93,6 +93,8 @@ SUPPORTED_SPILL_VERSIONS = (1, 2, 3)
 #: ``payload_bits`` of a manifest that records none
 #: (``BatmapConfig().payload_bits``, pinned by ``tests/test_manifest.py``).
 DEFAULT_PAYLOAD_BITS = 7
+#: :meth:`SpillManifest.next_document` default: carry the record's entry.
+_CARRIED = object()
 
 
 def file_digest(path) -> str:
@@ -228,14 +230,20 @@ def require_manifest(spill_dir) -> Path:
 class SpillManifest:
     """A committed manifest, negotiated into the fields of version 3.
 
+    The one metadata record of an attached spill: a
+    :class:`~repro.core.sharded.ShardedCollection` holds the record it
+    attached (or the one its last commit published) and reads its
+    generation, universe, ``r0``, family kind and file entries from it, and
+    every writer builds its successor with :meth:`next_document`.
+
     Version 3 records generational tombstone / family file entries with
     content digests; versions 2 and 1 imply the canonical file names (when
     present) and no digests, and version 1 implies generation 0 and no
     tombstones.  ``shards`` holds one version-3 shard entry per shard
     (``dir``, ``lo``, ``hi``, ``nbytes``, ``build_backend``, ``kind``,
     ``files``), with ``files`` ``None`` until a v1/v2 shard's digests are
-    computed (:meth:`shard_entries`).  Construction validates the shard
-    table's coverage and ``n_sets``; it reads no other file.
+    computed by the first version-3 commit.  Construction validates the
+    shard table's coverage and ``n_sets``; it reads no other file.
     """
 
     def __init__(self, spill_dir: Path, document: dict) -> None:
@@ -274,6 +282,12 @@ class SpillManifest:
                 self.family_digest = None
         except (KeyError, TypeError, ValueError) as exc:
             raise SpillFormatError(f"{self.path} is corrupt: {exc!r}") from exc
+
+    @classmethod
+    def empty(cls, spill_dir) -> "SpillManifest":
+        """The record of a directory with no spill: what a fresh build succeeds."""
+        return cls(Path(spill_dir), {"version": SPILL_VERSION, "generation": -1,
+                                     "universe_size": 0, "r0": 0, "shards": []})
 
     def _shard_table(self, table) -> list:
         entries = []
@@ -332,19 +346,6 @@ class SpillManifest:
                 "damaged; run 'repro verify'")
         return ids
 
-    def shard_entries(self) -> list:
-        """The shard table for the next version-3 manifest.
-
-        A shard attached from a v1/v2 spill records no digests; its files
-        are hashed once here, when the first version-3 mutation commits.
-        """
-        for entry in self.shards:
-            if entry["files"] is None:
-                directory = self.spill_dir / entry["dir"]
-                entry["files"] = {name: file_digest(directory / name)
-                                  for name in SHARD_ARRAY_NAMES}
-        return self.shards
-
     def family_entry(self) -> dict | None:
         """The carried-forward ``family`` entry (digest computed for v1/v2)."""
         if self.family_file is None:
@@ -352,6 +353,64 @@ class SpillManifest:
         if self.family_digest is None:
             self.family_digest = file_digest(self.spill_dir / self.family_file)
         return {"file": self.family_file, "digest": self.family_digest}
+
+    def _tombstones_entry(self) -> dict | None:
+        """The carried-forward ``tombstones`` entry (digest computed for v1/v2)."""
+        if self.tombstones_file is None:
+            return None
+        if self.tombstones_digest is None:
+            self.tombstones_digest = file_digest(self.spill_dir / self.tombstones_file)
+        n = self.n_tombstones
+        return {"file": self.tombstones_file, "digest": self.tombstones_digest,
+                "n": len(self.read_tombstones()) if n is None else n}
+
+    def next_document(self, shards=None, *, generation=None, universe_size=None,
+                      r0=None, payload_bits=None, family_kind=None,
+                      tombstones=_CARRIED, family=_CARRIED) -> dict:
+        """The version-:data:`SPILL_VERSION` document that succeeds this record.
+
+        The single schema of finalize / append / delete / compact: each
+        builds its manifest here and publishes it through
+        :class:`~repro.core.integrity.AtomicCommit` (the ``os.replace`` of
+        this document *is* the commit point).  Whatever is not passed is
+        carried forward — the generation advances by one, and ``shards``
+        defaults to this record's table.  ``tombstones`` / ``family`` take
+        a new version-3 file entry (``{"file", "digest"[, "n"]}``) or
+        ``None``.  A carried shard, tombstone or family file that a v1/v2
+        record holds without a digest is hashed here, once: a shard entry
+        whose ``files`` is ``None`` takes this record's digests for its
+        directory, and the digests computed stay on this record.
+        """
+        shards = self.shards if shards is None else shards
+        mine = {entry["dir"]: entry for entry in self.shards}
+        for entry in shards:
+            if entry["files"] is None:
+                own = mine[entry["dir"]]
+                if own["files"] is None:
+                    directory = self.spill_dir / own["dir"]
+                    own["files"] = {name: file_digest(directory / name)
+                                    for name in SHARD_ARRAY_NAMES}
+                entry["files"] = own["files"]
+        if tombstones is _CARRIED:
+            tombstones = self._tombstones_entry()
+        if family is _CARRIED:
+            family = self.family_entry()
+        return {
+            "version": SPILL_VERSION,
+            "generation": self.generation + 1 if generation is None else int(generation),
+            "universe_size": int(self.universe_size if universe_size is None
+                                 else universe_size),
+            "n_sets": int(shards[-1]["hi"]) if shards else 0,
+            "n_tombstones": int(tombstones["n"]) if tombstones else 0,
+            "r0": int(self.r0 if r0 is None else r0),
+            "payload_bits": int(self.payload_bits if payload_bits is None
+                                else payload_bits),
+            "family_kind": family_kind or self.resolved_family_kind(),
+            "checksums": DIGEST_ALGORITHM,
+            "tombstones": tombstones,
+            "family": family,
+            "shards": list(shards),
+        }
 
     def resolved_family_kind(self) -> str:
         """``"lazy"`` or ``"eager"``: the manifest's record, else the family file's.
@@ -373,7 +432,8 @@ class SpillManifest:
         except (OSError, zipfile.BadZipFile) as exc:
             raise SpillFormatError(
                 f"{path} is unreadable ({type(exc).__name__}: {exc})") from exc
-        return "lazy" if "capacity.npy" in members else "eager"
+        self.family_kind = "lazy" if "capacity.npy" in members else "eager"
+        return self.family_kind
 
 
 def read_manifest(spill_dir) -> SpillManifest:
@@ -396,44 +456,6 @@ def read_manifest(spill_dir) -> SpillManifest:
     if not isinstance(document, dict):
         raise SpillFormatError(f"{path} is corrupt: not an object")
     return SpillManifest(spill_dir, document)
-
-
-def build_spill_manifest(
-    *,
-    universe_size: int,
-    r0: int,
-    payload_bits: int,
-    shards: list,
-    generation: int,
-    family_kind: str,
-    tombstones: dict | None = None,
-    family: dict | None = None,
-) -> dict:
-    """The version-:data:`SPILL_VERSION` manifest document for a spill.
-
-    The single schema shared by finalize / append / delete / compact; every
-    mutation builds its manifest here and publishes it through
-    :class:`~repro.core.integrity.AtomicCommit` (the ``os.replace`` of this
-    document *is* the commit point).  ``shards`` are version-3 shard entries
-    (:meth:`SpillManifest.shard_entries`,
-    :meth:`~repro.core.sharded.ShardInfo.manifest_entry`);
-    ``tombstones`` / ``family`` are the v3 file entries
-    (``{"file", "digest", ...}``) or ``None``.
-    """
-    return {
-        "version": SPILL_VERSION,
-        "generation": int(generation),
-        "universe_size": int(universe_size),
-        "n_sets": int(shards[-1]["hi"]) if shards else 0,
-        "n_tombstones": int(tombstones["n"]) if tombstones else 0,
-        "r0": int(r0),
-        "payload_bits": int(payload_bits),
-        "family_kind": family_kind,
-        "checksums": DIGEST_ALGORITHM,
-        "tombstones": tombstones,
-        "family": family,
-        "shards": list(shards),
-    }
 
 
 # --------------------------------------------------------------------------- #
@@ -514,15 +536,8 @@ def delete_sets(spill_dir, ids, generation: int | None = None) -> tuple:
             write_tombstones(staged, merged)
             if spill.tombstones_file is not None:
                 commit.add_garbage(spill_dir / spill.tombstones_file)
-            manifest = build_spill_manifest(
-                universe_size=spill.universe_size, r0=spill.r0,
-                payload_bits=spill.payload_bits, shards=spill.shard_entries(),
-                generation=next_generation,
-                family_kind=spill.resolved_family_kind(),
-                tombstones={"file": name, "digest": file_digest(staged),
-                            "n": len(merged)},
-                family=spill.family_entry(),
-            )
+            manifest = spill.next_document(tombstones={
+                "file": name, "digest": file_digest(staged), "n": len(merged)})
             # The lock is re-entrant within a thread: publish only over the
             # generation this transaction read.
             require_generation(spill_dir, spill.generation)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import shutil
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -49,12 +49,11 @@ from repro.core.manifest import (
     SHARD_ARRAY_NAMES,
     SUPPORTED_SPILL_VERSIONS,
     TOMBSTONES_NAME,
+    SpillManifest,
     blake2b,
-    build_spill_manifest,
     delete_sets,
     file_digest,
     read_manifest,
-    read_tombstones,
 )
 from repro.utils.bits import pack_bytes_to_words, unpack_words_to_bytes
 from repro.utils.faultpoints import faultpoint
@@ -77,7 +76,6 @@ __all__ = [
     "fixed_resident_bytes",
     "working_budget",
     "plan_shard_ranges",
-    "build_spill_manifest",
     "ShardInfo",
     "ShardedCollection",
     "ShardedCollectionBuilder",
@@ -208,7 +206,6 @@ def plan_shard_ranges(
 class ShardInfo:
     """Metadata of one spilled shard (everything but the words themselves)."""
 
-    index: int
     lo: int                 #: first global set index covered by this shard
     hi: int                 #: one past the last global set index
     directory: Path
@@ -218,8 +215,8 @@ class ShardInfo:
     failed: np.ndarray      #: (k, 2) [element, local set index] failed insertions
     kind: str = "base"      #: "base" (original/compacted) or "delta" (appended)
     #: filename -> content digest of the shard's arrays (manifest v3);
-    #: ``None`` for shards attached from a v1/v2 spill — computed once when
-    #: the next mutation commits at version 3.
+    #: ``None`` for shards attached from a v1/v2 spill, whose digests the
+    #: spill's :class:`~repro.core.manifest.SpillManifest` computes once.
     file_digests: dict | None = field(default=None, repr=False)
 
     @property
@@ -253,7 +250,7 @@ class ShardInfo:
             "nbytes": self.nbytes,
             "build_backend": self.build_backend,
             "kind": self.kind,
-            "files": shard_digests(self),
+            "files": self.file_digests,
         }
 
 
@@ -275,20 +272,26 @@ def _load_shard_array(shard_index: int, path: Path, *,
             "incomplete; run 'repro verify'") from exc
 
 
-def shard_digests(shard: ShardInfo) -> dict:
-    """The shard's per-file digest table, computing it on first need.
+def _failed_array(pairs) -> np.ndarray:
+    """``(element, local set id)`` failed insertions as a sorted ``(k, 2)`` array."""
+    if not pairs:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
-    Freshly staged shards carry their digests from write time; shards
-    attached from a v1/v2 spill have none recorded and pay a one-time hash
-    of their (unchanged, live) files when the first version-3 mutation
-    commits.
+
+def _write_shard_arrays(directory: Path, words, offsets, widths, order,
+                        failed) -> dict:
+    """Write one shard's five arrays into a new ``directory``; return digests.
+
+    The one shard writer of the builder, the ``r0`` rewrite and compaction.
     """
-    if shard.file_digests is None:
-        shard.file_digests = {
-            name: file_digest(shard.directory / name)
-            for name in SHARD_ARRAY_NAMES
-        }
-    return shard.file_digests
+    directory.mkdir()
+    digests = {}
+    for name, values in zip(SHARD_ARRAY_NAMES,
+                            (words, offsets, widths, order, failed)):
+        np.save(directory / name, values)
+        digests[name] = file_digest(directory / name)
+    return digests
 
 
 def reinterleave_shard_words(
@@ -369,7 +372,9 @@ class ShardedCollectionBuilder:
     :meth:`BatmapCollection.build` (planner-routed: host / bulk / parallel)
     and writes its packed buffer plus metadata to ``spill_dir/shard_NNNN/``.
     The caller supplies set batches in global order; only one shard's
-    batmaps are ever resident.
+    batmaps are ever resident.  ``manifest`` is the committed record the
+    builder's commit succeeds (:meth:`~repro.core.manifest.SpillManifest.empty`
+    for a fresh build).
     """
 
     def __init__(
@@ -403,15 +408,7 @@ class ShardedCollectionBuilder:
         self.build_workers = build_workers
         self.memory_budget = memory_budget
         self.shards: list[ShardInfo] = []
-        self.generation = 0
-        #: v3 file entries carried from the attached collection (``None``
-        #: until the first commit records them).
-        self.tombstones_file: str | None = None
-        self.tombstones_digest: str | None = None
-        self.family_file: str | None = None
-        self.family_digest: str | None = None
-        self._family_dirty = True  # fresh builders always spill their family
-        self._next_lo = 0
+        self.manifest = SpillManifest.empty(self.spill_dir)
         self._finalized = False
         self._commit: AtomicCommit | None = None
         self._lock = ExitStack()  # holds the writer lock while a commit is pending
@@ -429,8 +426,8 @@ class ShardedCollectionBuilder:
         """Reopen a spilled collection's builder to ingest delta shards.
 
         The returned builder carries the existing shard table, family and
-        ``r0``; :meth:`append` bulk-builds new sets into *delta* shards and
-        rewrites the manifest at the next generation.  ``config`` defaults
+        committed record; :meth:`append` bulk-builds new sets into *delta*
+        shards and commits the record's successor.  ``config`` defaults
         to the spill's recorded ``payload_bits`` over otherwise-default
         knobs — pass the original config explicitly if it was customised
         (placement identity with a from-scratch build requires it).
@@ -449,13 +446,7 @@ class ShardedCollectionBuilder:
             build_workers=build_workers, memory_budget=memory_budget,
         )
         builder.shards = list(sharded.shards)
-        builder.generation = sharded.generation
-        builder.tombstones_file = sharded.tombstones_file
-        builder.tombstones_digest = sharded.tombstones_digest
-        builder.family_file = sharded.family_file
-        builder.family_digest = sharded.family_digest
-        builder._family_dirty = False  # unchanged unless the universe grows
-        builder._next_lo = sharded.n_physical_sets
+        builder.manifest = sharded.manifest
         return builder
 
     def _shard_build_compute(self, sets) -> str:
@@ -487,11 +478,25 @@ class ShardedCollectionBuilder:
             self._commit = AtomicCommit(self.spill_dir)
         return self._commit
 
-    def _publish(self, manifest: dict) -> None:
-        """Commit the staged files under ``manifest``; release the lock."""
-        self._commit.commit(manifest)
+    def _publish(self, commit: AtomicCommit, generation: int,
+                 **changes) -> SpillManifest:
+        """Commit the staged files at ``generation``; release the lock.
+
+        Returns the published record.  ``changes`` go to
+        :meth:`~repro.core.manifest.SpillManifest.next_document` on top of
+        the builder's shards, universe, ``r0`` and family.
+        """
+        document = self.manifest.next_document(
+            [shard.manifest_entry() for shard in self.shards],
+            generation=generation, universe_size=self.universe_size,
+            r0=self.r0, payload_bits=self.config.payload_bits,
+            family_kind=("lazy" if isinstance(self.family, ExtensibleHashFamily)
+                         else "eager"),
+            family=self._stage_family(commit, generation), **changes)
+        commit.commit(document)
         self._commit = None
         self._lock.close()
+        return SpillManifest(self.spill_dir, document)
 
     def _abort(self) -> None:
         """Drop the staged files and release the lock; the builder is spent."""
@@ -510,16 +515,6 @@ class ShardedCollectionBuilder:
         while commit.taken(f"shard_{index:04d}"):
             index += 1
         return f"shard_{index:04d}"
-
-    @staticmethod
-    def _write_shard_arrays(staged_dir: Path, arrays: dict) -> dict:
-        """Write a shard's five arrays into ``staged_dir``; return digests."""
-        staged_dir.mkdir()
-        digests = {}
-        for name in SHARD_ARRAY_NAMES:
-            np.save(staged_dir / name, arrays[name[:-len(".npy")]])
-            digests[name] = file_digest(staged_dir / name)
-        return digests
 
     def add_shard(self, sets, *, kind: str = "base") -> ShardInfo:
         """Build one shard of sets (next global range) and stage its spill.
@@ -553,24 +548,18 @@ class ShardedCollectionBuilder:
             memory_budget=self.memory_budget,
         )
         words, offsets, widths = _spill_buffer_words(collection, self.r0)
-        index = len(self.shards)
         name = self._fresh_shard_name()
-        commit = self._ensure_commit()
-        failed_pairs = [
+        failed = _failed_array([
             (element, local)
             for element, locals_ in collection.failed_insertions().items()
             for local in locals_
-        ]
-        failed = (np.array(sorted(failed_pairs), dtype=np.int64).reshape(-1, 2)
-                  if failed_pairs else np.zeros((0, 2), dtype=np.int64))
-        digests = self._write_shard_arrays(commit.stage(name), {
-            "words": words, "offsets": offsets, "widths": widths,
-            "order": collection.order, "failed": failed,
-        })
+        ])
+        digests = _write_shard_arrays(self._ensure_commit().stage(name), words,
+                                      offsets, widths, collection.order, failed)
+        lo = self.shards[-1].hi if self.shards else 0
         info = ShardInfo(
-            index=index,
-            lo=self._next_lo,
-            hi=self._next_lo + len(sets),
+            lo=lo,
+            hi=lo + len(sets),
             directory=self.spill_dir / name,
             nbytes=int(words.nbytes),
             build_backend=(collection.build_plan.backend
@@ -581,56 +570,27 @@ class ShardedCollectionBuilder:
             file_digests=digests,
         )
         self.shards.append(info)
-        self._next_lo = info.hi
         return info
 
-    @property
-    def _family_kind(self) -> str:
-        return ("lazy" if isinstance(self.family, ExtensibleHashFamily)
-                else "eager")
-
-    def _load_tombstones(self) -> np.ndarray:
-        if self.tombstones_file is None:
-            return np.zeros(0, dtype=np.int64)
-        return np.frombuffer(read_tombstones(self.spill_dir / self.tombstones_file),
-                             dtype=np.int64)
-
-    def _tombstones_entry(self, tombstones: np.ndarray) -> dict | None:
-        """The carried-forward manifest ``tombstones`` entry (or ``None``)."""
-        if self.tombstones_file is None:
-            return None
-        if self.tombstones_digest is None:
-            self.tombstones_digest = file_digest(
-                self.spill_dir / self.tombstones_file)
-        return {"file": self.tombstones_file,
-                "digest": self.tombstones_digest,
-                "n": int(tombstones.size)}
-
-    def _stage_family(self, commit: AtomicCommit) -> dict:
+    def _stage_family(self, commit: AtomicCommit, generation: int) -> dict:
         """Stage (or carry) the family file; return its manifest entry.
 
         A changed family (universe growth) or a family never spilled is
         written under a fresh name and the superseded file becomes garbage;
-        an unchanged family keeps its live file — only its digest may need
-        a one-time computation (v1/v2 upgrade).
+        an unchanged family keeps its live file.
         """
-        if self.family_file is None:
-            self._family_dirty = True
-        if self._family_dirty:
-            if self.family_file is None and not commit.taken(FAMILY_NAME):
-                name = FAMILY_NAME
-            else:
-                name = f"family_{self.generation:04d}.npz"
-            staged = commit.stage(name)
-            save_family(staged, self.family)
-            if self.family_file is not None and self.family_file != name:
-                commit.add_garbage(self.spill_dir / self.family_file)
-            self.family_file = name
-            self.family_digest = file_digest(staged)
-            self._family_dirty = False
-        elif self.family_digest is None:
-            self.family_digest = file_digest(self.spill_dir / self.family_file)
-        return {"file": self.family_file, "digest": self.family_digest}
+        old = self.manifest.family_file
+        if old is not None and self.universe_size == self.manifest.universe_size:
+            return self.manifest.family_entry()
+        if old is None and not commit.taken(FAMILY_NAME):
+            name = FAMILY_NAME
+        else:
+            name = f"family_{generation:04d}.npz"
+        staged = commit.stage(name)
+        save_family(staged, self.family)
+        if old is not None:
+            commit.add_garbage(self.spill_dir / old)
+        return {"file": name, "digest": file_digest(staged)}
 
     def _reinterleave_shards(self, commit: AtomicCommit, new_r0: int) -> None:
         """Re-stage every existing shard at granularity ``new_r0``.
@@ -641,9 +601,7 @@ class ShardedCollectionBuilder:
         its words re-interleaved; the old directory becomes post-commit
         garbage.
         """
-        from dataclasses import replace
-
-        generation = self.generation + 1
+        generation = self.manifest.generation + 1
         rewritten = []
         for k, shard in enumerate(self.shards):
             faultpoint("append.reinterleave")
@@ -651,19 +609,17 @@ class ShardedCollectionBuilder:
             offsets = np.load(shard.directory / "offsets.npy")
             widths = np.load(shard.directory / "widths.npy")
             name = f"rewrite_{generation:04d}_{k:04d}"
-            digests = self._write_shard_arrays(commit.stage(name), {
-                "words": reinterleave_shard_words(
-                    words, offsets, widths, self.r0, new_r0),
-                "offsets": offsets, "widths": widths,
-                "order": shard.order, "failed": shard.failed,
-            })
+            digests = _write_shard_arrays(
+                commit.stage(name),
+                reinterleave_shard_words(words, offsets, widths, self.r0, new_r0),
+                offsets, widths, shard.order, shard.failed)
             commit.add_garbage(shard.directory)
             rewritten.append(replace(
                 shard, directory=self.spill_dir / name, file_digests=digests))
         self.shards = rewritten
         self.r0 = new_r0
 
-    def append(self, sets, *, universe_size: int | None = None) -> "ShardedCollection":
+    def append(self, sets, *, universe_size: int | None = None) -> SpillManifest:
         """Bulk-build ``sets`` into delta shards and publish the next generation.
 
         Placement identity makes this exact: each new set's cuckoo placement
@@ -683,8 +639,9 @@ class ShardedCollectionBuilder:
         All new files are staged and published by one
         :class:`~repro.core.integrity.AtomicCommit`: a crash (or injected
         fault) at any point leaves the previous generation attachable and
-        bit-identical.  Returns the re-attached collection at
-        ``generation + 1``.
+        bit-identical.  Returns the committed record at ``generation + 1``;
+        :attr:`shards` and :attr:`family` hold the matching shard table and
+        (possibly grown) family.
         """
         require(not self._finalized, "builder is already finalized")
         require(len(sets) > 0, "cannot append zero sets")
@@ -696,7 +653,7 @@ class ShardedCollectionBuilder:
             raise
 
     def _append_staged(self, commit: AtomicCommit, sets,
-                       universe_size: int | None) -> "ShardedCollection":
+                       universe_size: int | None) -> SpillManifest:
         from repro.core.collection import _dedup_sorted
 
         dedup = [_dedup_sorted(s) for s in sets]
@@ -712,7 +669,6 @@ class ShardedCollectionBuilder:
                     "(build-index --family lazy)")
             self.family = self.family.grow(target)
             self.universe_size = target
-            self._family_dirty = True
 
         sizes = np.array([d.size for d in dedup], dtype=np.int64)
         range_universe = self.family.range_universe
@@ -728,27 +684,8 @@ class ShardedCollectionBuilder:
         for lo, hi in ranges:
             self.add_shard(dedup[lo:hi], kind="delta")
 
-        self.generation += 1
         self._finalized = True
-        tombstones = self._load_tombstones()
-        manifest = build_spill_manifest(
-            universe_size=self.universe_size, r0=self.r0,
-            payload_bits=self.config.payload_bits,
-            shards=[shard.manifest_entry() for shard in self.shards],
-            generation=self.generation, family_kind=self._family_kind,
-            tombstones=self._tombstones_entry(tombstones),
-            family=self._stage_family(commit),
-        )
-        self._publish(manifest)
-        return ShardedCollection(self.spill_dir, self.universe_size, self.r0,
-                                 self.shards, family=self.family,
-                                 payload_bits=self.config.payload_bits,
-                                 generation=self.generation,
-                                 tombstones=tombstones,
-                                 tombstones_file=self.tombstones_file,
-                                 tombstones_digest=self.tombstones_digest,
-                                 family_file=self.family_file,
-                                 family_digest=self.family_digest)
+        return self._publish(commit, self.manifest.generation + 1)
 
     def finalize(self) -> "ShardedCollection":
         """Atomically commit the staged shards + manifest; return the collection.
@@ -760,25 +697,12 @@ class ShardedCollectionBuilder:
         self._finalized = True
         commit = self._ensure_commit()
         try:
-            self.generation = commit.replace_committed()
-            manifest = build_spill_manifest(
-                universe_size=self.universe_size, r0=self.r0,
-                payload_bits=self.config.payload_bits,
-                shards=[shard.manifest_entry() for shard in self.shards],
-                generation=self.generation, family_kind=self._family_kind,
-                tombstones=None,
-                family=self._stage_family(commit),
-            )
-            self._publish(manifest)
+            manifest = self._publish(commit, commit.replace_committed(),
+                                     tombstones=None)
         except BaseException:
             self._abort()
             raise
-        return ShardedCollection(self.spill_dir, self.universe_size, self.r0,
-                                 self.shards, family=self.family,
-                                 payload_bits=self.config.payload_bits,
-                                 generation=self.generation,
-                                 family_file=self.family_file,
-                                 family_digest=self.family_digest)
+        return ShardedCollection(manifest, self.shards, family=self.family)
 
 
 class ShardedCollection:
@@ -790,38 +714,23 @@ class ShardedCollection:
     the rows a query touches into RAM), and
     :meth:`count_all_pairs` streams shard pairs through the batch/parallel
     engines via :class:`~repro.parallel.sharded.ShardedPairCounter`.
+
+    ``manifest`` is the spill's one metadata record — the
+    :class:`~repro.core.manifest.SpillManifest` this object attached, or the
+    one its last commit published; generation, universe, ``r0``,
+    ``payload_bits``, family kind and file entries are read through it.
     """
 
-    def __init__(self, spill_dir: Path, universe_size: int, r0: int,
-                 shards: list, *, family: HashFamily | None = None,
-                 payload_bits: int = DEFAULT_CONFIG.payload_bits,
-                 generation: int = 0,
-                 tombstones: np.ndarray | None = None,
-                 tombstones_file: str | None = None,
-                 tombstones_digest: str | None = None,
-                 family_file: str | None = None,
-                 family_digest: str | None = None,
-                 family_kind: str | None = None) -> None:
+    def __init__(self, manifest: SpillManifest, shards: list, *,
+                 family: HashFamily | None = None,
+                 tombstones: np.ndarray | None = None) -> None:
         """Wrap already-spilled shards; use :meth:`build` or :meth:`from_spill`."""
-        self.spill_dir = Path(spill_dir)
-        self.universe_size = universe_size
-        self.r0 = int(r0)
+        self.manifest = manifest
+        self.spill_dir = manifest.spill_dir
         self.shards = list(shards)
-        self.payload_bits = int(payload_bits)
-        self.generation = int(generation)
         self.tombstones = (np.zeros(0, dtype=np.int64) if tombstones is None
                            else np.asarray(tombstones, dtype=np.int64))
-        #: Manifest v3 file entries (name + content digest) of the tombstone
-        #: and family files; ``None`` digests mean a v1/v2 artifact that has
-        #: not yet paid its upgrade hash.
-        self.tombstones_file = tombstones_file
-        self.tombstones_digest = tombstones_digest
-        self.family_file = family_file
-        self.family_digest = family_digest
         self._family = family
-        #: the manifest's record of the family kind, so naming it in the next
-        #: manifest does not load the family
-        self._family_kind = family_kind
         self._live_ids: np.ndarray | None = None
         self._live_positions: np.ndarray | None = None
         self._content_token: str | None = None
@@ -927,27 +836,39 @@ class ShardedCollection:
                     f"entries for a shard of {entry['hi'] - entry['lo']} sets — "
                     "the artifact is damaged; run 'repro verify'")
             shards.append(ShardInfo(
-                index=k, lo=entry["lo"], hi=entry["hi"], directory=directory,
+                lo=entry["lo"], hi=entry["hi"], directory=directory,
                 nbytes=entry["nbytes"], build_backend=entry["build_backend"],
                 order=order, failed=failed, kind=entry["kind"],
                 file_digests=entry["files"],
             ))
         tombstones = np.frombuffer(spill.read_tombstones(), dtype=np.int64)
-        return cls(spill_dir, spill.universe_size, spill.r0, shards,
-                   payload_bits=spill.payload_bits,
-                   generation=spill.generation,
-                   tombstones=tombstones,
-                   tombstones_file=spill.tombstones_file,
-                   tombstones_digest=spill.tombstones_digest,
-                   family_file=spill.family_file,
-                   family_digest=spill.family_digest,
-                   family_kind=spill.family_kind)
+        return cls(spill, shards, tombstones=tombstones)
 
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return self.n_sets
+
+    @property
+    def generation(self) -> int:
+        """The committed generation this object reflects."""
+        return self.manifest.generation
+
+    @property
+    def universe_size(self) -> int:
+        """Transactions the hash family covers."""
+        return self.manifest.universe_size
+
+    @property
+    def r0(self) -> int:
+        """The collection-global interleave granularity of every shard."""
+        return self.manifest.r0
+
+    @property
+    def payload_bits(self) -> int:
+        """Entry payload width the shards were packed with."""
+        return self.manifest.payload_bits
 
     @property
     def n_physical_sets(self) -> int:
@@ -1038,17 +959,8 @@ class ShardedCollection:
             builder = ShardedCollectionBuilder.for_append(
                 self, config=config, build_compute=build_compute,
                 build_workers=build_workers, memory_budget=memory_budget)
-            updated = builder.append(sets, universe_size=universe_size)
-        self.shards = updated.shards
-        self.universe_size = updated.universe_size
-        self.r0 = updated.r0
-        self.generation = updated.generation
-        self.tombstones_file = updated.tombstones_file
-        self.tombstones_digest = updated.tombstones_digest
-        self.family_file = updated.family_file
-        self.family_digest = updated.family_digest
-        self._family = updated._family
-        self._invalidate()
+            manifest = builder.append(sets, universe_size=universe_size)
+        self._adopt(manifest, shards=builder.shards, family=builder.family)
         return self
 
     def delete(self, set_ids) -> int:
@@ -1060,27 +972,11 @@ class ShardedCollection:
         mutates only after the commit point.  Returns the new generation.
         """
         ids = np.asarray(set_ids, dtype=np.int64).ravel().tolist()
-        manifest, tombstones = delete_sets(self.spill_dir, ids,
+        document, tombstones = delete_sets(self.spill_dir, ids,
                                            generation=self.generation)
-        for shard, entry in zip(self.shards, manifest["shards"]):
-            shard.file_digests = entry["files"]
-        self.tombstones = np.frombuffer(tombstones, dtype=np.int64)
-        self.tombstones_file = manifest["tombstones"]["file"]
-        self.tombstones_digest = manifest["tombstones"]["digest"]
-        if manifest["family"] is not None:
-            self.family_digest = manifest["family"]["digest"]
-        self._family_kind = manifest["family_kind"]
-        self.generation = manifest["generation"]
-        self._invalidate()
+        self._adopt(SpillManifest(self.spill_dir, document),
+                    tombstones=np.frombuffer(tombstones, dtype=np.int64))
         return self.generation
-
-    def _family_entry(self) -> dict | None:
-        """Carried-forward manifest ``family`` entry for a non-append commit."""
-        if self.family_file is None:
-            return None
-        if self.family_digest is None:
-            self.family_digest = file_digest(self.spill_dir / self.family_file)
-        return {"file": self.family_file, "digest": self.family_digest}
 
     def compact(self, *, memory_budget: int | None = None,
                 full: bool = False) -> "ShardedCollection":
@@ -1094,25 +990,30 @@ class ShardedCollection:
 
         updated = compact(self, memory_budget=memory_budget, full=full)
         if updated is not self:
-            self.shards = updated.shards
-            self.generation = updated.generation
-            self.tombstones = updated.tombstones
-            self.tombstones_file = updated.tombstones_file
-            self.tombstones_digest = updated.tombstones_digest
-            self.family_file = updated.family_file
-            self.family_digest = updated.family_digest
-            self._invalidate()
+            self._adopt(updated.manifest, shards=updated.shards,
+                        tombstones=updated.tombstones)
         return self
+
+    def _adopt(self, manifest: SpillManifest, *, shards=None, tombstones=None,
+               family=None) -> None:
+        """Take the record a commit on this spill just published.
+
+        The in-memory shards, tombstones and family carry over unless the
+        commit replaced them: no shard array is re-read, no file re-hashed.
+        """
+        self.manifest = manifest
+        if shards is not None:
+            self.shards = shards
+        if tombstones is not None:
+            self.tombstones = tombstones
+        if family is not None:
+            self._family = family
+        self._invalidate()
 
     @property
     def family_kind(self) -> str:
         """``"lazy"`` for an extensible family, ``"eager"`` otherwise."""
-        if self._family is None and self._family_kind in ("eager", "lazy"):
-            return self._family_kind
-        if self._family is None and self.family_file is None:
-            return "eager"
-        return ("lazy" if isinstance(self.family, ExtensibleHashFamily)
-                else "eager")
+        return self.manifest.resolved_family_kind()
 
     @property
     def total_packed_bytes(self) -> int:
@@ -1131,10 +1032,10 @@ class ShardedCollection:
         build-index`` to add it.
         """
         if self._family is None:
-            name = self.family_file or FAMILY_NAME
+            name = self.manifest.family_file or FAMILY_NAME
             family_path = self.spill_dir / name
             if not family_path.exists():
-                if self.family_file is not None:
+                if self.manifest.family_file is not None:
                     raise SpillFormatError(
                         f"family file {name} referenced by the manifest of "
                         f"{self.spill_dir} is missing — the artifact is "

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
-from repro.core.plan import PlanFeatures, plan_counts, resolve_result_format
+from repro.core.plan import resolve_result_format
 from repro.core.results import DenseCountResult
 from repro.datasets.streaming import collect_transactions
 from repro.datasets.transactions import TransactionDatabase
@@ -180,14 +180,11 @@ class BatmapPairMiner:
                     result = DenseCountResult(
                         reorder_counts(run.counts, pre.collection))
         else:
-            features = PlanFeatures.from_collection(
-                pre.collection, result_format=fmt, min_support=min_support)
-            backend = plan_counts(features, requested=self.compute,
-                                  workers=self.workers).backend
             with timers.time("count"):
                 result = pre.collection.count_result(
-                    compute=backend, workers=self.workers,
+                    compute=self.compute, workers=self.workers,
                     result_format=fmt, min_support=min_support)
+            backend = result.stats["count_backend"]
 
         with timers.time("postprocess"):
             # The database's row views are built only when repair needs them.

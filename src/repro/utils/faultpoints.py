@@ -4,10 +4,11 @@ A *faultpoint* is a named no-op call placed at a write/rename/fsync boundary
 of the spill mutation paths (:mod:`repro.core.integrity`,
 :mod:`repro.core.sharded`, :mod:`repro.core.compaction`).  In production the
 call costs one dict lookup; under test it can be armed to *raise*
-(:class:`InjectedFault`, for in-process property tests) or to *hard-exit*
-the interpreter (``os._exit``, simulating ``kill -9`` for CLI smoke tests)
-at an exact hit count — which is how the crash-recovery suite proves that
-every kill point leaves an artifact that re-attaches at exactly the pre- or
+(:class:`InjectedFault`, for in-process property tests), to fail as a full
+disk does (``OSError`` with ``errno.ENOSPC``) or to *hard-exit* the
+interpreter (``os._exit``, simulating ``kill -9`` for CLI smoke tests) at an
+exact hit count — which is how the crash-recovery suite proves that every
+kill point leaves an artifact that re-attaches at exactly the pre- or
 post-mutation generation.
 
 Two arming surfaces:
@@ -18,7 +19,7 @@ Two arming surfaces:
   then replay the mutation once per site.
 * **Environment** — ``REPRO_FAULTPOINT=<name>`` arms a faultpoint for a CLI
   subprocess (read once at import).  ``REPRO_FAULTPOINT_HIT=<k>`` selects
-  the k-th hit (default 1) and ``REPRO_FAULTPOINT_MODE=exit|raise``
+  the k-th hit (default 1) and ``REPRO_FAULTPOINT_MODE=exit|raise|oserror``
   (default ``exit``) picks the failure style; ``exit`` terminates with
   :data:`FAULT_EXIT_CODE`.
 
@@ -31,6 +32,7 @@ test sections.
 
 from __future__ import annotations
 
+import errno
 import os
 
 __all__ = [
@@ -64,6 +66,10 @@ KNOWN_FAULTPOINTS = (
 #: Exit status of a hard-exit (``mode="exit"``) injection; CLI smoke tests
 #: assert on it to distinguish an injected kill from a real crash.
 FAULT_EXIT_CODE = 42
+
+#: Failure styles of an armed faultpoint: raise :class:`InjectedFault`,
+#: raise ``OSError(ENOSPC)``, or hard-exit with :data:`FAULT_EXIT_CODE`.
+_MODES = ("raise", "oserror", "exit")
 
 _KNOWN = frozenset(KNOWN_FAULTPOINTS)
 
@@ -107,6 +113,9 @@ def faultpoint(name: str) -> None:
     disarm()
     if trigger.mode == "exit":
         os._exit(FAULT_EXIT_CODE)
+    if trigger.mode == "oserror":
+        raise OSError(errno.ENOSPC, f"{os.strerror(errno.ENOSPC)} "
+                      f"(injected at {name!r}, hit {trigger.hit})")
     raise InjectedFault(name, trigger.hit)
 
 
@@ -115,8 +124,8 @@ def arm(name: str, *, hit: int = 1, mode: str = "raise") -> None:
     global _trigger
     if name not in _KNOWN:
         raise ValueError(f"unregistered faultpoint {name!r}")
-    if mode not in ("raise", "exit"):
-        raise ValueError(f"mode must be 'raise' or 'exit', got {mode!r}")
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if hit < 1:
         raise ValueError(f"hit must be >= 1, got {hit}")
     _trigger = _Trigger(name, hit, mode)

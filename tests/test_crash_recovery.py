@@ -12,7 +12,10 @@ enumerate every kill site ``(name, occurrence)``, then replays the step
 once per site with that site armed, asserting the contract after each
 injected crash.  A final assertion proves the sequences exercised **every**
 registered faultpoint — extending the registry without extending the
-mutations here fails loudly.
+mutations here fails loudly.  The same sweep runs with every site failing
+as an I/O error (``OSError(ENOSPC)``, what a full disk raises) instead of a
+crash: the failed mutation must also leave no staging directory behind,
+and retrying it on the same attachment must reach the clean replay's state.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -86,8 +90,26 @@ def _random_sequence(rng):
     return sequence
 
 
+#: What an armed faultpoint raises in each in-process failure mode.
+_FAILURES = {"raise": fp.InjectedFault, "oserror": OSError}
+
+
+def _own_staging(spill_dir):
+    """Staging directories this process left in ``spill_dir``."""
+    return sorted(spill_dir.glob(f".staging-{os.getpid()}-*"))
+
+
 @pytest.mark.parametrize("seed", [11, 29])
 def test_every_kill_site_leaves_pre_or_post_state(tmp_path, seed):
+    _kill_every_site(tmp_path, seed, "raise")
+
+
+@pytest.mark.parametrize("seed", [11, 29])
+def test_every_io_error_site_leaves_pre_or_post_state(tmp_path, seed):
+    _kill_every_site(tmp_path, seed, "oserror")
+
+
+def _kill_every_site(tmp_path, seed, mode):
     rng = np.random.default_rng(seed)
     canonical = tmp_path / "canonical"
     _build_base(canonical, rng)
@@ -103,6 +125,8 @@ def test_every_kill_site_leaves_pre_or_post_state(tmp_path, seed):
             _apply(ShardedCollection.from_spill(scratch), op)
         sites = rec.sites()
         assert sites, f"step {step} ({op[0]}) hit no faultpoints"
+        # sites up to the manifest replace fail before the commit point
+        precommit = set(takewhile(lambda site: site[0] != "commit.cleanup", sites))
         covered.update(name for name, _ in sites)
         post_gen, post_counts = _state(scratch)
         assert post_gen == pre_gen + 1
@@ -111,9 +135,11 @@ def test_every_kill_site_leaves_pre_or_post_state(tmp_path, seed):
             work = tmp_path / "work"
             shutil.copytree(canonical, work)
             collection = ShardedCollection.from_spill(work)
-            with fp.armed(name, hit=hit):
-                with pytest.raises(fp.InjectedFault):
+            with fp.armed(name, hit=hit, mode=mode):
+                with pytest.raises(_FAILURES[mode]):
                     _apply(collection, op)
+            assert _own_staging(work) == [], \
+                f"step {step} kill at {name}#{hit} left its staging directory"
 
             # Crashed artifact attaches at exactly pre or post generation,
             # with counts bit-identical to that committed state.
@@ -131,6 +157,19 @@ def test_every_kill_site_leaves_pre_or_post_state(tmp_path, seed):
             gen_after, counts_after = _state(work)
             assert gen_after == gen
             np.testing.assert_array_equal(counts_after, expected)
+
+            # A failure before the commit point left the attachment at the
+            # pre state: retrying the same mutation on it completes it.
+            if (name, hit) in precommit:
+                assert collection.generation == pre_gen
+                _apply(collection, op)
+                assert collection.generation == post_gen
+                retried_gen, retried_counts = _state(work)
+                assert retried_gen == post_gen
+                np.testing.assert_array_equal(retried_counts, post_counts)
+                np.testing.assert_array_equal(
+                    ShardedPairCounter(collection, compute="batch").counts(),
+                    post_counts)
             shutil.rmtree(work)
 
         # Advance the canonical state with the clean replay.

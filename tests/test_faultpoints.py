@@ -47,6 +47,16 @@ class TestRegistry:
 
 
 class TestTrigger:
+    def test_oserror_mode_raises_enospc(self):
+        import errno
+
+        fp.arm("commit.fsync", mode="oserror")
+        with pytest.raises(OSError) as info:
+            fp.faultpoint("commit.fsync")
+        assert info.value.errno == errno.ENOSPC
+        assert not isinstance(info.value, fp.InjectedFault)
+        fp.faultpoint("commit.fsync")  # one-shot
+
     def test_fires_at_exact_hit_count(self):
         fp.arm("commit.rename", hit=3)
         fp.faultpoint("commit.rename")
@@ -129,6 +139,19 @@ class TestEnvironmentSurface:
              "REPRO_FAULTPOINT_MODE": "raise"})
         assert proc.returncode == 0
         assert "caught commit.fsync" in proc.stdout
+
+    def test_env_oserror_mode(self):
+        proc = self._run(
+            "import errno\n"
+            "from repro.utils.faultpoints import faultpoint\n"
+            "try:\n"
+            "    faultpoint('commit.rename')\n"
+            "except OSError as exc:\n"
+            "    print('caught', exc.errno == errno.ENOSPC)",
+            {"REPRO_FAULTPOINT": "commit.rename",
+             "REPRO_FAULTPOINT_MODE": "oserror"})
+        assert proc.returncode == 0
+        assert "caught True" in proc.stdout
 
     def test_env_rejects_unregistered_name_at_import(self):
         proc = self._run("import repro.utils.faultpoints",

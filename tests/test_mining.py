@@ -255,6 +255,29 @@ class TestParallelComputeMode:
         assert parallel.device_seconds == 0.0
         assert parallel.counting_seconds > 0
 
+    @pytest.mark.parametrize("compute", ["auto", "batch", "parallel"])
+    def test_mine_plans_once(self, monkeypatch, compute):
+        import sys
+
+        import repro.core.plan as plan_module
+
+        calls = []
+        real = plan_module.plan_counts
+
+        def counting(*args, **kwargs):
+            plan = real(*args, **kwargs)
+            calls.append(plan.backend)
+            return plan
+
+        # every module that bound the planner by name
+        for module in list(sys.modules.values()):
+            if getattr(module, "plan_counts", None) is real:
+                monkeypatch.setattr(module, "plan_counts", counting)
+        db = generate_fixed_transactions(20, 0.3, 120, rng=8)
+        report = BatmapPairMiner(compute=compute, workers=2).mine(
+            db, min_support=1, rng=0)
+        assert calls == [report.count_backend]
+
     def test_device_backend_recorded(self):
         db = generate_fixed_transactions(10, 0.3, 40, rng=8)
         report = BatmapPairMiner(compute="device", tile_size=8).mine(

@@ -137,6 +137,53 @@ class TestV1Migration:
         np.testing.assert_array_equal(
             counts, expected_counts()[np.ix_(live, live)])
 
+    def test_v1_files_are_hashed_once_across_mutations(self, v1_spill,
+                                                       monkeypatch):
+        # The first mutation records digests for the carried v1 files; the
+        # collection adopts that record, so later commits hash only the
+        # files they write themselves.
+        from repro.core import manifest, sharded as sharded_module
+
+        hashed = []
+        real = manifest.file_digest
+
+        def recording(path):
+            hashed.append(Path(path))
+            return real(path)
+
+        monkeypatch.setattr(manifest, "file_digest", recording)
+        monkeypatch.setattr(sharded_module, "file_digest", recording)
+        sharded = ShardedCollection.from_spill(v1_spill)
+        sharded.delete([0])  # the v3 upgrade hashes the carried files
+        assert {"words.npy", "family.npz"} <= {path.name for path in hashed}
+        hashed.clear()
+        sharded.append([np.arange(3, 30, 2)])
+        sharded.delete([1])
+        committed = [path for path in hashed if ".staging-" not in path.as_posix()]
+        assert committed == []
+        assert sharded.generation == 3
+
+    def test_compact_v1_names_the_family_kind_without_loading_it(
+            self, v1_spill, monkeypatch):
+        # A v1 manifest records no family kind; compaction takes it from the
+        # record (the archive's member list), never from a loaded family.
+        from repro.core import hashing, sharded as sharded_module
+
+        def refuse(path):
+            raise AssertionError(f"load_family({path}) during compaction")
+
+        monkeypatch.setattr(hashing, "load_family", refuse)
+        monkeypatch.setattr(sharded_module, "load_family", refuse)
+        sharded = ShardedCollection.from_spill(v1_spill)
+        sharded.compact(full=True)
+        assert sharded.generation == 1 and sharded.n_shards == 1
+        manifest = json.loads((v1_spill / "manifest.json").read_text())
+        assert manifest["version"] == 3
+        assert manifest["family_kind"] == "eager"
+        assert manifest["family"]["file"] == "family.npz"
+        counts = ShardedPairCounter(sharded, compute="batch").counts()
+        np.testing.assert_array_equal(counts, expected_counts())
+
 
 def _corrupt(spill: Path, mutate) -> None:
     manifest = json.loads((spill / "manifest.json").read_text())
