@@ -321,12 +321,6 @@ def _serve_arguments(serve: argparse.ArgumentParser) -> None:
     serve.add_argument("--max-requests", type=int, default=None,
                        help="shut down after this many request lines "
                             "(finite sessions for smoke tests)")
-    serve.add_argument("--result-format", choices=["dense", "sparse"],
-                       default="dense",
-                       help="top-k serving strategy: 'dense' materialises "
-                            "full count rows, 'sparse' streams shard "
-                            "rectangles through a pruned heap accumulator "
-                            "(identical answers)")
 
 
 def _query_arguments(query: argparse.ArgumentParser) -> None:
@@ -772,9 +766,11 @@ def _cmd_intersect(args: argparse.Namespace, out) -> int:
         if args.compute == "auto":
             line += f" ({plan.reason})"
         print(line, file=out)
-        counts = collection.count_all_pairs(compute=plan.backend,
-                                            workers=args.workers)
-        batmap_count = int(counts[0, 1])
+        # Run the backend the printed plan names, without planning again.
+        if plan.backend == "host":
+            batmap_count = count_common(bm_a, bm_b)
+        else:
+            batmap_count = collection.batch_counter().count_pair(0, 1)
     merge_count = intersection_size_numpy(set_a, set_b)
     print(f"|A| = {set_a.size}, |B| = {set_b.size}, universe = {universe}", file=out)
     print(f"intersection size (batmap): {batmap_count}", file=out)
@@ -1032,7 +1028,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         host=args.host,
         port=args.port,
         max_requests=args.max_requests,
-        result_format=args.result_format,
         **{key: value for key, value in tuning.items() if value is not None},
     )
 

@@ -44,9 +44,9 @@ sequence of :class:`Shard` (a width-class index plus where its slots land in
 the output) that covers an upper triangle or a rows x columns rectangle in
 class-pair tiles, skips tiles whose count bound cannot reach the sink's
 floor, and feeds one sink — a dense scatter, a
-:class:`~repro.core.results.SparseAccumulator`, a top-k heap or per-row
-top-k heaps.  An in-memory collection is one shard; a spill is one shard
-per spilled file set, attached only when the walk reaches it.  With a
+:class:`~repro.core.results.SparseAccumulator` or a top-k heap.  An
+in-memory collection is one shard; a spill is one shard per spilled file
+set, attached only when the walk reaches it.  With a
 :class:`TilePool` the tiles run on threads: the compiled fold releases the
 GIL for the whole call, and each thread reduces its block straight into
 the sink (dense tiles own disjoint regions, the accumulators are
@@ -86,7 +86,6 @@ __all__ = [
     "Shard",
     "DenseSink",
     "TopKSink",
-    "RowTopKSink",
     "walk_tiles",
     "count_shards",
     "DEFAULT_BLOCK_WORDS",
@@ -423,29 +422,6 @@ class TopKSink:
         if oi.size:
             self.heap.push(np.minimum(oi, oj), np.maximum(oi, oj),
                            block[r, c][keep])
-
-
-class RowTopKSink:
-    """A top-``limits[i]`` heap per output row ``i``, column ``exclude[i]`` left out.
-
-    Candidates rank as ``(j, j)`` pairs, so ties break by ascending column.
-    Rows with a zero limit get no heap and must not be walked.
-    """
-
-    mirror = False
-
-    def __init__(self, limits, exclude) -> None:
-        self.heaps = [TopKAccumulator(limit) if limit > 0 else None
-                      for limit in limits]
-        self.exclude = np.asarray(exclude, dtype=np.int64)
-
-    def floor(self, rows) -> int:
-        return min(self.heaps[i].floor for i in rows.tolist())
-
-    def add_block(self, rows, cols, block) -> None:
-        for k, i in enumerate(rows.tolist()):
-            keep = cols != self.exclude[i]
-            self.heaps[i].push(cols[keep], cols[keep], block[k][keep])
 
 
 def _tile_rows(tile_entries: int | None, n_cols: int, band_rows: int | None) -> int:

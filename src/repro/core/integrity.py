@@ -43,6 +43,7 @@ re-attaches at exactly the pre- or post-mutation generation.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -103,16 +104,25 @@ def _fsync_file(path: Path) -> None:
         os.close(fd)
 
 
+#: Errnos of a directory fsync the file system does not support; every
+#: other failure (``EIO`` above all) means the entries may not be durable.
+_DIR_FSYNC_UNSUPPORTED = frozenset({errno.EINVAL, errno.ENOTSUP, errno.EOPNOTSUPP})
+
+
 def _fsync_dir(path: Path) -> None:
-    """Durably record a directory's entries (POSIX; no-op where unsupported)."""
+    """Durably record a directory's entries; raise if that failed.
+
+    Only "not supported on a directory" errors are tolerated.
+    """
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:  # pragma: no cover — platform without dir-open
         return
     try:
         os.fsync(fd)
-    except OSError:  # pragma: no cover — e.g. fsync unsupported on dirs
-        pass
+    except OSError as exc:
+        if exc.errno not in _DIR_FSYNC_UNSUPPORTED:
+            raise
     finally:
         os.close(fd)
 

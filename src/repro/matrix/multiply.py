@@ -31,6 +31,7 @@ from repro.core.plan import plan_counts
 from repro.core.results import SparseAccumulator
 from repro.gpu.device import DeviceSpec, GTX_285
 from repro.matrix.boolean import SparseBooleanMatrix
+from repro.mining.postprocess import repair_increments
 from repro.utils.rng import RngLike
 from repro.utils.validation import require
 
@@ -67,96 +68,39 @@ def multiply_merge(a: SparseBooleanMatrix, b: SparseBooleanMatrix) -> np.ndarray
     return out
 
 
-def _membership_matrix(sets: list[np.ndarray], elements: np.ndarray) -> np.ndarray:
-    """``out[i, j]`` — does ``sets[i]`` contain ``elements[j]``? (one vectorised pass).
+def _repair_cross(product, collection: BatmapCollection,
+                  a: SparseBooleanMatrix, b: SparseBooleanMatrix):
+    """Add back the witnesses lost to failed cuckoo insertions (exact repair).
 
-    ``elements`` must be sorted.  The whole side is answered with a single
-    ``np.isin`` over the concatenated sets instead of one Python-level probe
-    per (set, element) pair.
-    """
-    out = np.zeros((len(sets), elements.size), dtype=bool)
-    if elements.size == 0 or not sets:
-        return out
-    lengths = np.array([s.size for s in sets], dtype=np.int64)
-    if int(lengths.sum()) == 0:
-        return out
-    flat = np.concatenate(sets)
-    owner = np.repeat(np.arange(len(sets), dtype=np.int64), lengths)
-    hit = np.isin(flat, elements)
-    if not hit.any():
-        return out
-    out[owner[hit], np.searchsorted(elements, flat[hit])] = True
-    return out
-
-
-def _iter_repair_increments(
-    collection: BatmapCollection,
-    a: SparseBooleanMatrix,
-    b: SparseBooleanMatrix,
-):
-    """Yield one boolean increment mask per failed element that matters.
-
-    A failed insertion of inner-dimension element ``k`` into the batmap of a
-    row/column set means every cross pair containing that set undercounts
-    ``k`` by one if the other side holds it too.
-
-    The membership tests are grouped: one :func:`_membership_matrix` pass per
-    side answers "which failed elements does each row/column set contain",
-    replacing the former ``O(failures * rows * cols)`` Python triple loop.
-    Failed elements that never appear on both sides of the cross block are
-    skipped outright — they cannot change any entry (in particular, failures
-    recorded against sets the cross block never touches, or elements present
-    only in empty-side pairs that :func:`multiply_merge` also skips).
+    Inner element ``k`` plays the miner's transaction: the sets holding it
+    are the ``a``-rows ``i`` with ``k`` in ``a.rows[i]`` and, as ids
+    ``n_rows + j``, the ``b``-columns ``j`` in ``b.rows[k]``.
+    :func:`~repro.mining.postprocess.repair_increments` turns the failures
+    into upper-triangle increments, and only the row-by-column ones belong
+    to the cross block.  ``product`` is the dense block (added to a copy)
+    or a sparse result (``add_entries``); it comes back as is when nothing
+    is added.
     """
     failures = collection.failed_insertions()
     if not failures:
-        return
-    failed_elements = np.array(sorted(failures), dtype=np.int64)
-    row_has = _membership_matrix(list(a.rows), failed_elements)
-    col_has = _membership_matrix(b.column_sets(), failed_elements)
-    # Short-circuit: a repair contribution needs the element on *both* sides.
-    active = row_has.any(axis=0) & col_has.any(axis=0)
-    if not active.any():
-        return
+        return product
     n_rows = a.n_rows
-    for f_idx in np.nonzero(active)[0].tolist():
-        owners = np.asarray(failures[int(failed_elements[f_idx])], dtype=np.int64)
-        row_owner = np.zeros(a.n_rows, dtype=bool)
-        row_owner[owners[owners < n_rows]] = True
-        col_owner = np.zeros(b.n_cols, dtype=bool)
-        col_owner[owners[owners >= n_rows] - n_rows] = True
-        yield (
-            (row_has[:, f_idx][:, None] & col_has[:, f_idx][None, :])
-            & (row_owner[:, None] | col_owner[None, :])
-        )
-
-
-def _repair_cross_product(
-    product: np.ndarray,
-    collection: BatmapCollection,
-    a: SparseBooleanMatrix,
-    b: SparseBooleanMatrix,
-) -> np.ndarray:
-    """Add back the witnesses lost to failed cuckoo insertions (exact repair)."""
-    out = None
-    for increment in _iter_repair_increments(collection, a, b):
-        if out is None:
-            out = product.copy()
-        out += increment.astype(np.int64)
-    return product if out is None else out
-
-
-def _repair_cross_result(
-    result,
-    collection: BatmapCollection,
-    a: SparseBooleanMatrix,
-    b: SparseBooleanMatrix,
-):
-    """Fold the failed-insertion repair into a sparse cross result as COO entries."""
-    for increment in _iter_repair_increments(collection, a, b):
-        r, c = np.nonzero(increment)
-        result = result.add_entries(r, c, np.ones(r.size, dtype=np.int64))
-    return result
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *a.rows])
+    owner = np.repeat(np.arange(n_rows), [row.size for row in a.rows])
+    hit = np.isin(flat, list(failures))     # one pass; failures are rare
+    flat, owner = flat[hit], owner[hit]
+    containing = {k: np.concatenate([owner[flat == k], n_rows + b.rows[k]])
+                  for k in failures}
+    rows, cols, values = repair_increments(failures, containing)
+    cross = (rows < n_rows) & (cols >= n_rows)
+    if not cross.any():
+        return product
+    rows, cols, values = rows[cross], cols[cross] - n_rows, values[cross]
+    if isinstance(product, np.ndarray):
+        product = product.copy()
+        np.add.at(product, (rows, cols), values)
+        return product
+    return product.add_entries(rows, cols, values)
 
 
 def _host_cross(collection: BatmapCollection, rows, cols) -> np.ndarray:
@@ -225,12 +169,12 @@ def multiply_batmap(
                        n_pairs=a.n_rows * b.n_cols)
     if plan.backend == "host":
         product = _host_cross(collection, rows_idx, cols_idx)
-        if result_format == "dense":
-            return _repair_cross_product(product, collection, a, b)
-        acc = SparseAccumulator(a.n_rows, b.n_cols, symmetric=False,
-                                min_support=min_support)
-        acc.add_block(np.arange(a.n_rows), np.arange(b.n_cols), product)
-        return _repair_cross_result(acc.finalize(), collection, a, b)
+        if result_format == "sparse":
+            acc = SparseAccumulator(a.n_rows, b.n_cols, symmetric=False,
+                                    min_support=min_support)
+            acc.add_block(np.arange(a.n_rows), np.arange(b.n_cols), product)
+            product = acc.finalize()
+        return _repair_cross(product, collection, a, b)
     if plan.backend == "parallel":
         from repro.parallel.executor import ParallelPairCounter
 
@@ -240,10 +184,10 @@ def multiply_batmap(
     with engine as counter:
         if result_format == "dense":
             product = counter.count_cross(rows_idx, cols_idx)
-            return _repair_cross_product(product, collection, a, b)
-        result = counter.count_cross_result(rows_idx, cols_idx,
-                                            min_support=min_support)
-    return _repair_cross_result(result, collection, a, b)
+        else:
+            product = counter.count_cross_result(rows_idx, cols_idx,
+                                                 min_support=min_support)
+    return _repair_cross(product, collection, a, b)
 
 
 def multiply_batmap_device(
@@ -278,6 +222,5 @@ def multiply_batmap_device(
     counts = np.zeros((n_total, n_total), dtype=np.int64)
     counts[np.ix_(order, order)] = result.counts
 
-    product = counts[:a.n_rows, a.n_rows:]
-    product = _repair_cross_product(product, collection, a, b)
+    product = _repair_cross(counts[:a.n_rows, a.n_rows:], collection, a, b)
     return product, result.device_seconds

@@ -11,9 +11,9 @@ answers each query family with the narrowest existing vectorised primitive:
 * **pair counts** — :meth:`~repro.core.batch.WidthClassIndex.pairwise_slots`
   within a shard, :meth:`~repro.core.batch.WidthClassIndex.pairwise_index`
   across shards, grouped so one SWAR fold serves many coalesced pairs;
-* **top-k** — one rectangle tile walk (:func:`~repro.core.batch.walk_tiles`)
-  of the queried rows against every live set, shared by every coalesced
-  top-k request;
+* **top-k** — dense count rows from one rectangle walk
+  (:func:`~repro.core.batch.count_shards`) of the queried rows against every
+  live set, shared by every coalesced top-k request, then one lexsort per row;
 * **multiway** — :func:`repro.extensions.multiway.multiway_intersection`
   with the engine itself as the batmap provider: batmaps are *rehydrated*
   on demand from the packed device rows (byte-identical to direct builds,
@@ -37,7 +37,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.batch import RowTopKSink, Shard, count_shards, walk_tiles
+from repro.core.batch import Shard, count_shards
 from repro.core.batmap import Batmap
 from repro.core.config import DEFAULT_CONFIG
 from repro.extensions.multiway import MultiwayResult, multiway_intersection
@@ -62,20 +62,9 @@ class SpillQueryEngine:
     """
 
     def __init__(self, sharded, *, block_words=None,
-                 batmap_cache_sets: int = DEFAULT_BATMAP_CACHE_SETS,
-                 result_format: str = "dense") -> None:
-        """Attach all shards of ``sharded`` and precompute slot mappings.
-
-        ``result_format`` selects the top-k serving strategy: ``"dense"``
-        (default) materialises full count rows per query; ``"sparse"``
-        streams shard rectangles through a per-query heap-threshold
-        accumulator, skipping whole rectangles once the heap floor exceeds
-        the target shard's width bound.  Both return identical rankings.
-        """
+                 batmap_cache_sets: int = DEFAULT_BATMAP_CACHE_SETS) -> None:
+        """Attach all shards of ``sharded`` and precompute slot mappings."""
         require(sharded.n_sets > 0, "cannot serve an empty collection")
-        require(result_format in ("dense", "sparse"),
-                f"result_format must be 'dense' or 'sparse', got {result_format!r}")
-        self.result_format = result_format
         self.sharded = sharded
         self.family = sharded.family          # raises on pre-family spills
         self.config = DEFAULT_CONFIG.with_(payload_bits=sharded.payload_bits)
@@ -97,11 +86,6 @@ class SpillQueryEngine:
             self._ranks.append(rank)
         #: per shard: element -> sorted list of local sets that failed it
         self._failed_by_shard = [shard.failed for shard in sharded.shards]
-        #: per shard: slot -> count upper bound, for the sparse top-k pruning
-        self._bounds = None
-        if result_format == "sparse":
-            self._bounds = [shard.slot_bounds(index.widths) for shard, index
-                            in zip(sharded.shards, self._indexes)]
         self._batmaps: OrderedDict = OrderedDict()
         self._batmap_cache_sets = int(batmap_cache_sets)
         self._batmap_lock = threading.Lock()
@@ -275,25 +259,23 @@ class SpillQueryEngine:
                     self._indexes[q], a_slots, b_slots)
         return out
 
-    def _row_shards(self, set_ids: np.ndarray, rows: np.ndarray) -> list:
-        """Tile-walk shards of the queried live sets: output row ``rows[k]`` is ``set_ids[k]``."""
+    def _row_shards(self, set_ids: np.ndarray) -> list:
+        """Tile-walk shards of the queried live sets: output row ``k`` is ``set_ids[k]``."""
+        rows = np.arange(set_ids.size)
         physical = self._physical(set_ids)
         row_shards = self.shard_of(physical)
         shards = []
         for p in sorted_unique(row_shards).tolist():
             mask = row_shards == p
-            slots = self._slot_of(p, physical[mask])
-            bounds = None if self._bounds is None else self._bounds[p][slots]
-            shards.append(Shard(self._indexes[p], slots, rows[mask], bounds))
+            shards.append(Shard(self._indexes[p], self._slot_of(p, physical[mask]),
+                                rows[mask]))
         return shards
 
     def _column_shards(self) -> list:
         """Tile-walk shards of every live set, in live index order."""
         live_pos = self.sharded.live_positions
-        return [Shard.of(index, live_pos[shard.global_order],
-                         None if self._bounds is None else self._bounds[q])
-                for q, (shard, index) in enumerate(zip(self.sharded.shards,
-                                                       self._indexes))]
+        return [Shard.of(index, live_pos[shard.global_order])
+                for shard, index in zip(self.sharded.shards, self._indexes)]
 
     def count_rows(self, set_ids) -> np.ndarray:
         """Dense count rows: ``out[k, j] = |set_ids[k] ∩ set_j|`` for all ``j``.
@@ -307,7 +289,7 @@ class SpillQueryEngine:
         """
         set_ids = self.check_set_ids(set_ids)
         return count_shards(
-            self._row_shards(set_ids, np.arange(set_ids.size)),
+            self._row_shards(set_ids),
             self._column_shards(), shape=(set_ids.size, self.n_sets)).matrix()
 
     def top_k_batch(self, requests) -> list:
@@ -316,43 +298,20 @@ class SpillQueryEngine:
         Each result ranks the other sets by descending intersection count
         with ties broken by ascending set index (the
         :meth:`~repro.core.batch.BatchPairCounter.top_k` convention), the
-        queried set itself excluded.  With ``result_format="dense"`` all
-        query rows are gathered with one :meth:`count_rows` call; the
-        ``"sparse"`` engine walks the same rectangle into one heap per
-        query, skipping tiles whose count bound is below every heap floor
-        in them, and never holds a full count row (identical rankings —
-        the bit-identity tests pin it).
+        queried set itself excluded.  All query rows are gathered with one
+        :meth:`count_rows` call.
         """
         if not requests:
             return []
         set_ids = self.check_set_ids([int(set_id) for set_id, _ in requests])
         limits = [min(int(k), self.n_sets - 1) for _, k in requests]
-        if self.result_format == "dense":
-            rows = self.count_rows(set_ids)
-            results = []
-            for k_row, limit in enumerate(limits):
-                row = rows[k_row].copy()
-                row[set_ids[k_row]] = -1           # exclude self from the ranking
-                ranked = np.lexsort((np.arange(self.n_sets), -row))[:limit]
-                results.append([(int(j), int(rows[k_row, j])) for j in ranked])
-            return results
-        sink = RowTopKSink(limits, set_ids)
-        wanted = np.flatnonzero(np.array(limits) > 0)
-        walk_tiles(self._row_shards(set_ids[wanted], wanted), self._column_shards(),
-                   sink=sink)
+        rows = self.count_rows(set_ids)
         results = []
-        for i, limit in enumerate(limits):
-            if limit <= 0:
-                results.append([])
-                continue
-            ranked = sink.heaps[i].result(self.n_sets, fill_zeros=False).ranked()
-            out = [(int(j), int(v)) for (j, _), v in ranked]
-            # pad with zero-count sets in ascending live index order, the
-            # same tail a dense sort returns
-            taken = np.zeros(self.n_sets, dtype=bool)
-            taken[[j for j, _ in out] + [set_ids[i]]] = True
-            out += [(int(j), 0) for j in np.flatnonzero(~taken)[:limit - len(out)]]
-            results.append(out)
+        for k_row, limit in enumerate(limits):
+            row = rows[k_row].copy()
+            row[set_ids[k_row]] = -1           # exclude self from the ranking
+            ranked = np.lexsort((np.arange(self.n_sets), -row))[:limit]
+            results.append([(int(j), int(rows[k_row, j])) for j in ranked])
         return results
 
     def top_k(self, set_id: int, k: int) -> list:
@@ -400,7 +359,6 @@ class SpillQueryEngine:
             "payload_bits": self.sharded.payload_bits,
             "total_packed_bytes": self.sharded.total_packed_bytes,
             "batmap_cache_sets": self._batmap_cache_sets,
-            "result_format": self.result_format,
         }
 
     @property

@@ -85,13 +85,11 @@ class BatmapServer:
         block_words: int | None = None,
         batmap_cache_sets: int = DEFAULT_BATMAP_CACHE_SETS,
         max_requests: int | None = None,
-        result_format: str = "dense",
     ) -> None:
         """Configure a server; nothing is attached until :meth:`start`."""
         self.spill_dir = Path(spill_dir)
         self.host = host
         self.port = int(port)
-        self.result_format = result_format
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.request_timeout = float(request_timeout)
@@ -137,8 +135,7 @@ class BatmapServer:
         sharded = ShardedCollection.from_spill(self.spill_dir)
         return SpillQueryEngine(
             sharded, block_words=self.block_words,
-            batmap_cache_sets=self.batmap_cache_sets,
-            result_format=self.result_format)
+            batmap_cache_sets=self.batmap_cache_sets)
 
     async def _reload(self) -> dict:
         """Swap to the spill directory's current generation without downtime.
@@ -325,11 +322,9 @@ class BatmapServer:
         if op == "reload":
             return await self._reload()
         # Cache keys are namespaced by the artifact token so a reload to a
-        # new generation can never serve a stale pre-ingest result, and by
-        # the engine's result format so dense- and sparse-served entries
-        # (identical today, but format-dependent by contract) never alias.
+        # new generation can never serve a stale pre-ingest result.
         token = self.engine.artifact_token
-        digest = (f"{token}:{self.engine.result_format}:{query_digest(params)}"
+        digest = (f"{token}:{query_digest(params)}"
                   if op in CACHEABLE_OPS else None)
         if digest is not None:
             cached = self.cache.get(digest)

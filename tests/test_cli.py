@@ -319,3 +319,26 @@ class TestIntersect:
         out = io.StringIO()
         main(["intersect", str(pa), str(pb), "--universe", "64"], out=out)
         assert "universe = 64" in out.getvalue()
+
+    @pytest.mark.parametrize("compute", ["auto", "batch", "parallel"])
+    def test_intersect_plans_once(self, tmp_path, monkeypatch, compute):
+        import repro.core.plan
+
+        calls = []
+        real = repro.core.plan.plan_counts
+
+        def counting_plan(*args, **kwargs):
+            calls.append(kwargs.get("requested"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.core.plan, "plan_counts", counting_plan)
+        rng = np.random.default_rng(4)
+        a = rng.choice(2000, 300, replace=False)
+        b = rng.choice(2000, 500, replace=False)
+        pa, pb = self._write_sets(tmp_path, a, b)
+        out = io.StringIO()
+        assert main(["intersect", str(pa), str(pb), "--compute", compute,
+                     "--workers", "2"], out=out) == 0
+        assert calls == [compute]
+        exact = len(set(a.tolist()) & set(b.tolist()))
+        assert f"(batmap): {exact}" in out.getvalue()

@@ -341,7 +341,7 @@ class TestMinerIntegration:
         assert (sparse.supports.frequent_pairs(3)
                 == dense.supports.frequent_pairs(3))
 
-    def test_serve_sparse_top_k_matches_dense(self, tmp_path, rng):
+    def test_serve_top_k_after_delete_matches_pair_counts(self, tmp_path, rng):
         from repro.serve.engine import SpillQueryEngine
 
         sets = random_sets(rng, 50, UNIVERSE, max_size=120)
@@ -350,7 +350,16 @@ class TestMinerIntegration:
             memory_budget=256 << 10)
         sharded.delete([3, 17])
         reloaded = ShardedCollection.from_spill(tmp_path / "spill")
-        dense = SpillQueryEngine(reloaded)
-        sparse = SpillQueryEngine(reloaded, result_format="sparse")
+        engine = SpillQueryEngine(reloaded)
         requests = [(0, 1), (5, 10), (40, 47)]
-        assert dense.top_k_batch(requests) == sparse.top_k_batch(requests)
+        expected = []
+        for set_id, k in requests:
+            # rank the per-pair folds, not the rectangle walk top-k reads
+            others = np.arange(engine.n_sets)
+            row = engine.count_pairs(np.stack([np.full_like(others, set_id),
+                                               others], axis=1))
+            ranking = row.copy()
+            ranking[set_id] = -1
+            order = np.lexsort((others, -ranking))[:min(k, engine.n_sets - 1)]
+            expected.append([(int(j), int(row[j])) for j in order])
+        assert engine.top_k_batch(requests) == expected

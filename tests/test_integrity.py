@@ -9,8 +9,10 @@ proves the end-to-end crash guarantees over real mutations.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -114,6 +116,39 @@ class TestAtomicCommit:
         commit.stage("shard_0001")
         assert commit.taken("shard_0001")
         commit.abort()
+
+    @staticmethod
+    def _fail_dir_fsync(monkeypatch, code):
+        real = os.fsync
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(code, os.strerror(code))
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+
+    def test_dir_fsync_io_error_fails_the_commit(self, tmp_path, monkeypatch):
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        commit = AtomicCommit(spill)
+        commit.stage("payload.npy").write_bytes(b"new data")
+        self._fail_dir_fsync(monkeypatch, errno.EIO)
+        with pytest.raises(OSError) as info:
+            commit.commit({"version": 3, "generation": 1})
+        assert info.value.errno == errno.EIO
+        assert not commit.committed
+
+    def test_dir_fsync_unsupported_is_tolerated(self, tmp_path, monkeypatch):
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        commit = AtomicCommit(spill)
+        commit.stage("payload.npy").write_bytes(b"new data")
+        self._fail_dir_fsync(monkeypatch, errno.EINVAL)
+        commit.commit({"version": 3, "generation": 1})
+        assert commit.committed
+        assert (spill / "payload.npy").read_bytes() == b"new data"
+        assert json.loads((spill / MANIFEST_NAME).read_text())["generation"] == 1
 
     def test_commit_twice_raises(self, tmp_path):
         commit = AtomicCommit(tmp_path / "spill")

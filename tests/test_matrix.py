@@ -116,7 +116,7 @@ class TestMultiply:
 
 
 class TestRepairCrossProduct:
-    """The vectorised failed-insertion repair (one np.isin pass per side)."""
+    """The failed-insertion repair of the cross block (`repair_increments`)."""
 
     def _overfull_config(self):
         from repro.core.config import BatmapConfig
@@ -153,7 +153,7 @@ class TestRepairCrossProduct:
     def test_empty_side_pairs_short_circuit(self):
         """Failures touching elements absent from one side add nothing —
         mirroring multiply_merge's empty-set skip."""
-        from repro.matrix.multiply import _repair_cross_product
+        from repro.matrix.multiply import _repair_cross
 
         class FakeCollection:
             def failed_insertions(self):
@@ -163,17 +163,9 @@ class TestRepairCrossProduct:
         a = SparseBooleanMatrix(2, 40, [np.array([39]), np.array([], dtype=np.int64)])
         b = SparseBooleanMatrix(40, 2, [np.array([], dtype=np.int64)] * 40)
         product = np.zeros((2, 2), dtype=np.int64)
-        repaired = _repair_cross_product(product, FakeCollection(), a, b)
+        repaired = _repair_cross(product, FakeCollection(), a, b)
         assert repaired is product  # untouched, not even copied
         assert np.array_equal(repaired, np.zeros((2, 2), dtype=np.int64))
-
-    def test_membership_matrix_one_pass(self):
-        from repro.matrix.multiply import _membership_matrix
-
-        sets = [np.array([1, 5, 9]), np.array([], dtype=np.int64), np.array([5])]
-        elements = np.array([5, 9])
-        out = _membership_matrix(sets, elements)
-        assert out.tolist() == [[True, True], [False, False], [True, False]]
 
 
 class TestJoinProject:

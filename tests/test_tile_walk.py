@@ -183,11 +183,10 @@ class TestSpillMatchesLiveCollection:
         for have, oracle_part in zip(sparse.frequent_pairs(3), frequent(want, 3)):
             np.testing.assert_array_equal(have, oracle_part)
 
-    @pytest.mark.parametrize("result_format", ["dense", "sparse"])
-    def test_served_top_k(self, spilled, result_format):
+    def test_served_top_k(self, spilled):
         sharded, oracle = spilled
         dense = oracle.count_all_pairs()
-        engine = SpillQueryEngine(sharded, result_format=result_format)
+        engine = SpillQueryEngine(sharded)
         try:
             for set_id, k in [(0, 3), (7, 50), (31, 1)]:
                 row = dense[set_id].copy()
