@@ -6,11 +6,14 @@ markedly as the instance gets denser; the GPU batmap time is almost
 independent of density, with a mild *increase* at the lowest densities caused
 by the compression floor (hash ranges cannot shrink below 2^s, Section III-A).
 
-Scaled harness: n = 200 items, the same density sweep.
+Scaled harness: n = 200 items, the same density sweep.  Each CPU baseline
+point is the median of :data:`CPU_REPEATS` runs, Apriori and FP-growth
+alternating, so one burst of host load cannot decide a point on its own.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from benchmarks.harness import (
@@ -27,6 +30,16 @@ pytestmark = pytest.mark.bench
 
 DENSITY_SWEEP = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
 N_ITEMS = 200
+CPU_REPEATS = 3
+
+
+def cpu_baseline_seconds(db) -> tuple[float, float]:
+    """Median wall of Apriori and of FP-growth over alternating repeats."""
+    apriori, fp = [], []
+    for _ in range(CPU_REPEATS):
+        apriori.append(time_call(run_apriori_pairs, db)[0])
+        fp.append(time_call(run_fpgrowth_pairs, db)[0])
+    return float(np.median(apriori)), float(np.median(fp))
 
 
 def density_series() -> SeriesTable:
@@ -38,8 +51,7 @@ def density_series() -> SeriesTable:
     apriori_t, fp_t, gpu_t, gpu_bytes = [], [], [], []
     for p in DENSITY_SWEEP:
         db = make_instance(N_ITEMS, p, seed=int(p * 10_000))
-        t_apriori, _ = time_call(run_apriori_pairs, db)
-        t_fp, _ = time_call(run_fpgrowth_pairs, db)
+        t_apriori, t_fp = cpu_baseline_seconds(db)
         report = run_batmap_miner(db)
         apriori_t.append(min(t_apriori, TIME_LIMIT_SECONDS))
         fp_t.append(min(t_fp, TIME_LIMIT_SECONDS))

@@ -43,14 +43,14 @@ Every tiled query is one call of :func:`walk_tiles`: a walk over a
 sequence of :class:`Shard` (a width-class index plus where its slots land in
 the output) that covers an upper triangle or a rows x columns rectangle in
 class-pair tiles, skips tiles whose count bound cannot reach the sink's
-floor, and feeds one sink — a dense scatter, a
-:class:`~repro.core.results.SparseAccumulator` or a top-k heap.  An
+floor, and feeds one sink — a dense scatter or a
+:class:`~repro.core.results.SparseAccumulator`.  An
 in-memory collection is one shard; a spill is one shard per spilled file
 set, attached only when the walk reaches it.  With a
 :class:`TilePool` the tiles run on threads: the compiled fold releases the
 GIL for the whole call, and each thread reduces its block straight into
-the sink (dense tiles own disjoint regions, the accumulators are
-thread-safe).
+the sink (dense tiles own disjoint regions, the sparse accumulator
+stores each tile with one list append).
 
 The engine is the shared hot path for :meth:`BatmapCollection.count_all_pairs`,
 the boolean-matrix workloads (:mod:`repro.matrix.multiply`), the mining
@@ -68,12 +68,7 @@ import numpy as np
 
 from repro.core.errors import LayoutError
 from repro.core.intersection import require_compression_floor, require_same_family
-from repro.core.results import (
-    CountResult,
-    DenseCountResult,
-    SparseAccumulator,
-    TopKAccumulator,
-)
+from repro.core.results import CountResult, DenseCountResult, SparseAccumulator
 from repro.core.swar_kernel import DEFAULT_BLOCK_WORDS, fold_counts, fold_counts_rows
 from repro.utils.arrays import sorted_unique
 from repro.utils.validation import require, require_positive
@@ -85,7 +80,6 @@ __all__ = [
     "map_tiles",
     "Shard",
     "DenseSink",
-    "TopKSink",
     "walk_tiles",
     "count_shards",
     "DEFAULT_BLOCK_WORDS",
@@ -143,8 +137,7 @@ class TilePool:
         """Yield ``(tile, fn(tile))`` in tile order, ``2 * workers`` tiles in flight.
 
         The window bounds the count blocks alive at once.  ``tiles`` is
-        pulled from the calling thread, so a pruning check inside it sees
-        every block reduced so far.  An exception raised by ``fn`` reaches
+        pulled from the calling thread.  An exception raised by ``fn`` reaches
         the caller, and the tiles still queued are cancelled.
         """
         window: deque = deque()
@@ -390,38 +383,16 @@ class DenseSink:
     Tiles own disjoint regions (a tile and its mirror): threads need no lock.
     """
 
+    min_support = 0   # every tile is counted
+
     def __init__(self, out: np.ndarray, *, mirror: bool = False) -> None:
         self.out = out
         self.mirror = mirror
-
-    def floor(self, rows) -> int:
-        return 0
 
     def add_block(self, rows, cols, block) -> None:
         _scatter(self.out, rows, cols, block)
         if self.mirror:
             _scatter(self.out, cols, rows, block.T)
-
-
-class TopKSink:
-    """The ``k`` best off-diagonal pairs at or above ``min_support`` (one heap)."""
-
-    mirror = False
-
-    def __init__(self, k: int, min_support: int) -> None:
-        self.heap = TopKAccumulator(k)
-        self.min_support = min_support
-
-    def floor(self, rows) -> int:
-        return max(self.min_support, self.heap.floor)
-
-    def add_block(self, rows, cols, block) -> None:
-        r, c = np.nonzero(block >= max(1, self.floor(rows)))
-        keep = rows[r] != cols[c]
-        oi, oj = rows[r][keep], cols[c][keep]
-        if oi.size:
-            self.heap.push(np.minimum(oi, oj), np.maximum(oi, oj),
-                           block[r, c][keep])
 
 
 def _tile_rows(tile_entries: int | None, n_cols: int, band_rows: int | None) -> int:
@@ -446,14 +417,15 @@ def walk_tiles(rows, cols=None, *, sink, pool: TilePool | None = None,
     same-class tile meets the columns from its first row on, masked to the
     slot-order upper triangle unless the sink mirrors.
 
-    ``sink`` has ``mirror``, ``floor(row_ids)`` and ``add_block(row_ids,
+    ``sink`` has ``mirror``, ``min_support`` and ``add_block(row_ids,
     col_ids, block)``; a tile whose bound ``min(max(row bounds), max(column
-    bounds))`` is below the floor is skipped before any SWAR work.  Tiles
+    bounds))`` is below ``min_support`` is skipped before any SWAR work.  Tiles
     are pulled and pruned in the calling thread and counted on ``pool``
     (``add_block`` then runs on its threads).  Returns ``{"tiles_total":
     ..., "tiles_skipped": ...}``.
     """
     stats = {"tiles_total": 0, "tiles_skipped": 0}
+    floor = sink.min_support
 
     def shard_pairs():
         for p, row in enumerate(rows):
@@ -487,12 +459,10 @@ def walk_tiles(rows, cols=None, *, sink, pool: TilePool | None = None,
                         rp = row_pos[start:start + chunk]
                         diagonal = triangle and ci == cj
                         stats["tiles_total"] += 1
-                        if prunable:
-                            floor = sink.floor(row.ids[rp])
-                            if floor > 0 and min(int(row.bounds[rp].max()),
-                                                 col_bound) < floor:
-                                stats["tiles_skipped"] += 1
-                                continue
+                        if (prunable and floor > 0
+                                and min(int(row.bounds[rp].max()), col_bound) < floor):
+                            stats["tiles_skipped"] += 1
+                            continue
                         yield (row, ci, rp, col, cj,
                                col_pos[start:] if diagonal else col_pos, diagonal)
 
@@ -513,22 +483,15 @@ def walk_tiles(rows, cols=None, *, sink, pool: TilePool | None = None,
 
 
 def count_shards(rows, cols=None, *, shape, result_format: str = "dense",
-                 min_support: int = 0, top_k: int | None = None, repairable=None,
+                 min_support: int = 0, repairable=None,
                  pool: TilePool | None = None, band_rows: int | None = None,
                  tile_entries: int = SPARSE_TILE_ENTRIES) -> CountResult:
     """One :func:`walk_tiles` walk as a :class:`~repro.core.results.CountResult` of ``shape``.
 
-    A triangle (no ``cols``) is symmetric.  ``"sparse"`` keeps COO triplets
-    pruned at ``min_support`` (``repairable``: see
-    :class:`~repro.core.results.SparseAccumulator`); ``top_k`` keeps the
-    ``k`` best off-diagonal pairs, the heap floor tightening the pruning.
+    A triangle (no ``cols``) is symmetric.  ``"dense"`` computes every
+    count; ``"sparse"`` keeps COO triplets pruned at ``min_support``
+    (``repairable``: see :class:`~repro.core.results.SparseAccumulator`).
     """
-    if top_k is not None:
-        sink = TopKSink(top_k, min_support)
-        stats = walk_tiles(rows, cols, sink=sink, pool=pool, band_rows=band_rows,
-                           tile_entries=tile_entries)
-        return sink.heap.result(shape[0], min_support=min_support, stats=stats,
-                                fill_zeros=min_support <= 1)
     symmetric = cols is None
     if result_format == "dense":
         out = np.zeros(shape, dtype=np.int64)
@@ -539,18 +502,19 @@ def count_shards(rows, cols=None, *, shape, result_format: str = "dense",
                             repairable=repairable)
     stats = walk_tiles(rows, cols, sink=acc, pool=pool, band_rows=band_rows,
                        tile_entries=tile_entries)
-    acc.tiles_total, acc.tiles_skipped = stats["tiles_total"], stats["tiles_skipped"]
-    return acc.finalize()
+    return acc.finalize(stats)
 
 
 class BatchPairCounter:
-    """All-pairs / pairs-list / top-k intersection counts for one collection.
+    """All-pairs / pairs-list / rectangle intersection counts for one collection.
 
     The engine validates compatibility once, gathers the packed words once,
     and answers every subsequent query with the SWAR fold primitives — no
     per-pair Python call.  Build it through
     :meth:`repro.core.collection.BatmapCollection.batch_counter`, which caches
-    one instance per collection.
+    one instance per collection.  :meth:`count_result` returns one of the
+    two result types: a :class:`~repro.core.results.DenseCountResult` or a
+    pruned :class:`~repro.core.results.SparseCountResult`.
 
     Queries run their tiles inline; :class:`repro.parallel.executor.ParallelPairCounter`
     is this engine with a :class:`TilePool` attached.
@@ -638,18 +602,8 @@ class BatchPairCounter:
         return self.index.cross_slots(rank[rows], rank[cols], pool=self._pool,
                                       band_rows=self._band_rows)
 
-    def top_k(self, k: int) -> list:
-        """The ``k`` off-diagonal pairs with the largest counts.
-
-        Returns ``[((i, j), count), ...]`` with ``i < j`` in original indices,
-        descending by count with ties broken by the index pair (the same
-        ranking convention as :meth:`repro.mining.support.PairSupports.top_k`).
-        """
-        require_positive(k, "k")
-        return self.count_result(top_k=k).ranked()
-
     # ------------------------------------------------------------------ #
-    # CountResult-producing queries (sparse / pruned / top-k)
+    # CountResult-producing queries (dense / sparse-pruned)
     # ------------------------------------------------------------------ #
     def slot_bounds(self) -> np.ndarray:
         """Per-slot count upper bounds from exact set sizes.
@@ -679,7 +633,6 @@ class BatchPairCounter:
         *,
         result_format: str = "dense",
         min_support: int = 0,
-        top_k: int | None = None,
         bounds=None,
         tile_entries: int = SPARSE_TILE_ENTRIES,
     ):
@@ -690,14 +643,12 @@ class BatchPairCounter:
         (:func:`count_shards`): tiles whose count upper bound (from
         ``bounds``, default :meth:`slot_bounds`) falls below ``min_support``
         are skipped before any SWAR work, and surviving nonzeros accumulate
-        as COO triplets in original index order.  ``top_k=k`` instead keeps
-        a running heap whose floor tightens the pruning threshold as it
-        fills, returning a :class:`~repro.core.results.TopKCountResult`.
+        as COO triplets in original index order.
         """
         require(result_format in ("dense", "sparse"),
                 f"result_format must be 'dense' or 'sparse', got {result_format!r}")
         require(min_support >= 0, f"min_support must be >= 0, got {min_support}")
-        if top_k is None and result_format == "dense":
+        if result_format == "dense":
             # the dense path computes every count — nothing is pruned, so
             # the result carries no filtering floor
             return DenseCountResult(self.count_all_pairs())
@@ -707,8 +658,7 @@ class BatchPairCounter:
                       else np.asarray(bounds, dtype=np.int64))
         return count_shards(
             [shard], shape=(n, n), result_format=result_format,
-            min_support=min_support, top_k=top_k,
-            repairable=self.repairable() if top_k is None else None,
+            min_support=min_support, repairable=self.repairable(),
             pool=self._pool, band_rows=self._band_rows, tile_entries=tile_entries)
 
     def count_cross_result(

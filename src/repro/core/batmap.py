@@ -47,19 +47,6 @@ _INDICATOR = {
 }
 
 
-def _indicator_bits(table_a: int, table_b: int) -> tuple[int, int]:
-    """Return the indicator bits for an element stored in (table_a, table_b)."""
-    key = (min(table_a, table_b), max(table_a, table_b))
-    if key == (0, 1):
-        return (0, 1) if (table_a, table_b) == (0, 1) else (1, 0)
-    if key == (1, 2):
-        return (0, 1) if (table_a, table_b) == (1, 2) else (1, 0)
-    if key == (0, 2):
-        # cyclic order 2 -> 0, so row 0 carries the "last occurrence" bit
-        return (1, 0) if (table_a, table_b) == (0, 2) else (0, 1)
-    raise ValueError(f"invalid table pair ({table_a}, {table_b})")
-
-
 @dataclass
 class Batmap:
     """Compressed 2-of-3 representation of a single set.

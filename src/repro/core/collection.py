@@ -368,7 +368,6 @@ class BatmapCollection:
         compute: str | None = None,
         result_format: str = "dense",
         min_support: int = 0,
-        top_k: int | None = None,
         memory_budget: int | None = None,
     ):
         """Stored-copy intersection counts of every pair.
@@ -377,13 +376,13 @@ class BatmapCollection:
         arguments.  ``result_format="dense"`` (the default) keeps the legacy
         contract — a dense ``n x n`` ``int64`` ndarray indexed by original
         set indices, the diagonal holding each set's stored element count.
-        Any other format (or a ``top_k``) returns the
+        Any other format returns the
         :class:`~repro.core.results.CountResult` itself.
         """
         result = self.count_result(
             compute=compute, workers=workers, result_format=result_format,
-            min_support=min_support, top_k=top_k, memory_budget=memory_budget)
-        if result_format == "dense" and top_k is None:
+            min_support=min_support, memory_budget=memory_budget)
+        if result_format == "dense":
             return result.matrix()
         return result
 
@@ -394,7 +393,6 @@ class BatmapCollection:
         workers: int | None = None,
         result_format: str = "auto",
         min_support: int = 0,
-        top_k: int | None = None,
         memory_budget: int | None = None,
     ):
         """All-pairs counts as a :class:`~repro.core.results.CountResult`.
@@ -409,10 +407,9 @@ class BatmapCollection:
         sizes the parallel thread pool (``None``: from the core count).
 
         ``result_format="auto"`` resolves against ``memory_budget``
-        (:func:`~repro.core.plan.resolve_result_format`), ``min_support``
-        becomes the engines' tile-pruning bound, and ``top_k`` returns the
-        running-heap result.  Every backend produces bit-identical surviving
-        counts; the dense format remains the oracle.  The backend the plan
+        (:func:`~repro.core.plan.resolve_result_format`) and ``min_support``
+        becomes the engines' tile-pruning bound.  Every backend produces
+        bit-identical surviving counts; the dense format remains the oracle.  The backend the plan
         chose is recorded in the result's ``stats["count_backend"]``.
         """
         from repro.core.plan import PlanFeatures, plan_counts, resolve_result_format
@@ -428,33 +425,30 @@ class BatmapCollection:
 
             with ParallelPairCounter(self, workers=workers) as counter:
                 result = counter.count_result(
-                    result_format=fmt, min_support=min_support, top_k=top_k)
+                    result_format=fmt, min_support=min_support)
         elif plan.backend == "host":
-            result = self._loop_count_result(fmt, min_support, top_k)
+            result = self._loop_count_result(fmt)
         else:
             result = self.batch_counter().count_result(
-                result_format=fmt, min_support=min_support, top_k=top_k)
+                result_format=fmt, min_support=min_support)
         result.stats["count_backend"] = plan.backend
         return result
 
-    def _loop_count_result(self, fmt: str, min_support: int, top_k):
-        """Reference-loop counts fed, as one tile, to the requested result's sink.
+    def _loop_count_result(self, fmt: str):
+        """Reference-loop counts as the requested result (one sparse tile).
 
         The per-pair loop computes everything (no tiles exist to prune), so
         the result carries no pruning floor.
         """
-        from repro.core.batch import TopKSink
         from repro.core.results import DenseCountResult, SparseAccumulator
 
         dense = self._count_all_pairs_loop()
-        if top_k is None and fmt == "dense":
+        if fmt == "dense":
             return DenseCountResult(dense)
-        n, ids = len(self), np.arange(len(self))
-        sink = SparseAccumulator(n) if top_k is None else TopKSink(top_k, min_support)
+        ids = np.arange(len(self))
+        sink = SparseAccumulator(len(self))
         sink.add_block(ids, ids, np.triu(dense))
-        if top_k is None:
-            return sink.finalize()
-        return sink.heap.result(n, min_support=min_support, fill_zeros=min_support <= 1)
+        return sink.finalize()
 
     def _count_all_pairs_loop(self) -> np.ndarray:
         """Per-pair reference loop, kept for sub-word ranges and verification."""

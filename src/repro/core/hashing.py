@@ -348,14 +348,6 @@ class HashFamily:
         p = np.asarray(row_positions, dtype=np.int64)
         return 3 * r0 * (p // r0) + (p % r0) + table * r0
 
-    @staticmethod
-    def device_size(r: int, r0: int) -> int:
-        """Length (in entries) of the interleaved device array for range ``r``."""
-        require_power_of_two(r, "r")
-        require_power_of_two(r0, "r0")
-        require(r0 <= r, f"r0 ({r0}) must not exceed r ({r})")
-        return 3 * r
-
     def max_payload(self) -> int:
         """Largest payload value this family can produce."""
         return ((self.universe_size - 1) >> self.shift) + 1

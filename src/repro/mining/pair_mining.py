@@ -79,7 +79,8 @@ class BatmapPairMiner:
         through :meth:`~repro.core.collection.BatmapCollection.count_result`.
         ``"device"`` is the modelling entry point: it runs the tiled
         pair-count kernel on the GPU simulator and reports its modelled
-        timing and traffic statistics.
+        timing and traffic statistics.  The simulator models the dense
+        kernel only, so it refuses ``result_format="sparse"``.
     workers:
         Worker threads for the parallel backend; ``None`` auto-selects
         from the machine's core count.
@@ -136,6 +137,13 @@ class BatmapPairMiner:
         require(self.build_compute in ("auto", "host", "bulk", "parallel"),
                 f"build_compute must be 'auto', 'host', 'bulk' or 'parallel', "
                 f"got {self.build_compute!r}")
+        requested_format = (result_format if result_format is not None
+                            else self.result_format)
+        # "auto" resolves dense below (no budget), so only an explicit
+        # "sparse" can meet the simulator; refuse it before preprocessing.
+        require(self.compute != "device" or requested_format != "sparse",
+                "compute='device' models the dense kernel only; request "
+                "result_format='sparse' from a host compute mode")
         timers = PhaseTimer()
 
         with timers.time("preprocess"):
@@ -150,8 +158,6 @@ class BatmapPairMiner:
                                else self.workers),
             )
 
-        requested_format = (result_format if result_format is not None
-                            else self.result_format)
         # In-memory mining has no spill budget, so "auto" resolves dense —
         # the byte-identical legacy pipeline.
         fmt = resolve_result_format(requested_format, len(pre.collection), None)
@@ -171,14 +177,9 @@ class BatmapPairMiner:
                 device=self.device if self.device is not None else GTX_285,
                 tile_size=self.tile_size,
                 work_group=self.work_group,
-                result_format=fmt,
-                min_support=min_support,
             )
-            result = run.result
-            if result is None:
-                with timers.time("postprocess"):
-                    result = DenseCountResult(
-                        reorder_counts(run.counts, pre.collection))
+            with timers.time("postprocess"):
+                result = DenseCountResult(reorder_counts(run.counts, pre.collection))
         else:
             with timers.time("count"):
                 result = pre.collection.count_result(

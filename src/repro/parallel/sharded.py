@@ -58,6 +58,9 @@ class ShardedPairCounter:
     batch engine because a spilled source has no per-pair engine.
     ``memory_budget`` additionally shrinks the SWAR block budget so
     counting temporaries respect the same ceiling the shards were sized for.
+    ``result_format`` (``"auto"`` resolved against that budget) picks one of
+    the two result types :meth:`count_result` returns: dense, or sparse
+    pruned at ``min_support``.
     """
 
     def __init__(
@@ -123,12 +126,12 @@ class ShardedPairCounter:
                          None if bounds is None else bounds[p])
                 for p, shard in enumerate(self.sharded.shards)]
 
-    def _count(self, result_format: str, *, min_support: int = 0, top_k=None,
-               bounds=None, tile_entries: int = SPARSE_TILE_ENTRIES):
+    def _count(self, result_format: str, *, min_support: int = 0, bounds=None,
+               tile_entries: int = SPARSE_TILE_ENTRIES):
         """One triangle walk over every shard, on the planned backend."""
         n = self.sharded.n_sets
-        pruned = top_k is not None or result_format == "sparse"
-        shards = self.shards(self.shard_slot_bounds(bounds) if pruned else None)
+        sparse = result_format == "sparse"
+        shards = self.shards(self.shard_slot_bounds(bounds) if sparse else None)
         if self.plan.backend == "parallel":
             pool, band_rows = TilePool(self.plan.workers), self._tile_edge()
         else:
@@ -136,8 +139,8 @@ class ShardedPairCounter:
         with pool as pool:
             return count_shards(
                 shards, shape=(n, n), result_format=result_format,
-                min_support=min_support, top_k=top_k,
-                repairable=self.repairable() if top_k is None and pruned else None,
+                min_support=min_support,
+                repairable=self.repairable() if sparse else None,
                 pool=pool, band_rows=band_rows, tile_entries=tile_entries)
 
     def counts(self) -> np.ndarray:
@@ -148,7 +151,7 @@ class ShardedPairCounter:
         return self._count("dense").matrix()
 
     # ------------------------------------------------------------------ #
-    # CountResult-producing queries (sparse / pruned / top-k)
+    # CountResult-producing queries (dense / sparse-pruned)
     # ------------------------------------------------------------------ #
     def shard_slot_bounds(self, bounds=None) -> list:
         """Per-shard, slot-indexed count upper bounds.
@@ -175,20 +178,17 @@ class ShardedPairCounter:
             mask[live[live >= 0]] = True
         return mask
 
-    def count_result(self, *, min_support=None, top_k=None, bounds=None,
+    def count_result(self, *, min_support=None, bounds=None,
                      tile_entries: int = SPARSE_TILE_ENTRIES):
         """All-pairs counts as a :class:`~repro.core.results.CountResult`.
 
-        The dense format is the unpruned oracle.  Sparse and top-k results
-        never materialise the ``n x n`` matrix: tiles below the bound are
+        The dense format is the unpruned oracle.  A sparse result never
+        materialises the ``n x n`` matrix: tiles below the bound are
         skipped before any SWAR work and surviving blocks reduce straight
-        into the COO/heap accumulator.  Results are expressed in live
-        indices (tombstoned sets dropped), bit-identical to filtering
-        :meth:`counts`.
+        into the COO accumulator.  Results are expressed in live indices
+        (tombstoned sets dropped), bit-identical to filtering :meth:`counts`.
         """
         ms = self.min_support if min_support is None else int(min_support)
         require(ms >= 0, f"min_support must be >= 0, got {ms}")
-        if top_k is not None:
-            require_positive(top_k, "top_k")
-        return self._count(self.result_format, min_support=ms, top_k=top_k,
-                           bounds=bounds, tile_entries=tile_entries)
+        return self._count(self.result_format, min_support=ms, bounds=bounds,
+                           tile_entries=tile_entries)

@@ -297,7 +297,7 @@ class SpillQueryEngine:
 
         Each result ranks the other sets by descending intersection count
         with ties broken by ascending set index (the
-        :meth:`~repro.core.batch.BatchPairCounter.top_k` convention), the
+        :meth:`~repro.mining.support.PairSupports.top_k` convention), the
         queried set itself excluded.  All query rows are gathered with one
         :meth:`count_rows` call.
         """

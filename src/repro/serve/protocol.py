@@ -101,7 +101,9 @@ def decode_request(line) -> dict:
     """Parse one request line into a dict, checking only the envelope.
 
     Raises :class:`ProtocolError` (``bad-request``) on malformed JSON or a
-    non-object payload.  Operation and parameter validation is
+    non-object payload, including JSON the parser refuses: nesting deeper
+    than the interpreter's recursion limit, or an integer longer than its
+    digit limit.  Operation and parameter validation is
     :func:`normalize_params`'s job, so a request with a bad ``op`` still
     gets its ``id`` echoed in the error response.
     """
@@ -109,7 +111,7 @@ def decode_request(line) -> dict:
         line = line.decode("utf-8", errors="replace")
     try:
         request = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ProtocolError(f"invalid JSON: {exc}") from exc
     if not isinstance(request, dict):
         raise ProtocolError(

@@ -259,15 +259,22 @@ class BatmapServer:
                 if not chunk:
                     break
                 buffer += chunk
-        except (ConnectionResetError, asyncio.CancelledError):
+        except (OSError, asyncio.CancelledError):
             pass
         finally:
-            if local_tasks:
-                await asyncio.gather(*list(local_tasks), return_exceptions=True)
+            # :meth:`stop` may cancel this task anywhere in the teardown too.
+            # The task must still end normally: asyncio's stream protocol
+            # reads the exception of a cancelled connection task and logs a
+            # traceback through the loop's exception handler.
+            try:
+                if local_tasks:
+                    await asyncio.gather(*list(local_tasks), return_exceptions=True)
+            except asyncio.CancelledError:
+                pass
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (OSError, asyncio.CancelledError):
                 pass
             self._conn_tasks.discard(task)
 

@@ -95,26 +95,6 @@ class TestQueries:
         full = coll.count_all_pairs()
         assert np.array_equal(block, full[np.ix_(rows, cols)])
 
-    def test_top_k_ranking(self, rng):
-        coll, _ = self._collection(rng)
-        full = coll.count_all_pairs()
-        n = full.shape[0]
-        ranked = coll.batch_counter().top_k(4)
-        assert len(ranked) == 4
-        # descending counts, i < j, and counts agree with the matrix
-        counts = [c for (_, c) in ranked]
-        assert counts == sorted(counts, reverse=True)
-        for (i, j), c in ranked:
-            assert i < j
-            assert full[i, j] == c
-        # the top-1 really is the global off-diagonal maximum
-        iu, ju = np.triu_indices(n, 1)
-        assert ranked[0][1] == int(full[iu, ju].max())
-
-    def test_top_k_larger_than_pair_count(self, rng):
-        coll, _ = self._collection(rng, n=3)
-        assert len(coll.batch_counter().top_k(100)) == 3  # C(3, 2)
-
     def test_counter_cached_on_collection(self, rng):
         coll, _ = self._collection(rng, n=3)
         assert coll.batch_counter() is coll.batch_counter()

@@ -1,15 +1,11 @@
-"""Property tests for the CountResult API: sparse/top-k vs the dense oracle.
+"""Property tests for the CountResult API: sparse vs the dense oracle.
 
-The redesign's contract, pinned across every counting backend:
-
-* a sparse result pruned at ``min_support`` filtered with
-  ``frequent_pairs(ms)`` (``ms >= floor``) is **bit-identical** to the
-  dense matrix computed first and filtered afterwards;
-* a top-k result equals the dense ranking under the *descending count,
-  ties ascending (i, j)* convention;
-* both hold for batch, parallel and sharded engines, for byte and
-  non-byte payload layouts, for tombstoned incremental artifacts, and in
-  the empty / all-pruned edge cases.
+The redesign's contract, pinned across every counting backend: a sparse
+result pruned at ``min_support`` filtered with ``frequent_pairs(ms)``
+(``ms >= floor``) is **bit-identical** to the dense matrix computed first
+and filtered afterwards.  It holds for batch, parallel and sharded engines,
+for byte and non-byte payload layouts, for tombstoned incremental
+artifacts, and in the empty / all-pruned edge cases.
 """
 
 import numpy as np
@@ -22,7 +18,6 @@ from repro.core.results import (
     CountResult,
     DenseCountResult,
     SparseCountResult,
-    TopKCountResult,
     as_count_result,
     coalesce_coo,
 )
@@ -39,14 +34,6 @@ def dense_frequent(counts: np.ndarray, ms: int):
     values = counts[iu, ju]
     keep = values >= ms
     return iu[keep], ju[keep], values[keep]
-
-
-def dense_top_k(counts: np.ndarray, k: int):
-    """Oracle ranking: descending count, ties ascending (i, j), k entries."""
-    iu, ju = np.triu_indices(counts.shape[0], k=1)
-    values = counts[iu, ju]
-    order = np.lexsort((ju, iu, -values))[:k]
-    return [((int(iu[o]), int(ju[o])), int(values[o])) for o in order]
 
 
 def assert_matches_dense(result, dense: np.ndarray, ms: int):
@@ -79,21 +66,6 @@ class TestBatchEngine:
         if ms >= 25:
             assert result.stats["tiles_skipped"] > 0
 
-    @pytest.mark.parametrize("k", [1, 5, 40, 10_000])
-    def test_top_k_matches_dense_ranking(self, skewed_sets, k):
-        coll = BatmapCollection.build(skewed_sets, UNIVERSE, rng=3)
-        dense = coll.count_all_pairs()
-        result = coll.batch_counter().count_result(top_k=k)
-        assert isinstance(result, TopKCountResult)
-        assert result.ranked() == dense_top_k(dense, k)
-
-    def test_top_k_with_min_support_truncates(self, skewed_sets):
-        coll = BatmapCollection.build(skewed_sets, UNIVERSE, rng=3)
-        dense = coll.count_all_pairs()
-        result = coll.batch_counter().count_result(top_k=30, min_support=4)
-        want = [e for e in dense_top_k(dense, 30) if e[1] >= 4]
-        assert result.ranked()[:len(want)] == want
-
     def test_diagonal_round_trips(self, skewed_sets):
         coll = BatmapCollection.build(skewed_sets, UNIVERSE, rng=3)
         dense = coll.count_all_pairs()
@@ -125,8 +97,6 @@ class TestParallelEngine:
                 assert_matches_dense(
                     counter.count_result(result_format="sparse", min_support=ms),
                     dense, max(1, ms))
-            topk = counter.count_result(top_k=7)
-        assert topk.ranked() == dense_top_k(dense, 7)
 
 
 class TestShardedEngine:
@@ -159,8 +129,6 @@ class TestShardedEngine:
         counter = ShardedPairCounter(
             reloaded, compute="host", result_format="sparse", min_support=2)
         assert_matches_dense(counter.count_result(), dense, 2)
-        topk = counter.count_result(top_k=9, min_support=None)
-        assert topk.ranked() == dense_top_k(dense, 9)
 
 
 class TestPayloadWidths:
@@ -174,8 +142,6 @@ class TestPayloadWidths:
         dense = coll.count_all_pairs()
         result = coll.count_result(result_format="sparse", min_support=2)
         assert_matches_dense(result, dense, 2)
-        topk = coll.count_result(top_k=5)
-        assert topk.ranked() == dense_top_k(dense, 5)
 
 
 class TestEdgeCases:
@@ -205,24 +171,6 @@ class TestEdgeCases:
             result_format="sparse", min_support=5)
         with pytest.raises(ValueError):
             result.frequent_pairs(2)
-
-    def test_merge_combines_partitions(self, rng):
-        sets = random_sets(rng, 16, UNIVERSE, max_size=80)
-        coll = BatmapCollection.build(sets, UNIVERSE, rng=6)
-        dense = coll.count_all_pairs()
-        full = coll.batch_counter().count_result(result_format="sparse")
-        i, j, v = full.pairs()
-        half = i.size // 2
-        a = SparseCountResult(len(sets), rows=i[:half], cols=j[:half],
-                              values=v[:half])
-        b = SparseCountResult(len(sets), rows=i[half:], cols=j[half:],
-                              values=v[half:])
-        merged = a.merge(b)
-        mi, mj, mv = merged.frequent_pairs(1)
-        oi, oj, ov = dense_frequent(dense, 1)
-        assert np.array_equal(mi, oi) and np.array_equal(mj, oj)
-        assert np.array_equal(mv, ov)
-
 
 class TestResultPrimitives:
     def test_coalesce_sums_duplicates_drops_zeros(self):
@@ -313,7 +261,7 @@ class TestMinerIntegration:
         return TransactionDatabase(
             transactions=[t for t in txns if t.size], n_items=n_items)
 
-    @pytest.mark.parametrize("compute", ["host", "device"])
+    @pytest.mark.parametrize("compute", ["host"])
     def test_mine_sparse_matches_dense(self, rng, compute):
         from repro.mining.pair_mining import BatmapPairMiner
 
@@ -324,6 +272,18 @@ class TestMinerIntegration:
         assert isinstance(sparse.supports.counts, SparseCountResult)
         assert (sparse.supports.frequent_pairs(3)
                 == dense.supports.frequent_pairs(3))
+
+    def test_mine_device_refuses_sparse(self, rng):
+        """The simulator models the dense kernel only."""
+        from repro.mining.pair_mining import BatmapPairMiner
+
+        db = self._database(rng)
+        with pytest.raises(ValueError, match="dense kernel only"):
+            BatmapPairMiner(compute="device").mine(
+                db, min_support=3, rng=1, result_format="sparse")
+        with pytest.raises(ValueError, match="dense kernel only"):
+            BatmapPairMiner(compute="device", result_format="sparse").mine(
+                db, min_support=3, rng=1)
 
     def test_mine_stream_sparse_matches_dense(self, tmp_path, rng):
         from repro.mining.pair_mining import BatmapPairMiner

@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.cache import LRUResultCache, MISS
 from repro.serve.metrics import SAMPLE_WINDOW, ServerMetrics, percentile
 from repro.serve.protocol import (
     CACHEABLE_OPS,
     ERROR_CODES,
+    MAX_LINE_BYTES,
     OPS,
     ProtocolError,
     decode_request,
@@ -29,6 +32,16 @@ class TestDecodeRequest:
 
     @pytest.mark.parametrize("line", [b"not json", b"[1, 2]", b'"ping"', b"3"])
     def test_rejects_non_object(self, line):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_request(line)
+        assert excinfo.value.code == "bad-request"
+
+    @pytest.mark.parametrize("line", [
+        b"[" * 200_000 + b"]" * 200_000,                   # deeper than the recursion limit
+        b'{"op":"count","pairs":[[' + b"7" * 5_000 + b',1]]}',  # past the int digit limit
+    ], ids=["deep-nesting", "long-integer"])
+    def test_hostile_lines_are_bad_requests(self, line):
+        assert len(line) < MAX_LINE_BYTES
         with pytest.raises(ProtocolError) as excinfo:
             decode_request(line)
         assert excinfo.value.code == "bad-request"
@@ -208,3 +221,83 @@ class TestServerMetrics:
         assert snap["requests_total"] == SAMPLE_WINDOW + 10
         # percentiles still computable over the bounded window
         assert snap["latency_by_op"]["ping"]["p99_ms"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# Property tests: any line decodes or is refused with a ProtocolError
+# --------------------------------------------------------------------------- #
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False) | st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=12)
+SET_IDS = st.integers(min_value=0, max_value=1 << 40)
+
+#: Requests that :func:`normalize_params` must accept, one strategy per op.
+VALID_REQUESTS = st.one_of(
+    st.sampled_from(["ping", "stats", "metrics", "reload"]).map(lambda op: {"op": op}),
+    st.builds(lambda s, e: {"op": "member", "set": s, "elements": e},
+              SET_IDS, st.lists(st.integers(), max_size=8)),
+    st.builds(lambda p: {"op": "count", "pairs": [list(pair) for pair in p]},
+              st.lists(st.tuples(SET_IDS, SET_IDS), max_size=8)),
+    st.builds(lambda s: {"op": "multiway", "sets": s},
+              st.lists(SET_IDS, min_size=2, max_size=6, unique=True)),
+    st.builds(lambda s, k: {"op": "topk", "set": s, "k": k},
+              SET_IDS, st.integers(min_value=1, max_value=1 << 20)),
+)
+
+#: Request-shaped objects with arbitrary parameter values.
+REQUEST_SHAPED = st.fixed_dictionaries(
+    {"op": st.sampled_from(OPS) | JSON_SCALARS},
+    optional={key: JSON_VALUES for key in ("id", "set", "elements", "pairs",
+                                           "sets", "k")})
+
+
+def _mutated(data: bytes, cut: int, insert: bytes) -> bytes:
+    cut %= len(data) + 1
+    return data[:cut] + insert + data[cut:]
+
+
+LINES = st.one_of(
+    st.binary(max_size=256),
+    st.text(max_size=64).map(lambda text: text.encode("utf-8", "surrogatepass")),
+    (VALID_REQUESTS | REQUEST_SHAPED | JSON_VALUES).map(
+        lambda value: json.dumps(value).encode()),
+    st.builds(_mutated,
+              (VALID_REQUESTS | REQUEST_SHAPED).map(lambda v: json.dumps(v).encode()),
+              st.integers(min_value=0), st.binary(min_size=1, max_size=4)),
+)
+
+
+class TestProtocolProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(LINES)
+    def test_any_line_normalises_or_is_refused(self, line):
+        try:
+            params = normalize_params(decode_request(line))
+        except ProtocolError as exc:
+            assert exc.code in ERROR_CODES
+        else:
+            assert isinstance(params, dict) and params["op"] in OPS
+
+    @settings(max_examples=200, deadline=None)
+    @given(VALID_REQUESTS, JSON_SCALARS, JSON_VALUES)
+    def test_valid_requests_normalise_idempotently(self, request, request_id, junk):
+        params = normalize_params(request)
+        assert normalize_params(params) == params
+        # the same query on the wire, with an id and an unknown key, is one cache key
+        wire = json.dumps({**request, "id": request_id, "zz-extra": junk})
+        again = normalize_params(decode_request(wire.encode()))
+        assert again == params
+        assert query_digest(again) == query_digest(params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_SCALARS, JSON_VALUES, st.sampled_from(ERROR_CODES), st.text())
+    def test_encode_message_round_trips(self, request_id, result, code, message):
+        for envelope in (ok_response(request_id, result),
+                         error_response(request_id, code, message)):
+            raw = encode_message(envelope)
+            assert raw.endswith(b"\n") and raw.count(b"\n") == 1
+            assert json.loads(raw) == envelope

@@ -19,7 +19,7 @@ from repro.serve.batcher import QueueFullError, RequestBatcher
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.engine import SpillQueryEngine
 from repro.serve.metrics import ServerMetrics
-from repro.serve.server import BackgroundServer
+from repro.serve.server import BackgroundServer, BatmapServer
 from repro.utils.memory import parse_memory_size
 from tests.conftest import random_sets
 
@@ -308,6 +308,43 @@ class TestLifecycle:
         bg = BackgroundServer(spill_dir).start()
         bg.stop()
         bg.stop()
+
+    def test_stop_during_connection_teardown_logs_nothing(self, tmp_path, monkeypatch):
+        """A connection task that ``stop()`` cancels in ``wait_closed`` ends normally.
+
+        asyncio's stream protocol reads the exception of the connection
+        task it started; had the task ended cancelled, that callback would
+        raise and the loop would report it (a traceback on stderr).
+        """
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _loop, context: reported.append(context))
+            in_teardown = asyncio.Event()
+
+            async def stalled_wait_closed(writer):
+                in_teardown.set()
+                await asyncio.Event().wait()          # only a cancel ends it
+
+            monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                                stalled_wait_closed)
+            server = BatmapServer(tmp_path)           # stop() needs no artifact
+            server._shutdown_event = asyncio.Event()
+            listener = await asyncio.start_server(server._on_connection,
+                                                  "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            _, client = await asyncio.open_connection("127.0.0.1", port)
+            client.close()                            # EOF ends the read loop
+            await asyncio.wait_for(in_teardown.wait(), 10)
+            await server.stop()                       # cancels the waiting task
+            listener.close()
+            for _ in range(5):                        # let done callbacks run
+                await asyncio.sleep(0)
+            return server, reported
+
+        server, reported = asyncio.run(scenario())
+        assert reported == []
+        assert not server._conn_tasks
 
 
 class TestServeCli:

@@ -135,13 +135,6 @@ class TestSpillMatchesLiveCollection:
                                      want.frequent_pairs(floor)):
             np.testing.assert_array_equal(have, oracle_part)
 
-    @pytest.mark.parametrize("k", [1, 7, 40])
-    def test_top_k(self, spilled, compute, k):
-        sharded, oracle = spilled
-        counter = ShardedPairCounter(sharded, compute=compute, workers=2, tile_size=5)
-        have = counter.count_result(top_k=k, min_support=0).ranked()
-        assert have == oracle.count_result(top_k=k).ranked()
-
     def test_dense(self, spilled, compute):
         sharded, oracle = spilled
         counter = ShardedPairCounter(sharded, compute=compute, workers=2, tile_size=5)
