@@ -21,6 +21,7 @@ is a wall-clock measurement, not a model.  See EXPERIMENTS.md E12 and E23.
 from __future__ import annotations
 
 import os
+import statistics
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ pytestmark = pytest.mark.bench
 
 
 CORE_COUNTS = (1, 2, 4, 8)
+#: Alternating Apriori / FP-growth measurements per point (median taken).
+MEASUREMENTS = 3
 N_ITEMS = 200
 DENSITY = 0.05
 
@@ -54,17 +57,22 @@ def core_scaling_series() -> SeriesTable:
     )
     table.x_values = list(CORE_COUNTS)
 
-    # best-of-2 timing for both the parts and the serial merge: the
-    # efficiency-monotonicity assertions tolerate only small noise
-    apriori_points = measure_split_scaling(
-        lambda t, n, s: AprioriMiner(max_size=2).mine(t, n, s),
-        db, min_support=1, core_counts=CORE_COUNTS, repeats=2)
-    fp_points = measure_split_scaling(
-        lambda t, n, s: FPGrowthMiner(max_size=2).mine_pairs(t, n, s),
-        db, min_support=1, core_counts=CORE_COUNTS, repeats=2)
-
-    apriori_speedup = relative_speedups(apriori_points)
-    fp_speedup = relative_speedups(fp_points)
+    # Each point is the median of MEASUREMENTS speed-ups, Apriori and
+    # FP-growth alternating, each measurement best-of-2 for the parts and
+    # the serial merge: the efficiency-monotonicity assertions tolerate
+    # only small noise, and one slow window on a loaded host moves a single
+    # measurement, not the median.
+    runs = {"apriori": [], "fpgrowth": []}
+    for _ in range(MEASUREMENTS):
+        runs["apriori"].append(relative_speedups(measure_split_scaling(
+            lambda t, n, s: AprioriMiner(max_size=2).mine(t, n, s),
+            db, min_support=1, core_counts=CORE_COUNTS, repeats=2)))
+        runs["fpgrowth"].append(relative_speedups(measure_split_scaling(
+            lambda t, n, s: FPGrowthMiner(max_size=2).mine_pairs(t, n, s),
+            db, min_support=1, core_counts=CORE_COUNTS, repeats=2)))
+    apriori_speedup, fp_speedup = (
+        {c: statistics.median(run[c] for run in runs[name]) for c in CORE_COUNTS}
+        for name in ("apriori", "fpgrowth"))
     table.add("theoretical", list(CORE_COUNTS))
     table.add("apriori", [round(apriori_speedup[c], 2) for c in CORE_COUNTS])
     table.add("fpgrowth", [round(fp_speedup[c], 2) for c in CORE_COUNTS])

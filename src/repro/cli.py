@@ -891,35 +891,36 @@ def _cmd_build_index(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace, out) -> int:
-    """Append new sets to an existing spill artifact as delta shards."""
-    from repro.core.integrity import writer_lock
-    from repro.core.manifest import require_manifest
-    from repro.core.sharded import ShardedCollection
+    """Append new sets to an existing spill artifact as delta shards.
+
+    Runs on the standard library and the compiled kernel
+    (:func:`repro.core.append.append_sets`); NumPy loads only on the paths
+    that need it (no kernel, universe growth, a lower ``r0``).
+    """
+    from repro.core.append import append_sets, read_sets_file
     from repro.utils.memory import parse_memory_size
 
     try:
         budget = (parse_memory_size(args.memory_budget)
                   if args.memory_budget is not None else None)
-        sets = _read_sets_file(args.input)
-        require_manifest(args.spill_dir)
-        with writer_lock(args.spill_dir):
-            collection = ShardedCollection.from_spill(args.spill_dir)
-            before = collection.n_sets
-            start = time.perf_counter()
-            collection.append(sets, universe_size=args.universe,
-                              memory_budget=budget)
-            elapsed = time.perf_counter() - start
+        sets = read_sets_file(args.input)
+        start = time.perf_counter()
+        manifest, before = append_sets(args.spill_dir, sets, universe_size=args.universe,
+                                       memory_budget=budget)
+        elapsed = time.perf_counter() - start
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    print(f"appended {len(sets)} sets ({before} -> {collection.n_sets}) "
-          f"in {elapsed:.3f}s wall clock", file=out)
-    print(f"generation {collection.generation}: {collection.n_shards} "
-          f"shard(s), universe {collection.universe_size}, "
-          f"{collection.total_packed_bytes} packed bytes", file=out)
+    n_shards = len(manifest.shards)
+    print(f"appended {len(sets)} sets ({before} -> "
+          f"{manifest.n_sets - manifest.n_tombstones}) in {elapsed:.3f}s wall clock",
+          file=out)
+    print(f"generation {manifest.generation}: {n_shards} shard(s), universe "
+          f"{manifest.universe_size}, "
+          f"{sum(entry['nbytes'] for entry in manifest.shards)} packed bytes", file=out)
     _print_swar_kernel(out)
-    if collection.n_shards >= 8:
-        print(f"hint: {collection.n_shards} shards amplify counting work; "
+    if n_shards >= 8:
+        print(f"hint: {n_shards} shards amplify counting work; "
               f"run `repro compact {args.spill_dir}`", file=out)
     return 0
 

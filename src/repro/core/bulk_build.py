@@ -69,6 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.append import BULK_MOVE_BUDGET, GROUP_SLOT_BUDGET
 from repro.core.builder import EMPTY, Placement, PlacementStats, place_set
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import LayoutError
@@ -92,31 +93,18 @@ __all__ = [
     "sets_from_chunks",
 ]
 
-#: Upper bound on the slot-table size (``n_sets * 3 * r``) one bulk round
-#: operates over.  Width groups larger than this are processed in chunks of
-#: sets — placements are per-set independent, so chunking cannot change any
-#: result; it only bounds the working set.  4M slots keep the two int32
-#: per-slot arrays (occupancy + claims) at ~32 MB, small enough to stay
-#: cache-friendly on the compression-floor-inflated ranges of large
-#: universes, where dense per-slot arrays are ~50x bigger than the live
-#: entries they track.
-GROUP_SLOT_BUDGET = 1 << 22
-
 #: Cyclic table advance (1, 2, 3, 1, ... in the paper's 1-based notation).
 _NEXT_TABLE = np.array([1, 2, 0], dtype=np.int32)
 
-#: Per-walk move budget of the round engine.  One bulk round advances every
-#: live walk by one move, so the round count is bounded by the longest walk;
-#: at sane loads almost all walks settle within a handful of moves, and the
-#: serial MaxLoop budget (3 * max_loop, typically ~200 moves) would make the
-#: engine spend hundreds of nearly-empty rounds — each a fixed slate of
-#: NumPy calls — escorting a few doomed walks.  Walks that exceed this cap
-#: are declared failed instead, which merely routes their *sets* to the
-#: serial oracle (the fallback every bulk-failing set takes anyway), so
-#: placements stay exactly serial for them.  The cap is per-walk, hence
-#: independent of grouping/sharding — chunked, whole-group and threaded
-#: builds remain bit-identical.
-BULK_MOVE_BUDGET = 48
+#: :data:`GROUP_SLOT_BUDGET` and the per-walk move budget
+#: :data:`BULK_MOVE_BUDGET` live in :mod:`repro.core.append` (one source for
+#: both construction paths).  The move budget exists because one bulk round
+#: advances every live walk by one move: at sane loads almost all walks
+#: settle within a handful of moves, and the serial MaxLoop budget (3 *
+#: max_loop, ~200 moves) would make the engine spend hundreds of
+#: nearly-empty rounds escorting a few doomed walks.  Walks past it route
+#: their *sets* to the serial oracle, so placements stay exactly serial
+#: for them; the cap is per-walk, hence independent of grouping/sharding.
 
 
 @dataclass
@@ -181,11 +169,14 @@ class GroupPlacement:
         lib = native_library()
         if lib is None or config.entry_dtype != np.uint8:
             return self._numpy_encode(config)
-        return encode_group(
-            lib, self.rows_flat, self.slots, self.payloads, self.failed_mask,
+        entries = encode_group(
+            lib, np.ascontiguousarray(self.rows_flat, dtype=np.int32),
+            np.ascontiguousarray(self.slots, dtype=np.int32),
+            np.ascontiguousarray(self.payloads, dtype=np.int64),
+            np.ascontiguousarray(self.failed_mask, dtype=np.bool_),
             payload_mask=config.payload_mask, indicator_shift=config.indicator_shift,
-            elements=self.elements,
-        ).reshape(self.n_sets, 3, self.r)
+            elements=self.elements)
+        return np.frombuffer(entries, dtype=np.uint8).reshape(self.n_sets, 3, self.r)
 
     def _numpy_encode(self, config: BatmapConfig) -> np.ndarray:
         """:meth:`encode` as NumPy gathers and scatters (fallback and test reference)."""

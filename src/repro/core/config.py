@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.utils.bits import next_power_of_two
 from repro.utils.validation import require, require_positive
+
+if TYPE_CHECKING:  # NumPy loads only where an entry dtype is asked for
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,8 @@ class BatmapConfig:
 
         Cached: every batmap checks its entries against it on creation.
         """
+        import numpy as np
+
         return np.dtype(f"uint{self.entry_storage_bits}")
 
     @property

@@ -70,6 +70,27 @@ class SpillConflictError(DatasetError):
     """
 
 
+class SpillIOError(DatasetError, OSError):
+    """Raised when the file system fails a spill mutation's staging or commit.
+
+    Also an :class:`OSError`.  Before the manifest rename the committed
+    generation is untouched (the staging is removed); a directory fsync
+    that fails after it leaves the new generation published but possibly
+    not durable, and the message says so.  The CLI prints it as one
+    ``error:`` line naming the operation, the path and the errno; ``errno``
+    and ``filename`` are the failed call's.
+    """
+
+    def __init__(self, message: str, errno: int | None = None,
+                 filename=None) -> None:
+        super().__init__(message)
+        self.errno = errno
+        self.filename = filename
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 class IntegrityError(DatasetError):
     """Raised when an artifact's durability invariants cannot be restored.
 

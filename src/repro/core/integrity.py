@@ -51,7 +51,7 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.core.errors import SpillConflictError, SpillFormatError
+from repro.core.errors import SpillConflictError, SpillFormatError, SpillIOError
 from repro.core.manifest import (
     DIGEST_ALGORITHM,
     LOCK_NAME,
@@ -157,8 +157,10 @@ class AtomicCommit:
     nothing else.
     """
 
-    def __init__(self, spill_dir) -> None:
+    def __init__(self, spill_dir, operation: str = "commit") -> None:
         self.spill_dir = Path(spill_dir)
+        #: what the mutation is, for the :class:`SpillIOError` it may raise
+        self.operation = operation
         self.spill_dir.mkdir(parents=True, exist_ok=True)
         self.staging = self.spill_dir / (
             f"{STAGING_PREFIX}{os.getpid()}-{os.urandom(4).hex()}")
@@ -166,6 +168,7 @@ class AtomicCommit:
         self._staged: list[str] = []
         self._garbage: list[Path] = []
         self.committed = False
+        self.generation = None  # of the manifest being committed
 
     def stage(self, name: str) -> Path:
         """Reserve ``name`` for this commit and return its staging path."""
@@ -202,26 +205,52 @@ class AtomicCommit:
             self.add_garbage(self.spill_dir / name)
         return generation
 
+    def io_error(self, exc: OSError, *, published: bool = False) -> SpillIOError:
+        """``exc`` (an I/O failure of this mutation) as a :class:`SpillIOError`."""
+        if isinstance(exc, SpillIOError):
+            return exc
+        code = errno.errorcode.get(exc.errno, str(exc.errno)) if exc.errno else "no errno"
+        path = exc.filename if exc.filename is not None else self.spill_dir
+        text = f"{self.operation} failed: {path}: {exc.strerror or exc} ({code}); "
+        if published:
+            text += (f"generation {self.generation} of {self.spill_dir} is published "
+                     "but may not be durable — run 'repro verify'")
+        else:
+            text += f"{self.spill_dir} keeps its previous generation"
+        return SpillIOError(text, exc.errno, exc.filename)
+
     def commit(self, manifest: dict) -> None:
-        """Publish the staged files plus ``manifest`` as the next generation."""
+        """Publish the staged files plus ``manifest`` as the next generation.
+
+        An ``OSError`` is raised as :class:`SpillIOError`; one from the
+        directory fsync after the manifest rename says the published
+        generation may not be durable (it is not retried).
+        """
         if self.committed:
             raise RuntimeError("commit() called twice")
+        self.generation = manifest.get("generation")
         manifest_tmp = self.staging / MANIFEST_NAME
-        manifest_tmp.write_text(json.dumps(manifest, indent=1))
-        faultpoint("commit.fsync")
-        _fsync_tree(self.staging)
-        for name in self._staged:
-            faultpoint("commit.rename")
-            target = self.spill_dir / name
-            if target.is_dir():
-                # Can only be leftover garbage from a crashed earlier
-                # attempt: live names are never re-staged.
-                shutil.rmtree(target)
-            os.replace(self.staging / name, target)
-        _fsync_dir(self.spill_dir)
-        faultpoint("commit.manifest")
-        os.replace(manifest_tmp, self.spill_dir / MANIFEST_NAME)
-        _fsync_dir(self.spill_dir)
+        try:
+            manifest_tmp.write_text(json.dumps(manifest, indent=1))
+            faultpoint("commit.fsync")
+            _fsync_tree(self.staging)
+            for name in self._staged:
+                faultpoint("commit.rename")
+                target = self.spill_dir / name
+                if target.is_dir():
+                    # Can only be leftover garbage from a crashed earlier
+                    # attempt: live names are never re-staged.
+                    shutil.rmtree(target)
+                os.replace(self.staging / name, target)
+            _fsync_dir(self.spill_dir)
+            faultpoint("commit.manifest")
+            os.replace(manifest_tmp, self.spill_dir / MANIFEST_NAME)
+        except OSError as exc:
+            raise self.io_error(exc) from exc
+        try:
+            _fsync_dir(self.spill_dir)
+        except OSError as exc:
+            raise self.io_error(exc, published=True) from exc
         self.committed = True
         faultpoint("commit.cleanup")
         live = referenced_names(manifest)

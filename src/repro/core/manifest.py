@@ -54,6 +54,7 @@ __all__ = [
     "referenced_names",
     "read_tombstones",
     "write_tombstones",
+    "npy_header",
     "require_manifest",
     "SpillManifest",
     "read_manifest",
@@ -137,10 +138,11 @@ _NPY_HEADER_RE = re.compile(
     r"'shape':\s*\((?P<shape>[^)]*)\),?\s*\}\s*\Z")
 
 
-def _npy_header(n: int) -> bytes:
-    """The ``np.save`` header (format 1.0) of an ``(n,)`` ``<i8`` array."""
-    text = "{'descr': '<i8', 'fortran_order': False, 'shape': (%d,), }" % n
-    text += " " * (_NPY_GROWTH_DIGITS - len(str(n)))
+def npy_header(descr: str, shape: tuple) -> bytes:
+    """The ``np.save`` header (format 1.0) of a C-ordered array."""
+    text = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (descr, shape)
+    if shape:
+        text += " " * (_NPY_GROWTH_DIGITS - len(repr(shape[0])))
     length = len(text) + 1  # the closing newline
     pad = _NPY_ALIGN - (len(_NPY_MAGIC) + 4 + length) % _NPY_ALIGN
     return (_NPY_MAGIC + b"\x01\x00" + (length + pad).to_bytes(2, "little")
@@ -163,7 +165,7 @@ def write_tombstones(path, ids) -> None:
         swapped.byteswap()
         data = swapped
     with open(path, "wb") as handle:
-        handle.write(_npy_header(len(view)))
+        handle.write(npy_header("<i8", (len(view),)))
         handle.write(data)
 
 
@@ -528,7 +530,7 @@ def delete_sets(spill_dir, ids, generation: int | None = None) -> tuple:
                              f"[{ids[0]}, {ids[-1]}]")
         merged = _tombstoned_with(tombstones, ids)
         next_generation = spill.generation + 1
-        commit = AtomicCommit(spill_dir)
+        commit = AtomicCommit(spill_dir, "delete")
         try:
             faultpoint("delete.tombstones")
             name = f"tombstones_{next_generation:04d}.npy"
@@ -542,6 +544,9 @@ def delete_sets(spill_dir, ids, generation: int | None = None) -> tuple:
             # generation this transaction read.
             require_generation(spill_dir, spill.generation)
             commit.commit(manifest)
+        except OSError as exc:
+            commit.abort()
+            raise commit.io_error(exc) from exc
         except BaseException:
             commit.abort()
             raise

@@ -38,9 +38,10 @@ core layer.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
-from repro.utils.validation import require
+from repro.utils.validation import require, require_positive
 
 __all__ = [
     "BACKENDS",
@@ -58,6 +59,8 @@ __all__ = [
     "BULK_BUILD_MIN_ELEMENTS",
     "PARALLEL_BUILD_MIN_SETS",
     "PARALLEL_BUILD_MIN_ELEMENTS",
+    "MAX_AUTO_WORKERS",
+    "resolve_worker_count",
 ]
 
 #: Backends a plan can name, slowest-setup-last.  ``"sharded"`` is the
@@ -108,6 +111,25 @@ def resolve_result_format(
             and RESULT_ENTRY_BYTES * n_sets * n_sets > memory_budget):
         return "sparse"
     return "dense"
+
+
+#: Auto-selected worker counts are capped here: the pair-count kernel is
+#: memory-bound, so (exactly as Figure 11 measures for the CPU SWAR loop)
+#: throughput saturates within a socket long before high core counts.
+MAX_AUTO_WORKERS = 8
+
+
+def resolve_worker_count(workers=None) -> int:
+    """Number of worker threads to use.
+
+    ``None`` auto-selects ``min(os.cpu_count(), MAX_AUTO_WORKERS)``; explicit
+    values are validated but honoured even beyond the core count (useful for
+    oversubscription experiments).
+    """
+    if workers is None:
+        return max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
+    require_positive(workers, "workers")
+    return int(workers)
 
 
 def _executor_policy():
@@ -410,8 +432,8 @@ def plan_build(
     require(requested == "auto" or requested in BUILD_BACKENDS,
             f"requested must be 'auto' or one of {BUILD_BACKENDS}, "
             f"got {requested!r}")
-    _, resolve_workers = _executor_policy()
-    n_workers = resolve_workers(workers)
+    # resolved here, not through the executor: a build plan loads no NumPy
+    n_workers = resolve_worker_count(workers)
 
     if requested == "host":
         return BuildPlan("host", 1, "serial per-element inserter requested")

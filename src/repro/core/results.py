@@ -372,19 +372,23 @@ class SparseAccumulator:
         exactly once.
         """
         block = np.asarray(block)
-        r_local, c_local = np.nonzero(block)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if self.repairable is None:
+            r_local, c_local = np.nonzero(block)
+        else:
+            # threshold the tile before extracting it: most counts of a
+            # pruned sparse walk fall below the floor
+            keep = block >= self.min_support
+            keep |= rows[:, None] == cols[None, :]
+            keep |= self.repairable[rows][:, None]
+            keep |= self.repairable[cols][None, :]
+            keep &= block != 0
+            r_local, c_local = np.nonzero(keep)
         if r_local.size == 0:
             return
         values = block[r_local, c_local]
-        rows = np.asarray(rows, dtype=np.int64)[r_local]
-        cols = np.asarray(cols, dtype=np.int64)[c_local]
-        if self.repairable is not None:
-            keep = values >= self.min_support
-            keep |= rows == cols
-            keep |= self.repairable[rows]
-            keep |= self.repairable[cols]
-            if not keep.all():
-                rows, cols, values = rows[keep], cols[keep], values[keep]
+        rows, cols = rows[r_local], cols[c_local]
         if self.symmetric:
             flip = rows > cols
             if flip.any():

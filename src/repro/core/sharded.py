@@ -34,6 +34,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.append import (
+    MIN_WORKING_BUDGET,
+    SHARD_BUDGET_DIVISOR,
+    fixed_resident_bytes,
+    padded_row_bytes,
+    plan_shard_ranges,
+    shard_build_compute,
+    working_budget,
+)
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import LayoutError, SpillFormatError
 from repro.core.hashing import (
@@ -81,61 +90,6 @@ __all__ = [
     "ShardedCollectionBuilder",
 ]
 
-#: Fraction of the working budget one spilled shard may occupy.  The
-#: counting phase attaches two shards plus SWAR temporaries, and the build
-#: phase holds a shard's tidlists, entry stacks and cuckoo slot tables at
-#: once (several multiples of the packed bytes) — a tenth of the budget per
-#: shard keeps every phase's simultaneous working sets under the ceiling.
-SHARD_BUDGET_DIVISOR = 10
-
-#: Smallest working budget (after fixed residents) the pipeline accepts;
-#: below this not even a singleton shard's build tables fit.
-MIN_WORKING_BUDGET = 4096
-
-def fixed_resident_bytes(universe_size: int, n_sets: int,
-                         *, lazy_family: bool = False,
-                         result_format: str = "dense") -> int:
-    """Resident bytes no amount of sharding can remove.
-
-    The eager hash family stores three permutations with their inverses
-    (six ``int64`` arrays over the universe), and — in the legacy dense
-    result format — the all-pairs result is a resident ``int64`` ``n x n``
-    matrix.  An extensible (lazy) family derives per-item parameters on
-    demand, so its O(universe) term vanishes; a ``"sparse"`` (or top-k)
-    :class:`~repro.core.results.CountResult` keeps only the surviving
-    nonzeros resident, so its O(n^2) term vanishes too — which is what lets
-    a workload whose dense matrix alone exceeds the budget run end to end.
-    """
-    family_bytes = 0 if lazy_family else 48 * universe_size
-    result_bytes = 8 * n_sets * n_sets if result_format == "dense" else 0
-    return family_bytes + result_bytes
-
-
-def working_budget(memory_budget: int, universe_size: int, n_sets: int,
-                   *, lazy_family: bool = False,
-                   result_format: str = "dense") -> int:
-    """Budget left for shardable state after the fixed residents.
-
-    Raises ``ValueError`` with the full accounting when the fixed residents
-    leave less than :data:`MIN_WORKING_BUDGET` — a budget that cannot hold
-    the hash family and the result matrix cannot hold any pipeline.
-    ``result_format="sparse"`` drops the dense-matrix term from the fixed
-    residents (see :func:`fixed_resident_bytes`).
-    """
-    require_positive(memory_budget, "memory_budget")
-    fixed = fixed_resident_bytes(universe_size, n_sets, lazy_family=lazy_family,
-                                 result_format=result_format)
-    available = memory_budget - fixed
-    if available < MIN_WORKING_BUDGET:
-        raise ValueError(
-            f"memory budget ({memory_budget} B) is too small: the hash family "
-            f"over {universe_size} transactions and the {n_sets}x{n_sets} "
-            f"result matrix are irreducibly resident ({fixed} B), leaving "
-            f"less than {MIN_WORKING_BUDGET} B for shards"
-        )
-    return available
-
-
 def set_packed_bytes(sizes, universe_size: int, config: BatmapConfig) -> np.ndarray:
     """Padded packed device bytes per set, from set sizes alone.
 
@@ -151,9 +105,8 @@ def set_packed_bytes(sizes, universe_size: int, config: BatmapConfig) -> np.ndar
     for k, size in enumerate(sizes.tolist()):
         nbytes = cache.get(size)
         if nbytes is None:
-            r = max(4, config.range_for_size(size, universe_size))
-            width = 3 * r // 4
-            nbytes = cache[size] = ((width + 15) // 16) * 16 * 4
+            nbytes = cache[size] = padded_row_bytes(
+                max(4, config.range_for_size(size, universe_size)))
         out[k] = nbytes
     return out
 
@@ -167,39 +120,6 @@ def collection_r0(sizes, range_universe: int, config: BatmapConfig) -> int:
     """
     smallest = int(np.min(np.asarray(sizes, dtype=np.int64)))
     return int(max(4, config.range_for_size(smallest, range_universe)))
-
-
-def plan_shard_ranges(
-    packed_bytes,
-    memory_budget: int,
-    *,
-    max_sets_per_shard: int | None = None,
-) -> list:
-    """Partition sets (in order) into contiguous shards under the budget.
-
-    ``packed_bytes[k]`` is set ``k``'s padded device size (from
-    :func:`set_packed_bytes`).  Each shard's total stays at or below
-    ``memory_budget // SHARD_BUDGET_DIVISOR`` — except that a single set
-    larger than the shard budget still gets a (singleton) shard: sharding
-    cannot split one batmap, it can only bound how many are resident.
-    Returns ``[(lo, hi), ...]`` covering ``[0, n)``.
-    """
-    packed_bytes = np.asarray(packed_bytes, dtype=np.int64)
-    require_positive(memory_budget, "memory_budget")
-    shard_budget = max(1, memory_budget // SHARD_BUDGET_DIVISOR)
-    ranges: list[tuple[int, int]] = []
-    lo = 0
-    running = 0
-    for k in range(packed_bytes.size):
-        nbytes = int(packed_bytes[k])
-        full = max_sets_per_shard is not None and (k - lo) >= max_sets_per_shard
-        if k > lo and (running + nbytes > shard_budget or full):
-            ranges.append((lo, k))
-            lo, running = k, 0
-        running += nbytes
-    if packed_bytes.size:
-        ranges.append((lo, int(packed_bytes.size)))
-    return ranges
 
 
 @dataclass
@@ -458,14 +378,9 @@ class ShardedCollectionBuilder:
         serial inserter instead — identical output, a fraction of the
         working set.
         """
-        if self.memory_budget is None or self.build_compute != "auto":
-            return self.build_compute
-        largest = max(np.asarray(s).size for s in sets)
-        r_max = max(4, self.config.range_for_size(int(largest),
-                                                  self.family.range_universe))
-        if 144 * r_max > self.memory_budget // 2:
-            return "host"
-        return self.build_compute
+        return shard_build_compute(
+            max(np.asarray(s).size for s in sets), self.family.range_universe,
+            self.config, self.memory_budget, self.build_compute)
 
     def _ensure_commit(self) -> AtomicCommit:
         """The pending :class:`AtomicCommit` this builder stages files into.

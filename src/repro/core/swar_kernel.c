@@ -330,14 +330,19 @@ int64_t walk_set(const int64_t *elements, const int64_t *pos, int64_t n, int64_t
  * exactly two tables gets the payload of each table in the low bits and the
  * cyclic-order indicator bit at indicator_shift -- set on the first table
  * only for the pair {0, 2}, which is ordered 2 -> 0.  entries (zeroed) is
- * output.  Returns 0; 1 when an element holds a wrong number of copies
- * (info = {element index, copies}, the first such element); 2 when a stored
- * element's payload exceeds payload_mask in any table. */
+ * output (n_rows cells).  Returns 0; 1 when an element holds a wrong number
+ * of copies (info = {element index, copies}, the first such element); 2 when
+ * a stored element's payload exceeds payload_mask in any table; 3 when a
+ * slot lies outside [0, n_rows) (nothing is encoded then). */
 int64_t encode_group(const int32_t *rows, const int32_t *slots, const int64_t *payloads,
                      const uint8_t *failed, int64_t n, int64_t payload_mask,
-                     int64_t indicator_shift, uint8_t *entries, int64_t *info)
+                     int64_t indicator_shift, uint8_t *entries, int64_t *info,
+                     int64_t n_rows)
 {
     int overflow = 0;
+    for (int64_t k = 0; k < 3 * n; k++)
+        if (slots[k] < 0 || slots[k] >= n_rows)
+            return 3;
     for (int64_t i = 0; i < n; i++) {
         int present[3], copies = 0;
         for (int t = 0; t < 3; t++) {
@@ -359,4 +364,148 @@ int64_t encode_group(const int32_t *rows, const int32_t *slots, const int64_t *p
         entries[slots[b * n + i]] = (uint8_t)(((1 - bit_a) << indicator_shift) | payloads[b * n + i]);
     }
     return overflow ? 2 : 0;
+}
+
+/* ------------------------------------------------------------------------ *
+ * The standard-library append (repro.core.append): hashing, the serial walk
+ * over group slots, and the Figure-4 row interleave.
+ * ------------------------------------------------------------------------ */
+#include <string.h>
+
+/* One round of repro.core.hashing.FeistelPermutation (32-bit mixing). */
+static uint64_t feistel_round(uint64_t v, uint64_t key)
+{
+    v = (v * 0x9E3779B1u + key) & 0xFFFFFFFFu;
+    v ^= v >> 15;
+    v = (v * 0x85EBCA77u) & 0xFFFFFFFFu;
+    v ^= v >> 13;
+    return v;
+}
+
+/* pi_t(x) of one table: a lookup when table is not NULL, else the Feistel
+ * network over 2 * half_bits bits, cycle-walked back into [0, domain). */
+static int64_t permute(int64_t x, const int64_t *table, const int64_t *keys,
+                       int64_t n_keys, int64_t half_bits, int64_t domain)
+{
+    if (table != NULL)
+        return table[x];
+    uint64_t mask = ((uint64_t)1 << half_bits) - 1, y = (uint64_t)x;
+    do {
+        uint64_t left = (y >> half_bits) & mask, right = y & mask;
+        for (int64_t k = 0; k < n_keys; k++) {
+            uint64_t next = left ^ (feistel_round(right, (uint64_t)keys[k]) & mask);
+            left = right;
+            right = next;
+        }
+        y = (left << half_bits) | right;
+    } while (y >= (uint64_t)domain);
+    return (int64_t)y;
+}
+
+/* Slots and payloads of a group of sets sharing the range r, as
+ * repro.core.bulk_build.bulk_place_group derives them: for element i of set
+ * s in table t, slots[t * n + i] = (pi_t(x) & (r - 1)) + 3 r s + t r and
+ * payloads[t * n + i] = (pi_t(x) >> shift) + 1.  Table t is a lookup table
+ * (tables[t]) or, when that is NULL, the Feistel keys keys[t * n_keys ...]
+ * with half width half_bits[t].  Returns 0, or -1 when an element lies
+ * outside [0, domain) (nothing is hashed then). */
+int64_t hash_group(const int64_t *elements, int64_t n, const int64_t *lengths,
+                   int64_t n_sets, int64_t r, int64_t shift, const int64_t *table0,
+                   const int64_t *table1, const int64_t *table2, const int64_t *keys,
+                   int64_t n_keys, const int64_t *half_bits, int64_t domain,
+                   int32_t *slots, int64_t *payloads)
+{
+    const int64_t *tables[3] = {table0, table1, table2};
+    for (int64_t i = 0; i < n; i++)
+        if (elements[i] < 0 || elements[i] >= domain)
+            return -1;
+    for (int t = 0; t < 3; t++) {
+        int64_t i = 0;
+        for (int64_t s = 0; s < n_sets; s++) {
+            int64_t base = 3 * r * s + t * r;
+            for (int64_t stop = i + lengths[s]; i < stop; i++) {
+                int64_t p = permute(elements[i], tables[t], keys + t * n_keys, n_keys,
+                                    half_bits[t], domain);
+                slots[t * n + i] = (int32_t)((p & (r - 1)) + base);
+                payloads[t * n + i] = (p >> shift) + 1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* Clear the stored copies of element e from a set's region. */
+static void remove_slots(int64_t e, const int32_t *slots, int64_t n_total,
+                         int64_t base, int32_t *rows)
+{
+    for (int t = 0; t < 3; t++) {
+        int32_t *cell = rows + (slots[t * n_total + e] - base);
+        if (*cell == (int32_t)e)
+            *cell = EMPTY;
+    }
+}
+
+/* One copy of the serial INSERT walk over group slots (see insert_once). */
+static int64_t insert_slots(int64_t x, const int32_t *slots, int64_t n_total,
+                            int64_t base, int64_t max_loop, int32_t *rows)
+{
+    int64_t tau = x;
+    for (int64_t loop = 0; loop < max_loop && tau != EMPTY; loop++)
+        for (int t = 0; t < 3; t++) {
+            int32_t *cell = rows + (slots[t * n_total + tau] - base);
+            int64_t out = *cell;
+            *cell = (int32_t)tau;
+            tau = out;
+            if (tau == EMPTY)
+                break;
+        }
+    return tau;
+}
+
+/* walk_set on one set of a group: elements [first, first + n) of the
+ * (3, n_total) group slots, whose region starts at slot base.  rows is that
+ * region (3r cells, filled with flat element indices or EMPTY); failed
+ * receives the failed flat indices in the order they were recorded (at most
+ * 2n).  The same walk as walk_set, so placements and failures agree with
+ * repro.core.builder.place_set.  Returns the number of failed entries. */
+int64_t walk_slots(const int32_t *slots, int64_t n_total, int64_t first, int64_t n,
+                   int64_t base, int64_t r, int64_t max_loop, int32_t *rows,
+                   int64_t *failed)
+{
+    int64_t n_failed = 0;
+    for (int64_t k = 0; k < 3 * r; k++)
+        rows[k] = EMPTY;
+    for (int64_t x = first; x < first + n; x++)
+        for (int copy = 0; copy < 2; copy++) {
+            int64_t nestless = insert_slots(x, slots, n_total, base, max_loop, rows);
+            if (nestless == EMPTY)
+                continue;
+            remove_slots(x, slots, n_total, base, rows);
+            failed[n_failed++] = x;
+            if (nestless != x) {
+                int64_t victim = insert_slots(nestless, slots, n_total, base, max_loop, rows);
+                if (victim != EMPTY) {
+                    remove_slots(victim, slots, n_total, base, rows);
+                    failed[n_failed++] = victim;
+                }
+            }
+            break;
+        }
+    return n_failed;
+}
+
+/* The Figure-4 interleave of repro.core.bulk_build.pack_group_words: entries
+ * holds n_sets (3, r) byte rows; row s lands at out + s * row_bytes as r / r0
+ * blocks of the three tables' r0 bytes each.  Bytes past 3r are left alone
+ * (the caller zeroes the padding). */
+void interleave_rows(const uint8_t *entries, int64_t n_sets, int64_t r, int64_t r0,
+                     uint8_t *out, int64_t row_bytes)
+{
+    for (int64_t s = 0; s < n_sets; s++) {
+        const uint8_t *row = entries + 3 * r * s;
+        uint8_t *dst = out + row_bytes * s;
+        for (int64_t b = 0; b < r / r0; b++)
+            for (int t = 0; t < 3; t++)
+                memcpy(dst + (3 * b + t) * r0, row + t * r + b * r0, (size_t)r0);
+    }
 }

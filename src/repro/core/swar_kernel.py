@@ -31,6 +31,14 @@ round engine (:func:`place_sets`), the serial INSERT walk
 :mod:`repro.core.bulk_build` and :mod:`repro.core.builder` call them with
 :func:`native_library`.
 
+The standard-library append (:mod:`repro.core.append`) drives the same
+library with :mod:`array` buffers: :func:`encode_group`, plus the C
+``hash_group`` (the table lookup or Feistel cycle walk to slots and
+payloads), ``walk_slots`` (the serial walk over group slots) and
+``interleave_rows`` (the Figure-4 row interleave).  Loading the library,
+its self-check and :func:`kernel_status` import no NumPy; the NumPy
+wrappers below import it when they run.
+
 When no compiler is found, the compile fails, the cache is unsafe or the
 loaded library fails its self-check, the NumPy implementations run instead:
 :func:`numpy_fold_counts` and :func:`numpy_fold_counts_rows` below, and the
@@ -46,11 +54,14 @@ from __future__ import annotations
 
 import os
 import threading
+from array import array
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.errors import LayoutError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_BLOCK_WORDS",
@@ -63,6 +74,7 @@ __all__ = [
     "place_sets",
     "walk_set",
     "encode_group",
+    "buffer_address",
 ]
 
 SOURCE = Path(__file__).with_name("swar_kernel.c")
@@ -82,16 +94,17 @@ DEFAULT_BLOCK_WORDS = 1 << 17
 # NumPy implementation (fallback and test reference)
 # --------------------------------------------------------------------------- #
 
-# SWAR constants for both lane widths: two packed 32-bit words are processed
-# per operation (uint64 lanes) whenever the row width is even; byte order is
-# preserved by the little-endian view.
-_MSB = {np.dtype(np.uint32): np.uint32(0x80808080),
-        np.dtype(np.uint64): np.uint64(0x8080808080808080)}
-_LSB = {np.dtype(np.uint32): np.uint32(0x01010101),
-        np.dtype(np.uint64): np.uint64(0x0101010101010101)}
-_ONES = {np.dtype(np.uint32): np.uint32(0xFFFFFFFF),
-         np.dtype(np.uint64): np.uint64(0xFFFFFFFFFFFFFFFF)}
-_SEVEN = {np.dtype(np.uint32): np.uint32(7), np.dtype(np.uint64): np.uint64(7)}
+def _swar_constants(dt):
+    """``(msb, lsb, ones, seven)`` SWAR constants of a uint32 or uint64 lane.
+
+    Two packed 32-bit words are processed per operation (uint64 lanes)
+    whenever the row width is even; byte order is preserved by the
+    little-endian view.
+    """
+    width = dt.itemsize
+    return (dt.type(int.from_bytes(b"\x80" * width, "little")),
+            dt.type(int.from_bytes(b"\x01" * width, "little")),
+            dt.type((1 << 8 * width) - 1), dt.type(7))
 
 #: Words per width chunk: each byte lane accumulates at most one match per
 #: word, so chunks of <= 255 words cannot overflow a uint8 lane counter.
@@ -100,6 +113,8 @@ _LANE_CHUNK = 252
 
 def _view_widest(a: np.ndarray) -> np.ndarray:
     """Reinterpret a ``(n, w)`` uint32 matrix as uint64 lanes when ``w`` is even."""
+    import numpy as np
+
     if a.shape[1] % 2 == 0:
         if a.strides[1] != a.itemsize:
             a = np.ascontiguousarray(a)
@@ -115,8 +130,10 @@ def _match_count_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     width axis (safe from overflow within a chunk) and fold the byte lanes
     into the int64 result.
     """
+    import numpy as np
+
     dt = a.dtype
-    msb, lsb, ones, seven = _MSB[dt], _LSB[dt], _ONES[dt], _SEVEN[dt]
+    msb, lsb, ones, seven = _swar_constants(dt)
     n_a, w = a.shape
     n_b = b.shape[0]
     out = np.zeros((n_a, n_b), dtype=np.int64)
@@ -136,8 +153,10 @@ def _match_count_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _match_count_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-aligned match counts: row ``k`` of ``a`` against row ``k`` of ``b``."""
+    import numpy as np
+
     dt = a.dtype
-    msb, lsb, ones, seven = _MSB[dt], _LSB[dt], _ONES[dt], _SEVEN[dt]
+    msb, lsb, ones, seven = _swar_constants(dt)
     n, w = a.shape
     out = np.zeros(n, dtype=np.int64)
     for start in range(0, w, _LANE_CHUNK):
@@ -169,6 +188,8 @@ def numpy_fold_counts(large: np.ndarray, small: np.ndarray, *,
     Rows of ``large`` are processed in chunks so no broadcast temporary
     exceeds ``block_words`` words.
     """
+    import numpy as np
+
     reps = _fold_reps(large, small)
     width_small = small.shape[1]
     n_a, n_b = large.shape[0], small.shape[0]
@@ -186,6 +207,8 @@ def numpy_fold_counts(large: np.ndarray, small: np.ndarray, *,
 
 def numpy_fold_counts_rows(large: np.ndarray, small: np.ndarray) -> np.ndarray:
     """NumPy :func:`fold_counts_rows`."""
+    import numpy as np
+
     reps = _fold_reps(large, small)
     if large.shape[0] != small.shape[0]:
         raise ValueError("row-aligned fold operands must have the same row count")
@@ -272,7 +295,7 @@ def _compile(cc: list, target: Path) -> str | None:
 
 
 def _bind(path: Path):
-    """Load the library and declare its five entry points."""
+    """Load the library and declare its eight entry points."""
     import ctypes
 
     lib = ctypes.CDLL(str(path))
@@ -285,8 +308,15 @@ def _bind(path: Path):
     lib.place_sets.restype = i64
     lib.walk_set.argtypes = [ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr]
     lib.walk_set.restype = i64
-    lib.encode_group.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr]
+    lib.encode_group.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, i64]
     lib.encode_group.restype = i64
+    lib.hash_group.argtypes = [ptr, i64, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, i64,
+                               ptr, i64, ptr, ptr]
+    lib.hash_group.restype = i64
+    lib.walk_slots.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr, ptr]
+    lib.walk_slots.restype = i64
+    lib.interleave_rows.argtypes = [ptr, i64, i64, i64, ptr, i64]
+    lib.interleave_rows.restype = None
     return lib
 
 
@@ -327,15 +357,27 @@ def _load_native():
     return lib, ""
 
 
-def _self_check_case():
-    """A tiny fold with odd widths, masked indicators and a two-row remainder."""
-    # multiplicative hashing spreads bits without loading numpy.random
-    words = np.arange(24, dtype=np.uint32).reshape(4, 6) * np.uint32(2654435761)
-    small = words[:, :3].copy()
-    small[:, 1] &= np.uint32(0x7F7F7F7F)
-    large = np.concatenate([np.tile(small, (1, 2)), words[:2] ^ np.uint32(0x00FF0000)])
-    large[1, 2] = small[0, 2] & np.uint32(0x7F7F7F7F)
+def _self_check_rows():
+    """A tiny fold with odd widths, masked indicators and a two-row remainder.
+
+    ``(large, small)`` as lists of uint32 rows; multiplicative hashing
+    spreads the bits.
+    """
+    words = [[(6 * i + j) * 2654435761 % (1 << 32) for j in range(6)] for i in range(4)]
+    small = [[w & 0x7F7F7F7F if j == 1 else w for j, w in enumerate(row[:3])]
+             for row in words]
+    large = [row * 2 for row in small] + [[w ^ 0x00FF0000 for w in row]
+                                          for row in words[:2]]
+    large[1][2] = small[0][2] & 0x7F7F7F7F
     return large, small
+
+
+def _self_check_case():
+    """:func:`_self_check_rows` as uint32 matrices (for the NumPy reference)."""
+    import numpy as np
+
+    large, small = _self_check_rows()
+    return np.array(large, dtype=np.uint32), np.array(small, dtype=np.uint32)
 
 
 #: :func:`numpy_fold_counts` of :func:`_self_check_case` (a test pins this),
@@ -343,24 +385,37 @@ def _self_check_case():
 _SELF_CHECK_COUNTS = [[2, 0, 0, 0], [1, 8, 0, 0], [0, 0, 10, 0],
                       [0, 0, 0, 8], [3, 0, 0, 0], [0, 6, 0, 0]]
 
+#: A tiny group at ``r = 4`` (see :func:`_self_check_group`).
+_GROUP_LENGTHS = [5, 2, 0]
+_GROUP_POSITIONS = [[0, 0, 0, 1, 1, 2, 2],
+                    [3, 3, 0, 0, 0, 1, 3],
+                    [2, 2, 2, 2, 1, 0, 0]]
+
+
+def _self_check_lists():
+    """:func:`_self_check_group` as flat lists: ``(slots, starts, lengths, payloads)``."""
+    r = 4
+    set_of = [s for s, n in enumerate(_GROUP_LENGTHS) for _ in range(n)]
+    slots = [set_of[i] * 3 * r + t * r + _GROUP_POSITIONS[t][i]
+             for t in range(3) for i in range(len(set_of))]
+    starts = [sum(_GROUP_LENGTHS[:s]) for s in range(len(_GROUP_LENGTHS))]
+    payloads = [(k + 1) * 5 % 127 for k in range(3 * len(set_of))]
+    return slots, starts, list(_GROUP_LENGTHS), payloads
+
 
 def _self_check_group():
-    """A tiny group at ``r = 4``: ``(slots, starts, lengths, payloads)``.
+    """A tiny group at ``r = 4``: ``(slots, starts, lengths, payloads)`` arrays.
 
     Set 0 crowds five elements into few slots, so the round engine (under a
     budget of 6 moves) and the serial walk (``max_loop = 2``) must both fail
     some; set 1 holds two elements; set 2 is empty.
     """
-    r = 4
-    lengths = np.array([5, 2, 0], dtype=np.int64)
-    starts = np.array([0, 5, 7], dtype=np.int64)
-    positions = np.array([[0, 0, 0, 1, 1, 2, 2],
-                          [3, 3, 0, 0, 0, 1, 3],
-                          [2, 2, 2, 2, 1, 0, 0]], dtype=np.int64)
-    set_of = np.repeat(np.arange(3, dtype=np.int64), lengths)
-    slots = (set_of * 3 * r + np.arange(3)[:, None] * r + positions).astype(np.int32)
-    payloads = np.arange(1, 22, dtype=np.int64).reshape(3, 7) * 5 % 127
-    return slots, starts, lengths, payloads
+    import numpy as np
+
+    slots, starts, lengths, payloads = _self_check_lists()
+    return (np.array(slots, dtype=np.int32).reshape(3, -1),
+            np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64),
+            np.array(payloads, dtype=np.int64).reshape(3, -1))
 
 
 _E = -1  # an empty slot
@@ -382,27 +437,64 @@ _SELF_CHECK_WALK = [[[10, 14, _E, _E], [12, _E, _E, 10], [_E, 14, 12, _E]],
                     [11, 13], [5, 2, 36, 6]]
 
 
+def buffer_address(buf) -> int | None:
+    """Address of a C-contiguous ``array``, ``bytearray`` or NumPy buffer."""
+    if isinstance(buf, array):
+        return buf.buffer_info()[0] if len(buf) else None
+    data = getattr(buf, "ctypes", None)
+    if data is not None:
+        return data.data
+    import ctypes
+
+    view = memoryview(buf)
+    return ctypes.addressof(ctypes.c_char.from_buffer(view)) if view.nbytes else None
+
+
+def _buffer_items(buf) -> int:
+    view = memoryview(buf)
+    return view.nbytes // view.itemsize
+
+
 def _self_check(lib) -> bool:
-    """Compare the loaded kernel with the pinned reference outputs."""
-    large, small = _self_check_case()
-    if (_native_counts(lib, large, small).tolist() != _SELF_CHECK_COUNTS
-            or _native_rows(lib, large[:4], small).tolist()
-            != [_SELF_CHECK_COUNTS[k][k] for k in range(4)]):
+    """Compare the loaded kernel with the pinned reference outputs (no NumPy)."""
+    large, small = _self_check_rows()
+    a, b = array("I", sum(large, [])), array("I", sum(small, []))
+    counts, rows = array("q", bytes(8 * 6 * 4)), array("q", bytes(8 * 4))
+    lib.fold_counts(buffer_address(a), 6, 6, 6, buffer_address(b), 4, 3, 3,
+                    buffer_address(counts))
+    lib.fold_counts_rows(buffer_address(a), 4, 6, 6, buffer_address(b), 3, 3,
+                         buffer_address(rows))
+    if (counts.tolist() != sum(_SELF_CHECK_COUNTS, [])
+            or rows.tolist() != [_SELF_CHECK_COUNTS[k][k] for k in range(4)]):
         return False
-    slots, starts, lengths, payloads = _self_check_group()
+    slots, starts, lengths, payloads = _self_check_lists()
+    slots, payloads = array("i", slots), array("q", payloads)
+    starts, lengths = array("q", starts), array("q", lengths)
+    placed, failed = array("i", bytes(4 * 36)), bytearray(7)
+    moves, transcript = array("q", bytes(24)), array("q", bytes(24))
+    rounds = lib.place_sets(buffer_address(slots), 7, buffer_address(starts),
+                            buffer_address(lengths), 3, 4, 6, buffer_address(placed),
+                            buffer_address(failed), buffer_address(moves),
+                            buffer_address(transcript))
     try:
-        rows, failed, moves, transcript, rounds = place_sets(lib, slots, starts, lengths, 4, 6)
-        entries = encode_group(lib, rows, slots, payloads, failed,
+        entries = encode_group(lib, placed, slots, payloads, failed,
                                payload_mask=127, indicator_shift=7)
     except (LayoutError, ValueError):  # a faulty loop can trip the wrappers' checks
         return False
-    placement = [rows.tolist(), np.nonzero(failed)[0].tolist(), moves.tolist(),
+    placement = [placed.tolist(), [i for i in range(7) if failed[i]], moves.tolist(),
                  transcript.tolist(), rounds]
-    walk_rows, walk_failed, stats = walk_set(
-        lib, np.arange(10, 15, dtype=np.int64), slots[:, :5] % 4, 4, 2, False)
+    elements = array("q", range(10, 15))
+    positions = array("q", [slots[t * 7 + i] % 4 for t in range(3) for i in range(5)])
+    walk_rows, walk_failed = array("q", bytes(8 * 12)), array("q", bytes(8 * 10))
+    stats = array("q", bytes(32))
+    n_failed = lib.walk_set(buffer_address(elements), buffer_address(positions), 5, 4,
+                            2, 0, buffer_address(walk_rows), buffer_address(walk_failed),
+                            buffer_address(stats))
+    walk = [[walk_rows[4 * t:4 * t + 4].tolist() for t in range(3)],
+            walk_failed[:n_failed].tolist(), stats.tolist()]
     return (placement == _SELF_CHECK_PLACEMENT
-            and entries.tolist() == _SELF_CHECK_ENTRIES
-            and [walk_rows.tolist(), walk_failed, stats] == _SELF_CHECK_WALK)
+            and list(entries) == _SELF_CHECK_ENTRIES
+            and walk == _SELF_CHECK_WALK)
 
 
 def _kernel():
@@ -440,6 +532,8 @@ def kernel_status() -> str:
 
 def _operand(a: np.ndarray) -> np.ndarray:
     """uint32 rows with contiguous words; row strides may be anything."""
+    import numpy as np
+
     a = np.asarray(a)
     if a.dtype != np.uint32 or (a.shape[1] > 1 and a.strides[1] != 4) or a.strides[0] % 4:
         a = np.ascontiguousarray(a, dtype=np.uint32)
@@ -457,6 +551,8 @@ def _widen(small: np.ndarray, reps: int) -> np.ndarray:
     Folding onto the repeated row gives the same counts: word ``p`` of a wide
     row still meets word ``p mod w_small`` of the narrow one.
     """
+    import numpy as np
+
     k = 1
     while small.shape[1] * k < _MIN_FOLD_WORDS and reps % (2 * k) == 0:
         k *= 2
@@ -464,6 +560,8 @@ def _widen(small: np.ndarray, reps: int) -> np.ndarray:
 
 
 def _native_counts(lib, large, small) -> np.ndarray:
+    import numpy as np
+
     small = _widen(small, _fold_reps(large, small))
     large, small = _operand(large), _operand(small)
     out = np.empty((large.shape[0], small.shape[0]), dtype=np.int64)
@@ -475,6 +573,8 @@ def _native_counts(lib, large, small) -> np.ndarray:
 
 
 def _native_rows(lib, large, small) -> np.ndarray:
+    import numpy as np
+
     reps = _fold_reps(large, small)
     if large.shape[0] != small.shape[0]:
         raise ValueError("row-aligned fold operands must have the same row count")
@@ -517,6 +617,8 @@ def fold_counts_rows(large: np.ndarray, small: np.ndarray) -> np.ndarray:
 
 def _c(a: np.ndarray, dtype) -> np.ndarray:
     """``a`` as a C-contiguous array of ``dtype`` (no copy when it already is)."""
+    import numpy as np
+
     return np.ascontiguousarray(a, dtype=dtype)
 
 
@@ -530,6 +632,8 @@ def place_sets(lib, slots: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     ``3 r s:3 r (s + 1)``), but placed set by set with one ``3 r`` claim
     scratch instead of group-wide claim and frontier arrays.
     """
+    import numpy as np
+
     slots = _c(slots, np.int32)
     starts, lengths = _c(starts, np.int64), _c(lengths, np.int64)
     n, n_sets = slots.shape[1], lengths.size
@@ -561,6 +665,8 @@ def walk_set(lib, elements: np.ndarray, positions: np.ndarray, r: int, max_loop:
     :class:`~repro.core.builder.PlacementStats` fields in order.  With
     ``stop_on_failure`` the walk ends after the first element that fails.
     """
+    import numpy as np
+
     elements, positions = _c(elements, np.int64), _c(positions, np.int64)
     n = elements.size
     if positions.shape != (3, n) or n and (int(positions.min()) < 0
@@ -576,30 +682,35 @@ def walk_set(lib, elements: np.ndarray, positions: np.ndarray, r: int, max_loop:
 
 
 #: Return codes of the C ``encode_group``.
-_ENCODE_COPIES, _ENCODE_OVERFLOW = 1, 2
+_ENCODE_COPIES, _ENCODE_OVERFLOW, _ENCODE_SLOTS = 1, 2, 3
 
 
-def encode_group(lib, rows_flat: np.ndarray, slots: np.ndarray, payloads: np.ndarray,
-                 failed_mask: np.ndarray, *, payload_mask: int, indicator_shift: int,
-                 elements: np.ndarray | None = None) -> np.ndarray:
-    """The compiled 8-bit group encoder: uint8 entries shaped like ``rows_flat``.
+def encode_group(lib, rows_flat, slots, payloads, failed_mask, *, payload_mask: int,
+                 indicator_shift: int, elements=None) -> bytearray:
+    """The compiled 8-bit group encoder: one entry byte per cell of ``rows_flat``.
 
-    Inputs are those of :meth:`repro.core.bulk_build.GroupPlacement.encode`;
-    raises the same :class:`~repro.core.errors.LayoutError` for an element
-    stored in other than two tables (or a failed one in any) and for a
-    payload above ``payload_mask``.  ``elements`` names the offender.
+    Inputs are those of :meth:`repro.core.bulk_build.GroupPlacement.encode`,
+    as C-contiguous buffers (NumPy arrays or :mod:`array` objects): ``int32``
+    rows and ``(3, n)`` slots, ``(3, n)`` ``int64`` payloads and a one-byte
+    failed mask.  Raises the same :class:`~repro.core.errors.LayoutError`
+    for an element stored in other than two tables (or a failed one in any)
+    and for a payload above ``payload_mask``.  ``elements`` names the
+    offender.
     """
-    rows_flat, slots = _c(rows_flat, np.int32), _c(slots, np.int32)
-    payloads, failed_mask = _c(payloads, np.int64), _c(failed_mask, np.bool_)
-    n = failed_mask.size
-    if (slots.shape != (3, n) or payloads.shape != (3, n)
-            or n and (int(slots.min()) < 0 or int(slots.max()) >= rows_flat.size)):
+    n = _buffer_items(failed_mask)
+    if (memoryview(rows_flat).itemsize != 4 or memoryview(slots).itemsize != 4
+            or memoryview(payloads).itemsize != 8 or memoryview(failed_mask).itemsize != 1
+            or _buffer_items(slots) != 3 * n or _buffer_items(payloads) != 3 * n):
         raise ValueError("rows, slots, payloads and failed mask do not describe one group")
-    entries = np.zeros(rows_flat.size, dtype=np.uint8)
-    info = np.zeros(2, dtype=np.int64)
-    code = lib.encode_group(rows_flat.ctypes.data, slots.ctypes.data, payloads.ctypes.data,
-                            failed_mask.ctypes.data, n, payload_mask, indicator_shift,
-                            entries.ctypes.data, info.ctypes.data)
+    n_rows = _buffer_items(rows_flat)
+    entries = bytearray(n_rows)
+    info = array("q", [0, 0])
+    code = lib.encode_group(buffer_address(rows_flat), buffer_address(slots),
+                            buffer_address(payloads), buffer_address(failed_mask), n,
+                            payload_mask, indicator_shift, buffer_address(entries),
+                            buffer_address(info), n_rows)
+    if code == _ENCODE_SLOTS:
+        raise ValueError("rows, slots, payloads and failed mask do not describe one group")
     if code == _ENCODE_COPIES:
         index, copies = info.tolist()
         offender = index if elements is None else int(elements[index])

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
+from repro.core.append import MAX_ID_DIGITS, _line_error
 from repro.core.errors import DataFormatError
 from repro.datasets.transactions import TransactionDatabase, canonical_rows, row_offsets
 
@@ -48,9 +49,6 @@ __all__ = [
     "parse_fimi_lines",
     "parse_fimi_line",
 ]
-
-#: Longest accepted item id in decimal digits: every such id fits ``int64``.
-MAX_ID_DIGITS = 18
 
 _BLANK_BYTES = b" \t\r\x0b\x0c"
 
@@ -149,14 +147,6 @@ def _clear_comments(data: bytes, irregular: np.ndarray, digit: np.ndarray,
         digit[start:stop] = False
         i = int(np.searchsorted(irregular, stop))
     return len(data), None
-
-
-def _line_error(line: bytes, lineno: int, source: str) -> DataFormatError:
-    bad = [token for token in line.split() if not token.isdigit()]
-    if all(token[:1] == b"-" and token[1:].isdigit() for token in bad):
-        return DataFormatError(f"{source}: line {lineno}: negative item id")
-    text = line.decode("utf-8", "backslashreplace").strip()
-    return DataFormatError(f"{source}: line {lineno}: non-integer token in {text!r}")
 
 
 def _newline_blocks(source, block_bytes: int) -> Iterator[bytes]:

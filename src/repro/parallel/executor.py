@@ -23,10 +23,10 @@ not loaded (the NumPy fallback holds the GIL for much of its work).
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.core.batch import DEFAULT_BLOCK_WORDS, BatchPairCounter, TilePool
+from repro.core.plan import MAX_AUTO_WORKERS, resolve_worker_count
 from repro.utils.validation import require, require_positive
 
 __all__ = [
@@ -46,11 +46,6 @@ __all__ = [
 #: 0.54-0.97x at 1536 and 2048 sets.
 PARALLEL_MIN_SETS = 1536
 
-#: Auto-selected worker counts are capped here: the pair-count kernel is
-#: memory-bound, so (exactly as Figure 11 measures for the CPU SWAR loop)
-#: throughput saturates within a socket long before high core counts.
-MAX_AUTO_WORKERS = 8
-
 #: Upper bound on the auto-selected tile edge (rows per tile).  Tiles trade
 #: per-call overhead against load balance across the threads.
 DEFAULT_TILE_CAP = 128
@@ -65,19 +60,6 @@ def auto_tile_edge(n: int, workers: int) -> int:
     blocking than production uses.
     """
     return max(32, min(DEFAULT_TILE_CAP, -(-n // (2 * workers))))
-
-
-def resolve_worker_count(workers=None) -> int:
-    """Number of worker threads to use.
-
-    ``None`` auto-selects ``min(os.cpu_count(), MAX_AUTO_WORKERS)``; explicit
-    values are validated but honoured even beyond the core count (useful for
-    oversubscription experiments).
-    """
-    if workers is None:
-        return max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
-    require_positive(workers, "workers")
-    return int(workers)
 
 
 class ParallelPairCounter(BatchPairCounter):

@@ -3,12 +3,18 @@
 The compressed batmap layout packs four 8-bit entries into one 32-bit word
 (Section III-A of the paper), so the library needs fast, vectorised helpers
 for power-of-two arithmetic, population counts and byte<->word packing.
-All array functions are pure NumPy and operate on ``uint32``/``uint8``.
+All array functions are pure NumPy and operate on ``uint32``/``uint8``;
+NumPy loads when one of them first runs, so the integer helpers cost a
+NumPy-free command nothing.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "next_power_of_two",
@@ -51,10 +57,12 @@ def ilog2(n: int) -> int:
     return int(n).bit_length() - 1
 
 
-# Lookup table for per-byte popcounts; used to count matches in packed words.
-_POPCOUNT_TABLE = np.array(
-    [bin(i).count("1") for i in range(256)], dtype=np.uint8
-)
+@lru_cache(maxsize=None)
+def _popcount_table() -> np.ndarray:
+    """Lookup table for per-byte popcounts; used to count matches in packed words."""
+    import numpy as np
+
+    return np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def popcount32(x: int) -> int:
@@ -70,9 +78,11 @@ def popcount_array(words: np.ndarray) -> np.ndarray:
     Splits each word into its four bytes and sums table lookups; this is the
     standard NumPy idiom since there is no native popcount ufunc.
     """
+    import numpy as np
+
     words = np.asarray(words, dtype=np.uint32)
     b = words.view(np.uint8).reshape(words.shape + (4,))
-    return _POPCOUNT_TABLE[b].sum(axis=-1, dtype=np.uint32)
+    return _popcount_table()[b].sum(axis=-1, dtype=np.uint32)
 
 
 def pack_bytes_to_words(entries: np.ndarray) -> np.ndarray:
@@ -81,6 +91,8 @@ def pack_bytes_to_words(entries: np.ndarray) -> np.ndarray:
     Entry ``i`` of the byte array becomes byte ``i % 4`` of word ``i // 4``,
     matching the paper's "4 elements per 32-bit integer" packing.
     """
+    import numpy as np
+
     entries = np.ascontiguousarray(entries, dtype=np.uint8)
     if entries.size % 4 != 0:
         raise ValueError(
@@ -91,5 +103,7 @@ def pack_bytes_to_words(entries: np.ndarray) -> np.ndarray:
 
 def unpack_words_to_bytes(words: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pack_bytes_to_words`."""
+    import numpy as np
+
     words = np.ascontiguousarray(words, dtype="<u4")
     return words.view(np.uint8).copy()

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
 
-
-def sizeof_array(arr: np.ndarray) -> int:
+def sizeof_array(arr) -> int:
     """Return the payload size of a NumPy array in bytes (ignores object overhead)."""
     return int(arr.nbytes)
 

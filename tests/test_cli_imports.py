@@ -15,6 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.core.swar_kernel import kernel_status
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = ["asyncio", "repro.serve", "repro.baselines", "repro.matrix"]
 #: Modules ``repro mine`` must never load (prefix match covers subpackages);
@@ -60,7 +64,8 @@ NEVER_MINED = ["multiprocessing", "concurrent.futures.process", "numpy.ma",
 #: ``repro.parallel.sharded``.  A change here is a start-up cost: add a
 #: module only on purpose.
 MINE_MODULES = sorted("""
-repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
+repro repro._version repro.cli repro.core repro.core.append repro.core.batch
+repro.core.batmap
 repro.core.builder repro.core.bulk_build repro.core.collection repro.core.config
 repro.core.errors repro.core.hashing repro.core.integrity repro.core.intersection
 repro.core.manifest repro.core.plan repro.core.results repro.core.sharded
@@ -112,22 +117,19 @@ NEVER_DELETED = ["_hashlib", "numpy.ma", "numpy.random", "repro.core.batch",
 #: ``dataclasses`` (which imports ``inspect``).
 NEVER_DELETED_STDLIB = ["dataclasses", "inspect", "numpy", "repro.core.sharded"]
 
-#: ``repro ingest --append``: attach, the build path (and the planner it
-#: asks), commit.
+#: ``repro ingest --append`` with the compiled kernel: the sets file, the
+#: manifest and family, the build planner, the kernel, commit — no NumPy.
 INGEST_MODULES = sorted("""
-repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
-repro.core.builder repro.core.bulk_build repro.core.collection repro.core.config
-repro.core.errors repro.core.hashing repro.core.integrity repro.core.intersection
-repro.core.manifest repro.core.plan repro.core.results repro.core.sharded
-repro.core.swar repro.core.swar_kernel repro.datasets repro.datasets.fimi_io
-repro.datasets.streaming repro.datasets.transactions repro.parallel
-repro.parallel.executor repro.utils repro.utils.arrays repro.utils.bits
-repro.utils.faultpoints repro.utils.memory repro.utils.rng repro.utils.validation
+repro repro._version repro.cli repro.core repro.core.append repro.core.config
+repro.core.errors repro.core.integrity repro.core.manifest repro.core.plan
+repro.core.swar_kernel repro.utils repro.utils.bits repro.utils.faultpoints
+repro.utils.memory repro.utils.validation
 """.split())
 
 #: ``repro compact --full``: attach, the merge (and budget parsing), commit.
 COMPACT_MODULES = sorted("""
-repro repro._version repro.cli repro.core repro.core.compaction repro.core.config
+repro repro._version repro.cli repro.core repro.core.append repro.core.compaction
+repro.core.config
 repro.core.errors repro.core.hashing repro.core.integrity repro.core.manifest
 repro.core.sharded repro.utils repro.utils.bits repro.utils.faultpoints
 repro.utils.memory repro.utils.rng repro.utils.validation
@@ -147,11 +149,36 @@ def _spill(tmp_path) -> Path:
     return spill
 
 
+def test_ingest_loads_no_numpy_without_growth(tmp_path):
+    """``ingest --append`` onto eager and lazy spills, no universe growth."""
+    if kernel_status() != "native":
+        pytest.skip(f"compiled kernel unavailable: {kernel_status()}")
+    sets = tmp_path / "base.sets"
+    sets.write_text("".join(f"{i} {i + 3} {2 * i + 7}\n" for i in range(40)))
+    extra = tmp_path / "extra.sets"
+    extra.write_text("1 4 9\n2 8 11\n0 3 6 9 12\n")  # no lower r0, no growth
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for family in ("eager", "lazy"):
+        spill = tmp_path / family
+        subprocess.run([sys.executable, "-m", "repro.cli", "build-index", str(sets),
+                        str(spill), "--sets-file", "--family", family], env=env,
+                       check=True, capture_output=True, timeout=120)
+        code = ("import io, json, sys, repro.cli\n"
+                f"argv = ['ingest', {str(spill)!r}, {str(extra)!r}, '--append']\n"
+                "assert repro.cli.main(argv, out=io.StringIO()) == 0\n"
+                "print(json.dumps([sorted(m for m in sys.modules\n"
+                "                         if m == 'repro' or m.startswith('repro.')),\n"
+                "                  'numpy' in sys.modules]))")
+        modules, numpy_loaded = _run_fresh(code)
+        assert (modules, numpy_loaded) == (INGEST_MODULES, False), family
+
+
 def test_mutation_import_snapshots(tmp_path):
     """Pin what ``repro delete``, ``ingest --append`` and ``compact --full`` load."""
     spill = _spill(tmp_path)
     extra = tmp_path / "extra.sets"
-    extra.write_text("1 4 9\n2 8\n")
+    extra.write_text("1 4 9\n2 8 11\n")  # sizes that keep the spill's r0
     snapshot = (
         "import io, json, sys, repro.cli\n"
         "assert repro.cli.main(ARGV, out=io.StringIO()) == 0\n"
@@ -167,6 +194,8 @@ def test_mutation_import_snapshots(tmp_path):
         "ARGV", repr(["ingest", str(spill), str(extra), "--append"])))
     assert ingested == INGEST_MODULES
     assert "_hashlib" not in forbidden
+    if kernel_status() == "native":
+        assert "numpy" not in forbidden
     compacted, forbidden = _run_fresh(snapshot.replace(
         "ARGV", repr(["compact", str(spill), "--full"])))
     assert compacted == COMPACT_MODULES
@@ -176,7 +205,8 @@ def test_mutation_import_snapshots(tmp_path):
 #: Every ``repro`` module ``repro serve`` has loaded when it prints
 #: ``serving on``: attach, the query engine and the asyncio server.
 SERVE_MODULES = sorted("""
-repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
+repro repro._version repro.cli repro.core repro.core.append repro.core.batch
+repro.core.batmap
 repro.core.builder repro.core.config repro.core.errors repro.core.hashing
 repro.core.integrity repro.core.intersection repro.core.manifest repro.core.results
 repro.core.sharded repro.core.swar repro.core.swar_kernel repro.extensions

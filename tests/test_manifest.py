@@ -26,7 +26,7 @@ from repro.core import manifest
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.errors import SpillFormatError
 from repro.core.manifest import (
-    _npy_header,
+    npy_header,
     _tombstoned_with,
     delete_sets,
     read_manifest,
@@ -64,7 +64,7 @@ def test_header_matches_numpy_at_every_digit_count(digits):
         out = io.BytesIO()
         np.lib.format.write_array_header_1_0(
             out, {"descr": "<i8", "fortran_order": False, "shape": (n,)})
-        assert _npy_header(n) == out.getvalue()
+        assert npy_header("<i8", (n,)) == out.getvalue()
 
 
 @settings(max_examples=50, deadline=None)

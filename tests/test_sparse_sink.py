@@ -126,3 +126,40 @@ def test_add_entries_merge_equals_one_coalesce(seed):
     result.add_entries(add_rows, add_cols, add_values)
     for a, b in zip((result.rows, result.cols, result.values), expected):
         np.testing.assert_array_equal(a, b)
+
+
+def _extract_then_threshold(sink, rows, cols, block):
+    """The sink's extraction before tiles were thresholded first (reference)."""
+    r_local, c_local = np.nonzero(block)
+    values = block[r_local, c_local]
+    rows, cols = np.asarray(rows)[r_local], np.asarray(cols)[c_local]
+    keep = values >= sink.min_support
+    keep |= rows == cols
+    keep |= sink.repairable[rows]
+    keep |= sink.repairable[cols]
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    flip = rows > cols
+    return (np.where(flip, cols, rows), np.where(flip, rows, cols), values)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_thresholded_tile_extraction_matches_the_reference(seed):
+    """Random tiles with repairable rows/cols and a diagonal: same entries."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    repairable = rng.random(n) < 0.15
+    sink = SparseAccumulator(n, min_support=int(rng.integers(2, 6)),
+                             repairable=repairable)
+    for _ in range(6):
+        lo = int(rng.integers(0, n - 10))
+        rows = np.arange(lo, lo + int(rng.integers(1, 10)))
+        cols = np.sort(rng.choice(n, int(rng.integers(1, 12)), replace=False))
+        block = rng.integers(0, 8, size=(rows.size, cols.size)) * (
+            rng.random((rows.size, cols.size)) < 0.6)
+        before = len(sink._parts)
+        sink.add_block(rows, cols, block)
+        want = _extract_then_threshold(sink, rows, cols, block)
+        got = sink._parts[before] if len(sink._parts) > before else (
+            np.zeros(0, np.int64),) * 3
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
