@@ -38,15 +38,17 @@ the paper) now dominates.  This module rebuilds it as a **bulk engine**:
   layout of Figure 4 is produced group-wise, skipping the per-set
   re-stacking entirely.
 
-The rounds and the 8-bit encoding run as compiled C
-(:func:`repro.core.swar_kernel.place_sets` and
+The hashing, the rounds and the 8-bit encoding run as compiled C
+(:func:`repro.core.swar_kernel.hash_group`,
+:func:`~repro.core.swar_kernel.place_sets` and
 :func:`~repro.core.swar_kernel.encode_group`, in the library that also holds
 the SWAR counting loop).  The C round engine places one set at a time with
 a ``3 r`` claim scratch instead of group-wide claim and frontier arrays; its
 outputs are identical to :func:`_run_rounds`, because claims never cross
 sets and each set's walks keep their order in every next frontier.
-:func:`_run_rounds` and :meth:`GroupPlacement._numpy_encode` run only when
-the kernel cannot be loaded, and are the tests' reference.
+The NumPy hashing of :func:`bulk_place_group`, :func:`_run_rounds` and
+:meth:`GroupPlacement._numpy_encode` run only when the kernel cannot be
+loaded, and are the tests' reference.
 
 Because every slot array is per-set (claims from different sets can never
 collide), a set's placement depends only on its own elements — group
@@ -74,7 +76,7 @@ from repro.core.builder import EMPTY, Placement, PlacementStats, place_set
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import LayoutError
 from repro.core.hashing import HashFamily
-from repro.core.swar_kernel import encode_group, native_library, place_sets
+from repro.core.swar_kernel import encode_group, hash_group, native_library, place_sets
 from repro.utils.arrays import sorted_unique
 from repro.utils.validation import require, require_power_of_two
 
@@ -338,20 +340,25 @@ def bulk_place_group(
     require(n_sets * row_span < (1 << 31),
             "group slot table exceeds the int32 engine range; chunk the "
             "group (bulk_build_sets does this automatically)")
-    # One permutation gather per table serves both the slot positions and
-    # (later) the encoded payloads — they are two bit-fields of pi_t(x).
-    # Both are derived in place, so no (3, n) int64 temporary is made.
-    payloads = np.empty((3, flat.size), dtype=np.int64)
-    for t in range(3):
-        payloads[t] = family.permuted(t, flat)
-    slots = np.empty(payloads.shape, dtype=np.int32)
-    np.bitwise_and(payloads, r - 1, out=slots, casting="unsafe")
-    slots += (set_of * row_span).astype(np.int32)
-    slots += (np.arange(3, dtype=np.int32) * r)[:, None]
-    payloads >>= family.shift
-    payloads += 1
-    max_moves = min(3 * config.effective_max_loop(r), BULK_MOVE_BUDGET)
     lib = native_library()
+    hashed = None if lib is None else hash_group(lib, flat, lengths, r, family)
+    if hashed is not None:
+        slots, payloads = hashed
+    else:
+        # One permutation gather per table serves both the slot positions
+        # and (later) the encoded payloads — they are two bit-fields of
+        # pi_t(x).  Both are derived in place, so no (3, n) int64 temporary
+        # is made.
+        payloads = np.empty((3, flat.size), dtype=np.int64)
+        for t in range(3):
+            payloads[t] = family.permuted(t, flat)
+        slots = np.empty(payloads.shape, dtype=np.int32)
+        np.bitwise_and(payloads, r - 1, out=slots, casting="unsafe")
+        slots += (set_of * row_span).astype(np.int32)
+        slots += (np.arange(3, dtype=np.int32) * r)[:, None]
+        payloads >>= family.shift
+        payloads += 1
+    max_moves = min(3 * config.effective_max_loop(r), BULK_MOVE_BUDGET)
     if lib is not None:
         placed = place_sets(lib, slots, starts, lengths, r, max_moves)
     else:

@@ -236,7 +236,6 @@ class BatmapCollection:
             bulk_build_chunks,
             device_word_layout,
             pack_group_words,
-            sets_from_chunks,
         )
 
         sorted_sets = [dedup[k] for k in order.tolist()]
@@ -257,15 +256,16 @@ class BatmapCollection:
         with threads as pool:
             chunks = bulk_build_chunks(sorted_sets, sorted_rs, family, config,
                                        slot_budget=slot_budget, pool=pool)
-        built = sets_from_chunks(chunks, len(sorted_sets))
         pack_jobs = [(chunk.indices, chunk.entries) for chunk in chunks]
 
-        batmaps = [
-            Batmap(family=family, config=config, r=b.r, entries=b.entries,
-                   set_size=int(sorted_sets[k].size), failed=b.failed,
-                   stats=b.stats)
-            for k, b in enumerate(built)
-        ]
+        # one Batmap per set straight from its chunk (entries stay views)
+        batmaps: list = [None] * len(sorted_sets)
+        for chunk in chunks:
+            for entries, k, failed, stats in zip(chunk.entries, chunk.indices,
+                                                 chunk.failed, chunk.stats):
+                batmaps[k] = Batmap(family=family, config=config, r=chunk.r,
+                                    entries=entries, set_size=int(sorted_sets[k].size),
+                                    failed=tuple(failed), stats=stats)
         collection = cls(family, config, batmaps,
                          np.asarray(order, dtype=np.int64), universe_size)
         collection.build_plan = plan

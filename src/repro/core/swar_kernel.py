@@ -25,17 +25,17 @@ name and ``os.replace``'d into place, so concurrent processes and pool
 workers are safe, and it is never loaded from a directory, or as a file,
 that other users can write.
 
-The same library holds the three loops of cuckoo construction: the bulk
-round engine (:func:`place_sets`), the serial INSERT walk
-(:func:`walk_set`) and the 8-bit group encoder (:func:`encode_group`).
+The same library holds the loops of cuckoo construction: the group hash
+(:func:`hash_group`, the table lookup or Feistel cycle walk to slots and
+payloads), the bulk round engine (:func:`place_sets`), the serial INSERT
+walk (:func:`walk_set`) and the 8-bit group encoder (:func:`encode_group`).
 :mod:`repro.core.bulk_build` and :mod:`repro.core.builder` call them with
 :func:`native_library`.
 
 The standard-library append (:mod:`repro.core.append`) drives the same
-library with :mod:`array` buffers: :func:`encode_group`, plus the C
-``hash_group`` (the table lookup or Feistel cycle walk to slots and
-payloads), ``walk_slots`` (the serial walk over group slots) and
-``interleave_rows`` (the Figure-4 row interleave).  Loading the library,
+library with :mod:`array` buffers: the C ``hash_group`` and
+:func:`encode_group`, plus ``walk_slots`` (the serial walk over group
+slots) and ``interleave_rows`` (the Figure-4 row interleave).  Loading the library,
 its self-check and :func:`kernel_status` import no NumPy; the NumPy
 wrappers below import it when they run.
 
@@ -74,6 +74,7 @@ __all__ = [
     "place_sets",
     "walk_set",
     "encode_group",
+    "hash_group",
     "buffer_address",
 ]
 
@@ -679,6 +680,50 @@ def walk_set(lib, elements: np.ndarray, positions: np.ndarray, r: int, max_loop:
                             int(stop_on_failure), rows.ctypes.data, failed.ctypes.data,
                             stats.ctypes.data)
     return rows, failed[:n_failed].tolist(), stats.tolist()
+
+
+def hash_group(lib, elements: np.ndarray, lengths: np.ndarray, r: int, family):
+    """The compiled slot and payload derivation of a group: ``(slots, payloads)``.
+
+    ``elements`` are the concatenated sets of a group at range ``r`` (set
+    ``s`` holds ``lengths[s]`` of them); the ``(3, n)`` int32 slots and
+    int64 payloads are those :func:`repro.core.bulk_build.bulk_place_group`
+    derives with NumPy.  ``None`` when a permutation of ``family`` is
+    neither a lookup table nor a Feistel network with the others' round
+    count: the caller hashes with NumPy then.
+    """
+    import numpy as np
+
+    from repro.core.hashing import ArrayPermutation, FeistelPermutation
+
+    tables, keys, half_bits = [], [], np.zeros(3, dtype=np.int64)
+    for t, perm in enumerate(family.permutations):
+        if type(perm) is ArrayPermutation:
+            tables.append(_c(perm.table, np.int64))
+        elif type(perm) is FeistelPermutation:
+            tables.append(None)
+            keys.append(perm.keys)
+            half_bits[t] = perm.half_bits
+        else:
+            return None
+    rounds = {len(k) for k in keys}
+    if len(rounds) > 1:
+        return None
+    n_keys = rounds.pop() if rounds else 0
+    flat_keys = np.zeros(max(1, 3 * n_keys), dtype=np.int64)
+    for t, k in zip([t for t in range(3) if tables[t] is None], keys):
+        flat_keys[t * n_keys:(t + 1) * n_keys] = k
+    elements, lengths = _c(elements, np.int64), _c(lengths, np.int64)
+    n = elements.size
+    slots = np.empty((3, n), dtype=np.int32)
+    payloads = np.empty((3, n), dtype=np.int64)
+    if lib.hash_group(elements.ctypes.data, n, lengths.ctypes.data, lengths.size, r,
+                      family.shift, *[None if t is None else t.ctypes.data for t in tables],
+                      flat_keys.ctypes.data, n_keys, half_bits.ctypes.data,
+                      family.permutations[0].domain_size,
+                      slots.ctypes.data, payloads.ctypes.data) < 0:
+        raise ValueError("element id out of range for the hash family's universe")
+    return slots, payloads
 
 
 #: Return codes of the C ``encode_group``.

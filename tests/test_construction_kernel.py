@@ -26,7 +26,7 @@ from repro.core.bulk_build import (
 )
 from repro.core.config import BatmapConfig
 from repro.core.errors import InsertionFailure, LayoutError
-from repro.core.hashing import HashFamily
+from repro.core.hashing import ExtensibleHashFamily, HashFamily
 
 native_only = pytest.mark.skipif(
     swar_kernel.kernel_status() != "native",
@@ -99,6 +99,52 @@ def test_place_sets_rejects_slots_outside_their_set():
 def _random_sets(rng, n_sets, universe, max_size):
     return [np.unique(rng.choice(universe, size=int(rng.integers(0, max_size + 1)),
                                  replace=False)) for _ in range(n_sets)]
+
+
+@native_only
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), r_exp=st.integers(0, 9),
+       kind=st.sampled_from(["array", "feistel", "extensible"]))
+def test_hash_group_matches_numpy_hashing(seed, r_exp, kind):
+    """Slots and payloads of a group: C hashing == the NumPy derivation."""
+    rng = np.random.default_rng(seed)
+    universe = 3000
+    shift = BatmapConfig().shift_for_universe(universe)
+    if kind == "extensible":
+        family = ExtensibleHashFamily.create(universe, capacity=4096, shift=shift, rng=seed)
+    else:
+        family = HashFamily.create(universe, shift=shift, rng=seed, force_permutation=kind)
+    sets = _random_sets(rng, 5, universe, 40)
+    r = 1 << r_exp
+    native = bulk_place_group(sets, family, r)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_numpy(mp)
+        fallback = bulk_place_group(sets, family, r)
+    for name in ("slots", "payloads"):
+        got, want = getattr(native, name), getattr(fallback, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@native_only
+def test_hash_group_declines_other_permutations_and_checks_the_domain():
+    family = HashFamily.create(64, rng=3)
+    lib = swar_kernel.native_library()
+    elements, lengths = np.array([1, 5, 63]), np.array([3])
+    slots, payloads = swar_kernel.hash_group(lib, elements, lengths, 8, family)
+    assert np.array_equal(payloads, np.stack([family.payloads(t, elements)
+                                              for t in range(3)]))
+    with pytest.raises(ValueError, match="out of range"):
+        swar_kernel.hash_group(lib, np.array([64]), np.array([1]), 8, family)
+
+    class Shifted:  # a Permutation the kernel has no loop for
+        domain_size = 64
+
+        def apply(self, x):
+            return (np.asarray(x) + 1) % 64
+
+    custom = HashFamily(universe_size=64, shift=0,
+                        permutations=(Shifted(),) + family.permutations[1:])
+    assert swar_kernel.hash_group(lib, elements, lengths, 8, custom) is None
 
 
 @settings(max_examples=25, deadline=None)
