@@ -106,7 +106,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.errors import DataFormatError, DatasetError
+from repro.core.errors import DatasetError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -780,29 +780,14 @@ def _cmd_intersect(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _read_sets_file(path: Path) -> list:
-    """Read a raw sets file: one whitespace-separated integer set per line.
-
-    The FIMI grammar: blank lines and ``#`` comments are skipped, so the
-    order of the remaining lines defines the dense set index space — the
-    same format ``repro ingest`` appends from.
-    """
-    from repro.datasets.fimi_io import read_fimi_arrays
-    from repro.datasets.transactions import split_rows
-
-    indptr, indices = read_fimi_arrays(path, name=str(path))
-    if indptr.size == 1:
-        raise DataFormatError(f"{path}: no sets found in input")
-    return split_rows(indptr, indices)
-
-
 def _build_index_sets_file(args: argparse.Namespace, budget: int, out) -> int:
     """The ``build-index --sets-file`` arm: raw sets, no FIMI preprocessing."""
     import numpy as np
 
     from repro.core.sharded import ShardedCollection
+    from repro.datasets.fimi_io import read_sets_arrays
 
-    sets = _read_sets_file(args.input)
+    sets = read_sets_arrays(args.input)
     universe = args.universe or int(max(int(s.max()) for s in sets)) + 1
     start = time.perf_counter()
     collection = ShardedCollection.build(
@@ -897,7 +882,8 @@ def _cmd_ingest(args: argparse.Namespace, out) -> int:
     (:func:`repro.core.append.append_sets`); NumPy loads only on the paths
     that need it (no kernel, universe growth, a lower ``r0``).
     """
-    from repro.core.append import append_sets, read_sets_file
+    from repro.core.append import append_sets
+    from repro.datasets.fimi_grammar import read_sets_file
     from repro.utils.memory import parse_memory_size
 
     try:

@@ -1,49 +1,48 @@
 """Delta-shard append on the standard library and the compiled kernel.
 
-``repro ingest --append`` builds a few delta shards — Section III's
-construction: three permutations, 2-of-3 cuckoo placement into one-byte
-entries, then the Figure-4 interleave — and commits one manifest.  Every
-per-element loop of that runs in the compiled kernel
-(:mod:`repro.core.swar_kernel`), so this module drives it with
-:mod:`array` buffers and loads no NumPy:
+``repro ingest --append`` and :meth:`repro.core.sharded.ShardedCollection.append`
+build a few delta shards — Section III's construction: three permutations,
+2-of-3 cuckoo placement into one-byte entries, then the Figure-4
+interleave — and commit one manifest.  Every per-element loop of that runs
+in the compiled kernel (:mod:`repro.core.swar_kernel`), so
+:func:`append_sets` drives it with :mod:`array` buffers and loads no NumPy:
 
-* :func:`read_sets_file` — the FIMI grammar of
-  :mod:`repro.datasets.fimi_io`, line by line, with the same error lines;
 * the hash family comes from its ``.npz`` (tables or Feistel keys) through
   :mod:`zipfile` and the ``.npy`` header;
 * each shard's engine is chosen as
   :meth:`~repro.core.collection.BatmapCollection.build` chooses it
-  (:func:`shard_build_compute`, then :func:`~repro.core.plan.plan_build`),
-  ``--memory-budget`` splits through :func:`plan_shard_ranges`;
+  (:func:`~repro.core.plan.shard_build_compute`, then
+  :func:`~repro.core.plan.plan_build`), and ``--memory-budget`` splits
+  through :func:`~repro.core.plan.plan_shard_ranges`;
 * the C ``hash_group`` gives slots and payloads, ``place_sets`` or the
   serial ``walk_slots`` places (the serial walk re-places every set the
   round engine failed, as :func:`~repro.core.bulk_build.bulk_place_group`
   does), :func:`~repro.core.swar_kernel.encode_group` encodes and
-  ``interleave_rows`` packs the rows at the spill's ``r0``;
+  ``interleave_rows`` packs the rows at the spill's ``r0`` — on the
+  plan's worker threads when it names ``parallel`` (the C calls release
+  the GIL);
 * the five shard files are written as ``np.save`` writes them, and the
   commit goes through :meth:`~repro.core.manifest.SpillManifest.next_document`
   and :class:`~repro.core.integrity.AtomicCommit` under the writer lock.
 
 Files and manifests are byte-identical to the NumPy builder's
-(:meth:`~repro.core.sharded.ShardedCollection.append`), which still runs —
-and loads NumPy — where it is the code that does the work: without a
-compiled kernel, when the appended sets grow a lazy family's universe
-(the family file is rewritten), and when they lower the spill's ``r0``
-(every existing shard is re-interleaved).
-
-The shard-sizing rules every spill builder shares also live here, free of
-NumPy: :func:`working_budget`, :func:`plan_shard_ranges` and
-:func:`shard_build_compute`.
+(:meth:`~repro.core.sharded.ShardedCollectionBuilder.append`), which runs
+instead — and loads NumPy — where it is the code that does the work:
+without a compiled kernel, when the appended sets grow a lazy family's
+universe (the family file is rewritten), and when they lower the spill's
+``r0`` (every existing shard is re-interleaved).  The sets file is read by
+:func:`repro.datasets.fimi_grammar.read_sets_file`.
 """
 
 from __future__ import annotations
 
 import zipfile
 from array import array
+from math import prod
 from pathlib import Path
 
 from repro.core.config import DEFAULT_CONFIG, BatmapConfig
-from repro.core.errors import DataFormatError, SpillFormatError
+from repro.core.errors import LayoutError, SpillFormatError
 from repro.core.manifest import (
     _NPY_HEADER_RE,
     _NPY_MAGIC,
@@ -55,195 +54,18 @@ from repro.core.manifest import (
     read_manifest,
     require_manifest,
 )
-from repro.utils.validation import require_positive
+from repro.core.plan import (
+    BULK_MOVE_BUDGET,
+    GROUP_SLOT_BUDGET,
+    padded_row_bytes,
+    plan_build,
+    plan_shard_ranges,
+    shard_build_compute,
+    working_budget,
+)
+from repro.utils.validation import require
 
-__all__ = [
-    "SHARD_BUDGET_DIVISOR",
-    "MIN_WORKING_BUDGET",
-    "GROUP_SLOT_BUDGET",
-    "BULK_MOVE_BUDGET",
-    "fixed_resident_bytes",
-    "working_budget",
-    "plan_shard_ranges",
-    "padded_row_bytes",
-    "shard_build_compute",
-    "read_sets_file",
-    "append_sets",
-]
-
-#: Fraction of the working budget one spilled shard may occupy.  The
-#: counting phase attaches two shards plus SWAR temporaries, and the build
-#: phase holds a shard's tidlists, entry stacks and cuckoo slot tables at
-#: once (several multiples of the packed bytes) — a tenth of the budget per
-#: shard keeps every phase's simultaneous working sets under the ceiling.
-SHARD_BUDGET_DIVISOR = 10
-
-#: Smallest working budget (after fixed residents) the pipeline accepts;
-#: below this not even a singleton shard's build tables fit.
-MIN_WORKING_BUDGET = 4096
-
-#: Upper bound on the slot-table size (``n_sets * 3 * r``) one bulk round
-#: operates over.  Width groups larger than this are processed in chunks of
-#: sets — placements are per-set independent, so chunking cannot change any
-#: result; it only bounds the working set.  4M slots keep the two int32
-#: per-slot arrays (occupancy + claims) at ~32 MB.
-GROUP_SLOT_BUDGET = 1 << 22
-
-#: Per-walk move budget of the round engine (see
-#: :mod:`repro.core.bulk_build`): walks past it fail their set over to the
-#: serial walk, so it decides which sets the oracle places.
-BULK_MOVE_BUDGET = 48
-
-#: Longest accepted item id in decimal digits: every such id fits ``int64``
-#: (the FIMI grammar; :mod:`repro.datasets.fimi_io` reads it from here).
-MAX_ID_DIGITS = 18
-
-
-# --------------------------------------------------------------------------- #
-# Shard sizing (every spill builder)
-# --------------------------------------------------------------------------- #
-def fixed_resident_bytes(universe_size: int, n_sets: int,
-                         *, lazy_family: bool = False,
-                         result_format: str = "dense") -> int:
-    """Resident bytes no amount of sharding can remove.
-
-    The eager hash family stores three permutations with their inverses
-    (six ``int64`` arrays over the universe), and — in the legacy dense
-    result format — the all-pairs result is a resident ``int64`` ``n x n``
-    matrix.  An extensible (lazy) family derives per-item parameters on
-    demand, so its O(universe) term vanishes; a ``"sparse"``
-    :class:`~repro.core.results.CountResult` keeps only the surviving
-    nonzeros resident, so its O(n^2) term vanishes too — which is what lets
-    a workload whose dense matrix alone exceeds the budget run end to end.
-    """
-    family_bytes = 0 if lazy_family else 48 * universe_size
-    result_bytes = 8 * n_sets * n_sets if result_format == "dense" else 0
-    return family_bytes + result_bytes
-
-
-def working_budget(memory_budget: int, universe_size: int, n_sets: int,
-                   *, lazy_family: bool = False,
-                   result_format: str = "dense") -> int:
-    """Budget left for shardable state after the fixed residents.
-
-    Raises ``ValueError`` with the full accounting when the fixed residents
-    leave less than :data:`MIN_WORKING_BUDGET` — a budget that cannot hold
-    the hash family and the result matrix cannot hold any pipeline.
-    ``result_format="sparse"`` drops the dense-matrix term from the fixed
-    residents (see :func:`fixed_resident_bytes`).
-    """
-    require_positive(memory_budget, "memory_budget")
-    fixed = fixed_resident_bytes(universe_size, n_sets, lazy_family=lazy_family,
-                                 result_format=result_format)
-    available = memory_budget - fixed
-    if available < MIN_WORKING_BUDGET:
-        raise ValueError(
-            f"memory budget ({memory_budget} B) is too small: the hash family "
-            f"over {universe_size} transactions and the {n_sets}x{n_sets} "
-            f"result matrix are irreducibly resident ({fixed} B), leaving "
-            f"less than {MIN_WORKING_BUDGET} B for shards"
-        )
-    return available
-
-
-def padded_row_bytes(r: int) -> int:
-    """Packed device bytes of one row of range ``r``, padded to 16 words."""
-    return ((3 * r // 4 + 15) // 16) * 16 * 4
-
-
-def plan_shard_ranges(
-    packed_bytes,
-    memory_budget: int,
-    *,
-    max_sets_per_shard: int | None = None,
-) -> list:
-    """Partition sets (in order) into contiguous shards under the budget.
-
-    ``packed_bytes[k]`` is set ``k``'s padded device size (from
-    :func:`~repro.core.sharded.set_packed_bytes`).  Each shard's total stays
-    at or below ``memory_budget // SHARD_BUDGET_DIVISOR`` — except that a
-    single set larger than the shard budget still gets a (singleton) shard:
-    sharding cannot split one batmap, it can only bound how many are
-    resident.  Returns ``[(lo, hi), ...]`` covering ``[0, n)``.
-    """
-    require_positive(memory_budget, "memory_budget")
-    shard_budget = max(1, memory_budget // SHARD_BUDGET_DIVISOR)
-    ranges: list[tuple[int, int]] = []
-    lo = 0
-    running = 0
-    n = 0
-    for k, nbytes in enumerate(packed_bytes):
-        nbytes = int(nbytes)
-        full = max_sets_per_shard is not None and (k - lo) >= max_sets_per_shard
-        if k > lo and (running + nbytes > shard_budget or full):
-            ranges.append((lo, k))
-            lo, running = k, 0
-        running += nbytes
-        n = k + 1
-    if n:
-        ranges.append((lo, n))
-    return ranges
-
-
-def shard_build_compute(largest: int, range_universe: int, config: BatmapConfig,
-                        memory_budget: int | None, build_compute: str) -> str:
-    """Per-shard engine choice under the working budget.
-
-    The bulk engine's floor is one set's group arrays (about six 8-byte
-    per-slot arrays over ``3 * r`` slots); when even that floor would eat
-    more than half the working budget, the shard builds with the serial
-    inserter instead — identical output, a fraction of the working set.
-    ``largest`` is the size of the shard's largest set.
-    """
-    if memory_budget is None or build_compute != "auto":
-        return build_compute
-    r_max = max(4, config.range_for_size(int(largest), range_universe))
-    if 144 * r_max > memory_budget // 2:
-        return "host"
-    return build_compute
-
-
-# --------------------------------------------------------------------------- #
-# The sets file
-# --------------------------------------------------------------------------- #
-def _line_error(line: bytes, lineno: int, source: str) -> DataFormatError:
-    """The error of a malformed FIMI line (both readers raise it)."""
-    bad = [token for token in line.split() if not token.isdigit()]
-    if all(token[:1] == b"-" and token[1:].isdigit() for token in bad):
-        return DataFormatError(f"{source}: line {lineno}: negative item id")
-    text = line.decode("utf-8", "backslashreplace").strip()
-    return DataFormatError(f"{source}: line {lineno}: non-integer token in {text!r}")
-
-
-def read_sets_file(path) -> list:
-    """A raw sets file as sorted duplicate-free ``array('q')`` sets.
-
-    The FIMI grammar of :func:`repro.datasets.fimi_io.parse_fimi_block`:
-    ids are runs of at most :data:`MAX_ID_DIGITS` ASCII digits separated by
-    spaces, tabs, CR, VT or FF; blank lines and ``#`` comments are skipped.
-    The first malformed line raises the
-    :class:`~repro.core.errors.DataFormatError` that parser raises.
-    """
-    data = Path(path).read_bytes()
-    source = str(path)
-    sets = []
-    for lineno, line in enumerate(data.split(b"\n"), 1):
-        tokens = line.split()
-        if not tokens or tokens[0][:1] == b"#":
-            continue
-        for token in tokens:
-            if not token.isdigit():
-                raise _line_error(line, lineno, source)
-        for token in tokens:
-            if len(token) > MAX_ID_DIGITS:
-                raise DataFormatError(
-                    f"{source}: line {lineno}: item id {token.decode()} has "
-                    f"more than {MAX_ID_DIGITS} digits")
-        sets.append(array("q", sorted(set(map(int, tokens)))))
-    if not sets:
-        raise DataFormatError(f"{path}: no sets found in input")
-    return sets
-
+__all__ = ["append_sets"]
 
 # --------------------------------------------------------------------------- #
 # .npy files
@@ -377,20 +199,20 @@ class _Shard:
         for s in sets:
             flat.extend(s)
         n, n_sets, span = len(flat), len(sets), 3 * r
-        slots, payloads = array("i", bytes(12 * n)), array("q", bytes(24 * n))
+        slots, payloads = _zeros("i", 3 * n), _zeros("q", 3 * n)
         tables = [at(t) if t is not None else None for t in family.tables]
         if lib.hash_group(at(flat), n, at(lengths), n_sets, r, family.shift, *tables,
                           at(family.flat_keys), family.n_keys, at(family.half_bits),
                           family.capacity, at(slots), at(payloads)) < 0:
             raise ValueError("element id out of range for the hash family's universe")
-        rows, failed = array("i", bytes(4 * n_sets * span)), bytearray(n)
-        starts = array("q", [0] * n_sets)
+        rows, failed = _zeros("i", n_sets * span), bytearray(n)
+        starts = _zeros("q", n_sets)
         for k in range(1, n_sets):
             starts[k] = starts[k - 1] + lengths[k - 1]
         max_loop = config.effective_max_loop(r)
         retry = range(n_sets)
         if not serial:
-            moves, transcript = array("q", bytes(8 * n_sets)), array("q", bytes(8 * n_sets))
+            moves, transcript = _zeros("q", n_sets), _zeros("q", n_sets)
             rounds = lib.place_sets(at(slots), n, at(starts), at(lengths), n_sets, r,
                                     min(3 * max_loop, BULK_MOVE_BUDGET), at(rows),
                                     at(failed), at(moves), at(transcript))
@@ -400,7 +222,7 @@ class _Shard:
                 raise ValueError("a slot lies outside its set's region of the group")
             # every set the round engine failed is re-placed by the serial walk
             retry = sorted({_owner(starts, i) for i in _ones(failed)})
-        walked = array("q", bytes(16 * max(lengths, default=0)))
+        walked = _zeros("q", 2 * max(lengths, default=0))
         base = at(rows)
         for s in retry:
             start, length = starts[s], lengths[s]
@@ -434,6 +256,11 @@ class _Shard:
         return digests
 
 
+def _zeros(typecode: str, n: int) -> array:
+    """``n`` zeros of ``typecode`` (repeating one item beats copying a ``bytes``)."""
+    return array(typecode, [0]) * n
+
+
 def _ones(flags: bytearray):
     """Positions of the non-zero bytes of ``flags``, ascending."""
     i = flags.find(1)
@@ -450,22 +277,21 @@ def _owner(starts: array, i: int) -> int:
 
 
 def _build_shard(lib, sets: list, family: _Family, config: BatmapConfig, r0: int,
-                 memory_budget: int | None) -> tuple:
+                 memory_budget: int | None, build_compute: str,
+                 build_workers: int | None) -> tuple:
     """One delta shard as :meth:`BatmapCollection.build` would pack it at ``r0``.
 
     Returns ``(shard, order, build backend)``.
     """
-    from repro.core import plan
-
     sizes = [len(s) for s in sets]
     range_universe = family.capacity
     requested = shard_build_compute(max(sizes), range_universe, config,
-                                    memory_budget, "auto")
+                                    memory_budget, build_compute)
     range_of = {size: max(4, config.range_for_size(size, range_universe))
                 for size in set(sizes)}
     rs = [range_of[size] for size in sizes]
     order = sorted(range(len(sets)), key=sizes.__getitem__)
-    build = plan.plan_build(len(sets), sum(sizes), requested=requested)
+    build = plan_build(len(sets), sum(sizes), requested=requested, workers=build_workers)
     sorted_rs = [rs[k] for k in order]
     shard = _Shard(sorted_rs, r0, len(sets))
     if build.backend == "host":
@@ -474,6 +300,9 @@ def _build_shard(lib, sets: list, family: _Family, config: BatmapConfig, r0: int
         return shard, order, build.backend
     slot_budget = (GROUP_SLOT_BUDGET if memory_budget is None
                    else max(1, memory_budget // 192))
+    if build.backend == "parallel":  # ~2 chunks per thread, as the builder cuts them
+        slot_budget = min(slot_budget, -(-3 * sum(sorted_rs) // (2 * build.workers)))
+    jobs = []
     lo = 0
     while lo < len(order):  # one width group: consecutive slots of one range
         r = sorted_rs[lo]
@@ -483,10 +312,46 @@ def _build_shard(lib, sets: list, family: _Family, config: BatmapConfig, r0: int
         per_chunk = max(1, slot_budget // (3 * r))
         for start in range(lo, hi, per_chunk):
             chunk = order[start:min(start + per_chunk, hi)]
-            shard.place(lib, [sets[k] for k in chunk], chunk, start, r, family,
-                        config, serial=False)
+            jobs.append(([sets[k] for k in chunk], chunk, start, r))
         lo = hi
+
+    def place(job):
+        shard.place(lib, *job, family, config, serial=False)
+
+    if build.backend == "parallel":
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(build.workers) as pool:
+            list(pool.map(place, jobs))
+    else:
+        for job in jobs:
+            place(job)
     return shard, order, build.backend
+
+
+def _check_shards(spill: SpillManifest) -> None:
+    """Refuse what attaching the spill refuses: a shard whose ``order.npy``
+    or ``failed.npy`` is missing or unreadable, or whose order does not hold
+    one entry per set (:meth:`repro.core.sharded.ShardedCollection.from_spill`).
+    """
+    for k, entry in enumerate(spill.shards):
+        directory = spill.spill_dir / entry["dir"]
+        for name in ("order.npy", "failed.npy"):
+            path = directory / name
+            try:
+                descr, shape, data = _read_npy(path.read_bytes(), str(path))
+                items = prod(shape)
+                if descr != "<i8" or len(data) != 8 * items:
+                    raise SpillFormatError(f"{path} is unreadable: not {items} int64 values")
+            except (OSError, SpillFormatError) as exc:
+                raise SpillFormatError(
+                    f"shard {k}: cannot load {path} ({type(exc).__name__}: {exc}) — "
+                    "the artifact is damaged or incomplete; run 'repro verify'") from exc
+            if name == "order.npy" and shape != (entry["hi"] - entry["lo"],):
+                raise SpillFormatError(
+                    f"{path} holds {shape} entries for a shard of "
+                    f"{entry['hi'] - entry['lo']} sets — the artifact is damaged; "
+                    "run 'repro verify'")
 
 
 # --------------------------------------------------------------------------- #
@@ -494,26 +359,34 @@ def _build_shard(lib, sets: list, family: _Family, config: BatmapConfig, r0: int
 # --------------------------------------------------------------------------- #
 def append_sets(spill_dir, sets: list, *, universe_size: int | None = None,
                 memory_budget: int | None = None,
-                config: BatmapConfig | None = None) -> tuple:
+                config: BatmapConfig | None = None, build_compute: str = "auto",
+                build_workers: int | None = None,
+                generation: int | None = None) -> tuple:
     """Append ``sets`` to a spill as delta shards in one atomic commit.
 
     ``sets`` are sorted duplicate-free integer sequences (what
-    :func:`read_sets_file` returns).  Bytes, manifest, errors and fault
-    points are those of :meth:`repro.core.sharded.ShardedCollection.append`
-    with the same ``config`` (default: the spill's recorded ``payload_bits``
-    over default construction knobs), which runs instead when this path
-    cannot (see the module docstring).  Returns ``(manifest, live sets before)``: the
-    committed :class:`~repro.core.manifest.SpillManifest` and the live set
-    count it was appended to.
+    :func:`~repro.datasets.fimi_grammar.read_sets_file` returns).  Bytes,
+    manifest, errors and fault points are those of
+    :meth:`repro.core.sharded.ShardedCollectionBuilder.append` with the same
+    ``config`` (default: the spill's recorded ``payload_bits`` over default
+    construction knobs), ``build_compute`` and ``build_workers``; that
+    builder runs instead when this path cannot (see the module docstring).
+    With ``generation``, a commit by another writer since that generation
+    raises :class:`~repro.core.errors.SpillConflictError`.  Returns
+    ``(manifest, live sets before)``: the committed
+    :class:`~repro.core.manifest.SpillManifest` and the live set count it
+    was appended to.
     """
     from repro.core.integrity import AtomicCommit, sweep_stale_staging, writer_lock
     from repro.core.swar_kernel import native_library
     from repro.utils.faultpoints import faultpoint
 
+    require(len(sets) > 0, "cannot append zero sets")
     spill_dir = require_manifest(spill_dir)
-    with writer_lock(spill_dir):
+    with writer_lock(spill_dir, generation):
         sweep_stale_staging(spill_dir)
         spill = read_manifest(spill_dir)
+        _check_shards(spill)
         before = spill.n_sets - len(spill.read_tombstones())
         family = _load_family(spill)
         if config is None:
@@ -522,6 +395,11 @@ def append_sets(spill_dir, sets: list, *, universe_size: int | None = None,
         if memory_budget is not None:
             budget = working_budget(memory_budget, spill.universe_size, spill.n_sets,
                                     lazy_family=family.lazy)
+        if config.entry_storage_bits != 8:
+            raise LayoutError(
+                "the sharded pipeline spills byte-packed device buffers; "
+                f"payload_bits={config.payload_bits} stores "
+                f"{config.entry_dtype} entries — use the in-memory path")
         needed = max((s[-1] + 1 for s in sets if len(s)), default=0)
         target = max(spill.universe_size, needed, universe_size or 0)
         if target > spill.universe_size and not family.lazy:
@@ -535,12 +413,13 @@ def append_sets(spill_dir, sets: list, *, universe_size: int | None = None,
         r_new = max(4, config.range_for_size(smallest, family.capacity))
         lib = native_library()
         if lib is None or target > spill.universe_size or r_new < spill.r0:
-            from repro.core.sharded import ShardedCollection
+            from repro.core.sharded import ShardedCollection, ShardedCollectionBuilder
 
-            collection = ShardedCollection.from_spill(spill_dir)
-            collection.append(sets, universe_size=universe_size,
-                              memory_budget=memory_budget, config=config)
-            return collection.manifest, before
+            builder = ShardedCollectionBuilder.for_append(
+                ShardedCollection.from_spill(spill_dir), config=config,
+                build_compute=build_compute, build_workers=build_workers,
+                memory_budget=memory_budget)
+            return builder.append(sets, universe_size=universe_size), before
         if any(s[0] < 0 for s in sets if len(s)):
             raise ValueError("element id out of range for the hash family's universe")
         if budget is not None:
@@ -555,7 +434,8 @@ def append_sets(spill_dir, sets: list, *, universe_size: int | None = None,
             for lo, hi in ranges:
                 faultpoint("append.shard")
                 shard, order, backend = _build_shard(lib, sets[lo:hi], family, config,
-                                                     spill.r0, budget)
+                                                     spill.r0, budget, build_compute,
+                                                     build_workers)
                 index = len(entries)
                 while commit.taken(f"shard_{index:04d}"):
                     index += 1

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.append import BULK_MOVE_BUDGET, GROUP_SLOT_BUDGET
+from repro.core.plan import BULK_MOVE_BUDGET, GROUP_SLOT_BUDGET
 from repro.core.builder import EMPTY, Placement, PlacementStats, place_set
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.errors import LayoutError
@@ -99,7 +99,7 @@ __all__ = [
 _NEXT_TABLE = np.array([1, 2, 0], dtype=np.int32)
 
 #: :data:`GROUP_SLOT_BUDGET` and the per-walk move budget
-#: :data:`BULK_MOVE_BUDGET` live in :mod:`repro.core.append` (one source for
+#: :data:`BULK_MOVE_BUDGET` live in :mod:`repro.core.plan` (one source for
 #: both construction paths).  The move budget exists because one bulk round
 #: advances every live walk by one move: at sane loads almost all walks
 #: settle within a handful of moves, and the serial MaxLoop budget (3 *

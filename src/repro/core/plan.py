@@ -34,6 +34,13 @@ The executor's pay-off floor and worker cap remain defined in
 :mod:`repro.parallel.executor` (tests monkeypatch them there); this module
 reads them lazily at plan time, because ``repro.parallel`` sits above the
 core layer.
+
+The module also holds the rules every spill builder sizes its shards with
+(:func:`working_budget`, :func:`plan_shard_ranges`,
+:func:`shard_build_compute`) and the bulk engine's budgets
+(:data:`GROUP_SLOT_BUDGET`, :data:`BULK_MOVE_BUDGET`); like the planners
+they load no NumPy, so the standard-library append
+(:mod:`repro.core.append`) and the NumPy builders share one copy.
 """
 
 from __future__ import annotations
@@ -61,6 +68,15 @@ __all__ = [
     "PARALLEL_BUILD_MIN_ELEMENTS",
     "MAX_AUTO_WORKERS",
     "resolve_worker_count",
+    "SHARD_BUDGET_DIVISOR",
+    "MIN_WORKING_BUDGET",
+    "GROUP_SLOT_BUDGET",
+    "BULK_MOVE_BUDGET",
+    "fixed_resident_bytes",
+    "working_budget",
+    "plan_shard_ranges",
+    "padded_row_bytes",
+    "shard_build_compute",
 ]
 
 #: Backends a plan can name, slowest-setup-last.  ``"sharded"`` is the
@@ -518,3 +534,132 @@ def plan_levelwise(
         )
     return CountPlan("parallel", n_workers,
                      f"{n_candidates} candidates across {n_workers} workers")
+
+
+# --------------------------------------------------------------------------- #
+# Spill shard sizing and build budgets (every spill builder)
+# --------------------------------------------------------------------------- #
+
+#: Fraction of the working budget one spilled shard may occupy.  The
+#: counting phase attaches two shards plus SWAR temporaries, and the build
+#: phase holds a shard's tidlists, entry stacks and cuckoo slot tables at
+#: once (several multiples of the packed bytes) — a tenth of the budget per
+#: shard keeps every phase's simultaneous working sets under the ceiling.
+SHARD_BUDGET_DIVISOR = 10
+
+#: Smallest working budget (after fixed residents) the pipeline accepts;
+#: below this not even a singleton shard's build tables fit.
+MIN_WORKING_BUDGET = 4096
+
+#: Upper bound on the slot-table size (``n_sets * 3 * r``) one bulk round
+#: operates over.  Width groups larger than this are processed in chunks of
+#: sets — placements are per-set independent, so chunking cannot change any
+#: result; it only bounds the working set.  4M slots keep the two int32
+#: per-slot arrays (occupancy + claims) at ~32 MB.
+GROUP_SLOT_BUDGET = 1 << 22
+
+#: Per-walk move budget of the round engine (see
+#: :mod:`repro.core.bulk_build`): walks past it fail their set over to the
+#: serial walk, so it decides which sets the oracle places.
+BULK_MOVE_BUDGET = 48
+
+
+def fixed_resident_bytes(universe_size: int, n_sets: int,
+                         *, lazy_family: bool = False,
+                         result_format: str = "dense") -> int:
+    """Resident bytes no amount of sharding can remove.
+
+    The eager hash family stores three permutations with their inverses
+    (six ``int64`` arrays over the universe), and — in the legacy dense
+    result format — the all-pairs result is a resident ``int64`` ``n x n``
+    matrix.  An extensible (lazy) family derives per-item parameters on
+    demand, so its O(universe) term vanishes; a ``"sparse"``
+    :class:`~repro.core.results.CountResult` keeps only the surviving
+    nonzeros resident, so its O(n^2) term vanishes too — which is what lets
+    a workload whose dense matrix alone exceeds the budget run end to end.
+    """
+    family_bytes = 0 if lazy_family else 48 * universe_size
+    result_bytes = 8 * n_sets * n_sets if result_format == "dense" else 0
+    return family_bytes + result_bytes
+
+
+def working_budget(memory_budget: int, universe_size: int, n_sets: int,
+                   *, lazy_family: bool = False,
+                   result_format: str = "dense") -> int:
+    """Budget left for shardable state after the fixed residents.
+
+    Raises ``ValueError`` with the full accounting when the fixed residents
+    leave less than :data:`MIN_WORKING_BUDGET` — a budget that cannot hold
+    the hash family and the result matrix cannot hold any pipeline.
+    ``result_format="sparse"`` drops the dense-matrix term from the fixed
+    residents (see :func:`fixed_resident_bytes`).
+    """
+    require_positive(memory_budget, "memory_budget")
+    fixed = fixed_resident_bytes(universe_size, n_sets, lazy_family=lazy_family,
+                                 result_format=result_format)
+    available = memory_budget - fixed
+    if available < MIN_WORKING_BUDGET:
+        raise ValueError(
+            f"memory budget ({memory_budget} B) is too small: the hash family "
+            f"over {universe_size} transactions and the {n_sets}x{n_sets} "
+            f"result matrix are irreducibly resident ({fixed} B), leaving "
+            f"less than {MIN_WORKING_BUDGET} B for shards"
+        )
+    return available
+
+
+def padded_row_bytes(r: int) -> int:
+    """Packed device bytes of one row of range ``r``, padded to 16 words."""
+    return ((3 * r // 4 + 15) // 16) * 16 * 4
+
+
+def plan_shard_ranges(
+    packed_bytes,
+    memory_budget: int,
+    *,
+    max_sets_per_shard: int | None = None,
+) -> list:
+    """Partition sets (in order) into contiguous shards under the budget.
+
+    ``packed_bytes[k]`` is set ``k``'s padded device size (from
+    :func:`~repro.core.sharded.set_packed_bytes`).  Each shard's total stays
+    at or below ``memory_budget // SHARD_BUDGET_DIVISOR`` — except that a
+    single set larger than the shard budget still gets a (singleton) shard:
+    sharding cannot split one batmap, it can only bound how many are
+    resident.  Returns ``[(lo, hi), ...]`` covering ``[0, n)``.
+    """
+    require_positive(memory_budget, "memory_budget")
+    shard_budget = max(1, memory_budget // SHARD_BUDGET_DIVISOR)
+    ranges: list[tuple[int, int]] = []
+    lo = 0
+    running = 0
+    n = 0
+    for k, nbytes in enumerate(packed_bytes):
+        nbytes = int(nbytes)
+        full = max_sets_per_shard is not None and (k - lo) >= max_sets_per_shard
+        if k > lo and (running + nbytes > shard_budget or full):
+            ranges.append((lo, k))
+            lo, running = k, 0
+        running += nbytes
+        n = k + 1
+    if n:
+        ranges.append((lo, n))
+    return ranges
+
+
+def shard_build_compute(largest: int, range_universe: int, config,
+                        memory_budget: int | None, build_compute: str) -> str:
+    """Per-shard engine choice under the working budget.
+
+    The bulk engine's floor is one set's group arrays (about six 8-byte
+    per-slot arrays over ``3 * r`` slots); when even that floor would eat
+    more than half the working budget, the shard builds with the serial
+    inserter instead — identical output, a fraction of the working set.
+    ``largest`` is the size of the shard's largest set.
+    """
+    if memory_budget is None or build_compute != "auto":
+        return build_compute
+    r_max = max(4, config.range_for_size(int(largest), range_universe))
+    if 144 * r_max > memory_budget // 2:
+        return "host"
+    return build_compute

@@ -27,6 +27,7 @@ Identity guarantees (pinned by ``tests/test_sharded.py``):
 from __future__ import annotations
 
 import shutil
+from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.append import (
+from repro.core.plan import (
     MIN_WORKING_BUDGET,
     SHARD_BUDGET_DIVISOR,
     fixed_resident_bytes,
@@ -190,6 +191,25 @@ def _load_shard_array(shard_index: int, path: Path, *,
             f"shard {shard_index}: cannot load {path} "
             f"({type(exc).__name__}: {exc}) — the artifact is damaged or "
             "incomplete; run 'repro verify'") from exc
+
+
+def _attach_shard(spill: SpillManifest, k: int) -> ShardInfo:
+    """Shard ``k`` of a committed record, its order and failed arrays loaded."""
+    entry = spill.shards[k]
+    directory = spill.spill_dir / entry["dir"]
+    order = _load_shard_array(k, directory / "order.npy")
+    failed = _load_shard_array(k, directory / "failed.npy")
+    if order.shape != (entry["hi"] - entry["lo"],):
+        raise SpillFormatError(
+            f"{directory / 'order.npy'} holds {order.shape} "
+            f"entries for a shard of {entry['hi'] - entry['lo']} sets — "
+            "the artifact is damaged; run 'repro verify'")
+    return ShardInfo(
+        lo=entry["lo"], hi=entry["hi"], directory=directory,
+        nbytes=entry["nbytes"], build_backend=entry["build_backend"],
+        order=order, failed=failed, kind=entry["kind"],
+        file_digests=entry["files"],
+    )
 
 
 def _failed_array(pairs) -> np.ndarray:
@@ -740,22 +760,7 @@ class ShardedCollection:
         spill_dir = Path(spill_dir)
         sweep_stale_staging(spill_dir)
         spill = read_manifest(spill_dir)
-        shards = []
-        for k, entry in enumerate(spill.shards):
-            directory = spill_dir / entry["dir"]
-            order = _load_shard_array(k, directory / "order.npy")
-            failed = _load_shard_array(k, directory / "failed.npy")
-            if order.shape != (entry["hi"] - entry["lo"],):
-                raise SpillFormatError(
-                    f"{directory / 'order.npy'} holds {order.shape} "
-                    f"entries for a shard of {entry['hi'] - entry['lo']} sets — "
-                    "the artifact is damaged; run 'repro verify'")
-            shards.append(ShardInfo(
-                lo=entry["lo"], hi=entry["hi"], directory=directory,
-                nbytes=entry["nbytes"], build_backend=entry["build_backend"],
-                order=order, failed=failed, kind=entry["kind"],
-                file_digests=entry["files"],
-            ))
+        shards = [_attach_shard(spill, k) for k in range(len(spill.shards))]
         tombstones = np.frombuffer(spill.read_tombstones(), dtype=np.int64)
         return cls(spill, shards, tombstones=tombstones)
 
@@ -864,18 +869,25 @@ class ShardedCollection:
     ) -> "ShardedCollection":
         """Ingest new sets as delta shards; see :meth:`ShardedCollectionBuilder.append`.
 
-        Mutates this object in place (shard table, r0, generation, family)
-        and also returns it, so both fluent and statement styles work.
-        Runs under the spill's writer lock and raises
-        :class:`~repro.core.errors.SpillConflictError` if another writer
-        committed since this object was attached.
+        Runs :func:`~repro.core.append.append_sets` (what ``repro ingest
+        --append`` runs) against this attachment's generation: a newer
+        commit by another writer raises
+        :class:`~repro.core.errors.SpillConflictError`.  Mutates this object
+        in place (shard table, r0, generation, family) after the commit
+        point and also returns it, so both fluent and statement styles work.
         """
-        with writer_lock(self.spill_dir, self.generation):
-            builder = ShardedCollectionBuilder.for_append(
-                self, config=config, build_compute=build_compute,
-                build_workers=build_workers, memory_budget=memory_budget)
-            manifest = builder.append(sets, universe_size=universe_size)
-        self._adopt(manifest, shards=builder.shards, family=builder.family)
+        from repro.core.append import append_sets
+        from repro.core.collection import _dedup_sorted
+
+        dedup = [array("q", _dedup_sorted(s).tobytes()) for s in sets]
+        manifest, _ = append_sets(
+            self.spill_dir, dedup, universe_size=universe_size,
+            memory_budget=memory_budget, config=config, build_compute=build_compute,
+            build_workers=build_workers, generation=self.generation)
+        kept = {shard.directory.name: shard for shard in self.shards}
+        shards = [kept.get(entry["dir"]) or _attach_shard(manifest, k)
+                  for k, entry in enumerate(manifest.shards)]
+        self._adopt(manifest, shards=shards)
         return self
 
     def delete(self, set_ids) -> int:
@@ -909,20 +921,20 @@ class ShardedCollection:
                         tombstones=updated.tombstones)
         return self
 
-    def _adopt(self, manifest: SpillManifest, *, shards=None, tombstones=None,
-               family=None) -> None:
+    def _adopt(self, manifest: SpillManifest, *, shards=None, tombstones=None) -> None:
         """Take the record a commit on this spill just published.
 
         The in-memory shards, tombstones and family carry over unless the
         commit replaced them: no shard array is re-read, no file re-hashed.
+        A replaced family file is loaded again on first use.
         """
+        if manifest.family_file != self.manifest.family_file:
+            self._family = None
         self.manifest = manifest
         if shards is not None:
             self.shards = shards
         if tombstones is not None:
             self.tombstones = tombstones
-        if family is not None:
-            self._family = family
         self._invalidate()
 
     @property

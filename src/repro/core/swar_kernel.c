@@ -367,10 +367,70 @@ int64_t encode_group(const int32_t *rows, const int32_t *slots, const int64_t *p
 }
 
 /* ------------------------------------------------------------------------ *
- * The standard-library append (repro.core.append): hashing, the serial walk
- * over group slots, and the Figure-4 row interleave.
+ * The standard-library append (repro.core.append): the sets-file parser,
+ * hashing, the serial walk over group slots, and the Figure-4 row interleave.
  * ------------------------------------------------------------------------ */
+#include <stdlib.h>
 #include <string.h>
+
+/* The separators of bytes.split() within a line: space, \t, \r, \v, \f. */
+static int is_blank(uint8_t c)
+{
+    return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+static int compare_ids(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* The FIMI sets-file grammar of repro.datasets.fimi_grammar.read_sets_file:
+ * lines end at '\n'; ids are runs of at most max_digits ASCII digits
+ * separated by blanks; blank lines and lines whose first token starts with
+ * '#' are skipped.  Each other line becomes one set, sorted and
+ * duplicate-free: its ids are appended to values (room for one id per two
+ * input bytes) and its size to lengths (room for one per line).  Returns the
+ * number of sets, or -1 - offset of the first line that breaks the grammar
+ * (the caller re-reads that line for its error message). */
+int64_t parse_sets(const uint8_t *data, int64_t n, int64_t max_digits, int64_t *values,
+                   int64_t *lengths)
+{
+    int64_t n_sets = 0, used = 0;
+    for (int64_t line = 0, end; line < n; line = end + 1) {
+        const uint8_t *stop = memchr(data + line, '\n', (size_t)(n - line));
+        end = stop ? stop - data : n;
+        int64_t p = line;
+        while (p < end && is_blank(data[p]))
+            p++;
+        if (p == end || data[p] == '#')
+            continue;
+        int64_t first = used;
+        int ordered = 1;
+        while (p < end) {
+            int64_t start = p;
+            uint64_t v = 0;
+            while (p < end && data[p] >= '0' && data[p] <= '9')
+                v = 10 * v + (uint64_t)(data[p++] - '0');
+            if (p == start || p - start > max_digits || (p < end && !is_blank(data[p])))
+                return -1 - line;
+            ordered &= used == first || (int64_t)v > values[used - 1];
+            values[used++] = (int64_t)v;
+            while (p < end && is_blank(data[p]))
+                p++;
+        }
+        if (!ordered) {
+            qsort(values + first, (size_t)(used - first), sizeof *values, compare_ids);
+            int64_t kept = first + 1;
+            for (int64_t k = first + 1; k < used; k++)
+                if (values[k] != values[kept - 1])
+                    values[kept++] = values[k];
+            used = kept;
+        }
+        lengths[n_sets++] = used - first;
+    }
+    return n_sets;
+}
 
 /* One round of repro.core.hashing.FeistelPermutation (32-bit mixing). */
 static uint64_t feistel_round(uint64_t v, uint64_t key)

@@ -35,9 +35,11 @@ walk (:func:`walk_set`) and the 8-bit group encoder (:func:`encode_group`).
 The standard-library append (:mod:`repro.core.append`) drives the same
 library with :mod:`array` buffers: the C ``hash_group`` and
 :func:`encode_group`, plus ``walk_slots`` (the serial walk over group
-slots) and ``interleave_rows`` (the Figure-4 row interleave).  Loading the library,
-its self-check and :func:`kernel_status` import no NumPy; the NumPy
-wrappers below import it when they run.
+slots) and ``interleave_rows`` (the Figure-4 row interleave); its sets-file
+reader (:mod:`repro.datasets.fimi_grammar`) runs ``parse_sets``.  Loading
+the library, its self-check (every entry point against pinned outputs on
+tiny inputs) and :func:`kernel_status` import no NumPy; the NumPy wrappers
+below import it when they run.
 
 When no compiler is found, the compile fails, the cache is unsafe or the
 loaded library fails its self-check, the NumPy implementations run instead:
@@ -296,7 +298,7 @@ def _compile(cc: list, target: Path) -> str | None:
 
 
 def _bind(path: Path):
-    """Load the library and declare its eight entry points."""
+    """Load the library and declare its entry points."""
     import ctypes
 
     lib = ctypes.CDLL(str(path))
@@ -318,6 +320,8 @@ def _bind(path: Path):
     lib.walk_slots.restype = i64
     lib.interleave_rows.argtypes = [ptr, i64, i64, i64, ptr, i64]
     lib.interleave_rows.restype = None
+    lib.parse_sets.argtypes = [ptr, i64, i64, ptr, ptr]
+    lib.parse_sets.restype = i64
     return lib
 
 
@@ -437,6 +441,31 @@ _SELF_CHECK_ENTRIES = [0, 0, 0, 0, 60, 0, 0, 0, 0, 223, 0, 0,
 _SELF_CHECK_WALK = [[[10, 14, _E, _E], [12, _E, _E, 10], [_E, 14, 12, _E]],
                     [11, 13], [5, 2, 36, 6]]
 
+#: The standard-library append's loops on tiny inputs.  ``hash_group``: two
+#: sets (``r = 4``, ``shift = 1``) over a domain of 13 with a lookup table
+#: for table 0 and Feistel networks (four keys, two half bits, so values
+#: past the domain are cycle-walked) for tables 1 and 2; ``[slots, payloads]``.
+_HASH_CASE = {"elements": [0, 3, 7, 12, 1, 9], "lengths": [4, 2], "r": 4, "shift": 1,
+              "table": [(5 * x + 2) % 13 for x in range(13)],
+              "keys": [[11, 22, 33, 44], [5, 6, 7, 8]], "half_bits": 2, "domain": 13}
+_SELF_CHECK_HASH = [[2, 0, 3, 2, 15, 12, 6, 6, 7, 5, 18, 16, 10, 11, 11, 8, 20, 21],
+                    [2, 3, 6, 6, 4, 5, 6, 4, 6, 3, 2, 7, 4, 4, 2, 1, 5, 1]]
+#: ``walk_slots`` over each set of :func:`_self_check_lists` (``max_loop =
+#: 2``): the 36 rows, then each set's failed flat indices.
+_SELF_CHECK_SLOT_WALK = [
+    [0, 4, _E, _E, 2, _E, _E, 0, _E, 4, 2, _E,
+     _E, _E, 6, _E, _E, 5, _E, 6, 5, _E, _E, _E,
+     _E, _E, _E, _E, _E, _E, _E, _E, _E, _E, _E, _E],
+    [1, 3], [], []]
+#: ``interleave_rows`` of entry bytes 1..24 (two sets, ``r = 4``) at ``r0 = 2``
+#: into rows of 16 bytes (the padding stays zero).
+_SELF_CHECK_INTERLEAVE = [1, 2, 5, 6, 9, 10, 3, 4, 7, 8, 11, 12, 0, 0, 0, 0,
+                          13, 14, 17, 18, 21, 22, 15, 16, 19, 20, 23, 24, 0, 0, 0, 0]
+#: ``parse_sets`` of a valid and of a malformed sets file: ``[sets, values,
+#: lengths, the result on the malformed one]`` (``-1 -`` its bad line's offset).
+_PARSE_CASE = (b" 7 3 7\t1\r\n# c x\n\n0042 5\n", b"1 2\n3 -4\n")
+_SELF_CHECK_PARSE = [2, [1, 3, 7, 5, 42], [3, 2], -5]
+
 
 def buffer_address(buf) -> int | None:
     """Address of a C-contiguous ``array``, ``bytearray`` or NumPy buffer."""
@@ -495,7 +524,40 @@ def _self_check(lib) -> bool:
             walk_failed[:n_failed].tolist(), stats.tolist()]
     return (placement == _SELF_CHECK_PLACEMENT
             and list(entries) == _SELF_CHECK_ENTRIES
-            and walk == _SELF_CHECK_WALK)
+            and walk == _SELF_CHECK_WALK
+            and _self_check_append(lib, slots))
+
+
+def _self_check_append(lib, group_slots: array) -> bool:
+    """The append's loops against their pinned outputs (no NumPy)."""
+    at, case = buffer_address, _HASH_CASE
+    elements, lengths = array("q", case["elements"]), array("q", case["lengths"])
+    n = len(elements)
+    table, keys = array("q", case["table"]), array("q", [0] * 4 + sum(case["keys"], []))
+    half_bits = array("q", [0, case["half_bits"], case["half_bits"]])
+    slots, payloads = array("i", bytes(4 * 3 * n)), array("q", bytes(8 * 3 * n))
+    hashed = lib.hash_group(at(elements), n, at(lengths), len(lengths), case["r"],
+                            case["shift"], at(table), None, None,
+                            at(keys), 4, at(half_bits), case["domain"], at(slots),
+                            at(payloads))
+    rows, failed = array("i", bytes(4 * 36)), array("q", bytes(8 * 14))
+    failures = []
+    for first, n_set, base in ((0, 5, 0), (5, 2, 12), (7, 0, 24)):
+        count = lib.walk_slots(at(group_slots), 7, first, n_set, base, 4, 2,
+                               at(rows) + 4 * base, at(failed))
+        failures.append(failed[:count].tolist())
+    walk = [rows.tolist(), *failures]
+    packed = bytearray(32)
+    lib.interleave_rows(bytes(range(1, 25)), 2, 4, 2, at(packed), 16)
+    values, set_lengths = array("q", bytes(8 * 16)), array("q", bytes(8 * 4))
+    good, bad = _PARSE_CASE
+    parsed = [lib.parse_sets(good, len(good), 18, at(values), at(set_lengths))]
+    parsed += [values[:5].tolist(), set_lengths[:2].tolist(),
+               lib.parse_sets(bad, len(bad), 18, at(values), at(set_lengths))]
+    return (hashed == 0 and [slots.tolist(), payloads.tolist()] == _SELF_CHECK_HASH
+            and walk == _SELF_CHECK_SLOT_WALK
+            and list(packed) == _SELF_CHECK_INTERLEAVE
+            and parsed == _SELF_CHECK_PARSE)
 
 
 def _kernel():

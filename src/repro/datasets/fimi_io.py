@@ -34,9 +34,14 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from repro.core.append import MAX_ID_DIGITS, _line_error
 from repro.core.errors import DataFormatError
-from repro.datasets.transactions import TransactionDatabase, canonical_rows, row_offsets
+from repro.datasets.fimi_grammar import MAX_ID_DIGITS
+from repro.datasets.transactions import (
+    TransactionDatabase,
+    canonical_rows,
+    row_offsets,
+    split_rows,
+)
 
 __all__ = [
     "MAX_ID_DIGITS",
@@ -44,6 +49,7 @@ __all__ = [
     "parse_fimi_block",
     "iter_fimi_blocks",
     "read_fimi_arrays",
+    "read_sets_arrays",
     "read_fimi",
     "write_fimi",
     "parse_fimi_lines",
@@ -149,6 +155,14 @@ def _clear_comments(data: bytes, irregular: np.ndarray, digit: np.ndarray,
     return len(data), None
 
 
+def _line_error(line: bytes, lineno: int, source: str) -> DataFormatError:
+    bad = [token for token in line.split() if not token.isdigit()]
+    if all(token[:1] == b"-" and token[1:].isdigit() for token in bad):
+        return DataFormatError(f"{source}: line {lineno}: negative item id")
+    text = line.decode("utf-8", "backslashreplace").strip()
+    return DataFormatError(f"{source}: line {lineno}: non-integer token in {text!r}")
+
+
 def _newline_blocks(source, block_bytes: int) -> Iterator[bytes]:
     """The source's bytes in blocks of about ``block_bytes`` that end at a line end."""
     if isinstance(source, (str, Path)):
@@ -213,6 +227,20 @@ def read_fimi_arrays(source: str | Path | Iterable, *,
         return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
     indptr = row_offsets(np.concatenate([np.diff(c.indptr) for c in chunks]))
     return indptr, np.concatenate([c.indices for c in chunks])
+
+
+def read_sets_arrays(path) -> list:
+    """Read a raw sets file: one whitespace-separated integer set per line.
+
+    The FIMI grammar: blank lines and ``#`` comments are skipped, so the
+    order of the remaining lines defines the dense set index space — the
+    format ``repro build-index --sets-file`` and ``repro ingest`` read.
+    Returns sorted duplicate-free ``int64`` arrays.
+    """
+    indptr, indices = read_fimi_arrays(path, name=str(path))
+    if indptr.size == 1:
+        raise DataFormatError(f"{path}: no sets found in input")
+    return split_rows(indptr, indices)
 
 
 def parse_fimi_line(line: str, lineno: int, source: str = "fimi") -> np.ndarray | None:

@@ -64,12 +64,12 @@ NEVER_MINED = ["multiprocessing", "concurrent.futures.process", "numpy.ma",
 #: ``repro.parallel.sharded``.  A change here is a start-up cost: add a
 #: module only on purpose.
 MINE_MODULES = sorted("""
-repro repro._version repro.cli repro.core repro.core.append repro.core.batch
-repro.core.batmap
+repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
 repro.core.builder repro.core.bulk_build repro.core.collection repro.core.config
 repro.core.errors repro.core.hashing repro.core.integrity repro.core.intersection
 repro.core.manifest repro.core.plan repro.core.results repro.core.sharded
-repro.core.swar repro.core.swar_kernel repro.datasets repro.datasets.fimi_io
+repro.core.swar repro.core.swar_kernel repro.datasets repro.datasets.fimi_grammar
+repro.datasets.fimi_io
 repro.datasets.streaming repro.datasets.transactions
 repro.mining repro.mining.pair_mining repro.mining.postprocess
 repro.mining.preprocess repro.mining.support repro.parallel
@@ -122,16 +122,15 @@ NEVER_DELETED_STDLIB = ["dataclasses", "inspect", "numpy", "repro.core.sharded"]
 INGEST_MODULES = sorted("""
 repro repro._version repro.cli repro.core repro.core.append repro.core.config
 repro.core.errors repro.core.integrity repro.core.manifest repro.core.plan
-repro.core.swar_kernel repro.utils repro.utils.bits repro.utils.faultpoints
-repro.utils.memory repro.utils.validation
+repro.core.swar_kernel repro.datasets repro.datasets.fimi_grammar repro.utils
+repro.utils.bits repro.utils.faultpoints repro.utils.memory repro.utils.validation
 """.split())
 
 #: ``repro compact --full``: attach, the merge (and budget parsing), commit.
 COMPACT_MODULES = sorted("""
-repro repro._version repro.cli repro.core repro.core.append repro.core.compaction
-repro.core.config
+repro repro._version repro.cli repro.core repro.core.compaction repro.core.config
 repro.core.errors repro.core.hashing repro.core.integrity repro.core.manifest
-repro.core.sharded repro.utils repro.utils.bits repro.utils.faultpoints
+repro.core.plan repro.core.sharded repro.utils repro.utils.bits repro.utils.faultpoints
 repro.utils.memory repro.utils.rng repro.utils.validation
 """.split())
 
@@ -205,10 +204,10 @@ def test_mutation_import_snapshots(tmp_path):
 #: Every ``repro`` module ``repro serve`` has loaded when it prints
 #: ``serving on``: attach, the query engine and the asyncio server.
 SERVE_MODULES = sorted("""
-repro repro._version repro.cli repro.core repro.core.append repro.core.batch
-repro.core.batmap
+repro repro._version repro.cli repro.core repro.core.batch repro.core.batmap
 repro.core.builder repro.core.config repro.core.errors repro.core.hashing
-repro.core.integrity repro.core.intersection repro.core.manifest repro.core.results
+repro.core.integrity repro.core.intersection repro.core.manifest repro.core.plan
+repro.core.results
 repro.core.sharded repro.core.swar repro.core.swar_kernel repro.extensions
 repro.extensions.multiway repro.serve repro.serve.batcher repro.serve.cache repro.serve.engine
 repro.serve.metrics repro.serve.protocol repro.serve.server repro.utils

@@ -319,6 +319,62 @@ def test_self_check_construction_values_match_references():
     assert walk_failed
 
 
+
+def test_self_check_append_values_match_references():
+    """The pins of the append's loops: NumPy hashing, the Python walk, the
+    NumPy interleave and the NumPy FIMI parser."""
+    from repro.core.bulk_build import pack_group_words
+    from repro.core.hashing import ArrayPermutation, FeistelPermutation
+    from repro.datasets.fimi_io import parse_fimi_block
+
+    case = swar_kernel._HASH_CASE
+    table = np.array(case["table"], dtype=np.int64)
+    perms = [ArrayPermutation(table, np.argsort(table))] + [
+        FeistelPermutation(domain_size=case["domain"], keys=tuple(keys),
+                           half_bits=case["half_bits"]) for keys in case["keys"]]
+    elements, r = np.array(case["elements"]), case["r"]
+    set_of = np.repeat(np.arange(len(case["lengths"])), case["lengths"])
+    permuted = np.stack([perm.apply(elements) for perm in perms])
+    slots = (permuted & (r - 1)) + 3 * r * set_of + np.arange(3)[:, None] * r
+    payloads = (permuted >> case["shift"]) + 1
+    assert [slots.ravel().tolist(), payloads.ravel().tolist()] \
+        == swar_kernel._SELF_CHECK_HASH
+
+    group_slots = swar_kernel._self_check_group()[0]
+    rows, failed = [], []
+    for first, n in ((0, 5), (5, 2), (7, 0)):
+        ids = np.arange(first, first + n)
+        walk_rows, walk_failed, _ = _walk(ids, group_slots[:, first:first + n] % 4,
+                                          4, 2, False)
+        rows += walk_rows.ravel().tolist()
+        failed.append(walk_failed)
+    assert [rows, *failed] == swar_kernel._SELF_CHECK_SLOT_WALK
+
+    words, _ = pack_group_words(np.arange(1, 25, dtype=np.uint8).reshape(2, 3, 4), 2)
+    packed = words.view(np.uint8)[:, :16].ravel().tolist()
+    assert packed == swar_kernel._SELF_CHECK_INTERLEAVE
+
+    good, bad = swar_kernel._PARSE_CASE
+    rows = parse_fimi_block(good)
+    assert parse_fimi_block(bad).error is not None
+    assert [rows.indptr.size - 1, rows.indices.tolist(), np.diff(rows.indptr).tolist(),
+            -1 - bad.index(b"3")] == swar_kernel._SELF_CHECK_PARSE
+
+
+@native_only
+@pytest.mark.parametrize("name", ["hash_group", "walk_slots", "interleave_rows",
+                                  "parse_sets"])
+def test_self_check_rejects_a_faulty_append_loop(name):
+    """A library whose append loop does nothing fails the self-check."""
+    lib = swar_kernel.native_library()
+
+    class Faulty:
+        def __getattr__(self, attr):
+            return (lambda *args: 0) if attr == name else getattr(lib, attr)
+
+    assert swar_kernel._self_check(lib)
+    assert not swar_kernel._self_check(Faulty())
+
 # --------------------------------------------------------------------------- #
 # CLI: outputs unchanged without the kernel, and the kernel line
 # --------------------------------------------------------------------------- #
